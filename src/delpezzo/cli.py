@@ -51,8 +51,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_w_max() -> int:
-    return int(os.environ.get(MAX_WEIGHT_ENV, "150"))
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _parse_index_range(text: str) -> tuple[int, int]:
@@ -65,15 +71,19 @@ def _parse_index_range(text: str) -> tuple[int, int]:
 
 
 def _build_parser() -> _Parser:
+    # a string default goes through `type` too, so a bad environment value
+    # is a usage error like a bad flag
+    w_max_default = os.environ.get(MAX_WEIGHT_ENV, "150")
     p = _Parser(prog="delpezzo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("enumerate", help="enumerate candidates per index")
     pe.add_argument("--index", default="1..10", help="index or range, e.g. 3 or 1..10")
-    pe.add_argument("--max-weight", type=int, default=None)
+    w_max_help = f"weight bound (default: ${MAX_WEIGHT_ENV}, else 150)"
+    pe.add_argument("--max-weight", type=_positive_int, default=w_max_default, help=w_max_help)
     pe.add_argument("--method", choices=["brute", "structured", "both"], default="both")
     pe.add_argument("--format", choices=["json", "csv", "markdown"], default="markdown")
-    pe.add_argument("--jobs", type=int, default=1)
+    pe.add_argument("--jobs", type=_positive_int, default=1)
     pe.add_argument("--output", default=None)
 
     pc = sub.add_parser("certify", help="Kähler-Einstein certificate cascade")
@@ -90,8 +100,8 @@ def _build_parser() -> _Parser:
 
     pr = sub.add_parser("reproduce", help="regenerate and diff a published table")
     pr.add_argument("--table", choices=["1", "3", "series", "theorem-a"], required=True)
-    pr.add_argument("--max-weight", type=int, default=None)
-    pr.add_argument("--jobs", type=int, default=1)
+    pr.add_argument("--max-weight", type=_positive_int, default=w_max_default, help=w_max_help)
+    pr.add_argument("--jobs", type=_positive_int, default=1)
     return p
 
 
@@ -280,7 +290,7 @@ def main(argv=None) -> int:
             cfg = RunConfig(
                 index_min=imin,
                 index_max=imax,
-                w_max=args.max_weight if args.max_weight is not None else _default_w_max(),
+                w_max=args.max_weight,
                 method=args.method,
                 fmt=args.format,
                 jobs=args.jobs,
@@ -295,14 +305,13 @@ def main(argv=None) -> int:
         if args.command == "topology":
             return _topology(args)
         if args.command == "reproduce":
-            w_max = args.max_weight if args.max_weight is not None else _default_w_max()
             if args.table == "1":
-                return _reproduce_table1(w_max, args.jobs)
+                return _reproduce_table1(args.max_weight, args.jobs)
             if args.table == "3":
                 return _reproduce_table3()
             if args.table == "series":
                 return _reproduce_series()
-            return _reproduce_theorem_a(w_max, args.jobs)
+            return _reproduce_theorem_a(args.max_weight, args.jobs)
         raise AssertionError(f"unhandled command {args.command}")
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

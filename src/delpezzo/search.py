@@ -4,8 +4,9 @@ Two independent routes produce the classification below a weight bound:
 
 * `brute_force_enumerate` scans every ascending primitive weight system with
   weights <= w_max and keeps the well-formed, quasi-smooth candidates that
-  pass both exclusion gates.  Complete below its bound by construction; it
-  is the semantic ground truth.
+  pass both exclusion gates.  It solves w3 from condition I for z3 instead
+  of scanning it; every pruning is proved in `_scan_w0`.  Complete below its
+  bound by construction; it is the semantic ground truth.
 
 * `structured_enumerate` follows the search the classification proof runs:
   for each variable i = 1, 2, 3 the quasi-smoothness witness gives an
@@ -253,60 +254,52 @@ def structured_enumerate(
     return [build_record(c) for c in cands]
 
 
-def _scan_slice(I: int, w0: int, w_max: int, pair_grid, strict: bool):
-    """All admissible ordered weight tuples with the given smallest weight."""
-    W2, W3, start = pair_grid
-    out = []
+def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int, strict: bool):
+    """All admissible (I, w) with smallest weight w0 and I_min <= I <= I_max.
+
+    One numpy pass per w1 covers every w2 in [w1, w_max], every index and
+    the at most five values of w3 that condition I for z3 leaves; w3 is
+    never scanned.  Each pruning is a necessary condition for `_admissible`,
+    which still decides every survivor.  Write S = w0 + w1 + w2, so that
+    d = S + w3 - I.
+
+    * 3*w0 > 2I and w0 + w1 != 2I: otherwise `gate_check` fails (G1, G2).
+    * w3 in {S - I, (S - I)/2, S - w0 - I, S - w1 - I, S - w2 - I}.
+      Condition I for z3 asks for d - w_j = m*w3 with m >= 1 and some j.
+      - j = 3: d - w3 = S - I <= 3*w3 - I < 3*w3, so m <= 2 and w3 is
+        S - I or (S - I)/2.
+      - j < 3: d - w_j = (S - w_j - I) + w3, where S - w_j >= 2*w0 > I
+        since 3*w0 > 2I, so d - w_j > w3 and m >= 2.  Also
+        d - w_j <= 2*w3 - I + w3 < 3*w3, so m = 2 and w3 = S - w_j - I.
+      Either way d = (m + 1)*w3 or d = 2*w3 + w_j, so d <= 3*w3 follows.
+    * w2 <= w3 <= w_max: the tuple is ascending and inside the box.
+    * Condition I for z0, z1, z2: w_i | d - w_j for some j.  Every
+      d - w_j >= d - w3 = S - I > 0, so divisibility already gives
+      d - w_j >= w_i.
+
+    An odd S - I has no half; the pass puts 0 there, which the box drops.
+    Two cases can give the same w3; the set keeps one copy.  Each pass
+    holds O(w_max * (I_max - I_min + 1)) entries per array.
+    """
+    I_all = np.arange(I_min, min(I_max, (3 * w0 - 1) // 2) + 1)  # G1
+    found = set()
     for w1 in range(w0, w_max + 1):
-        if w0 + w1 == 2 * I:
-            continue  # gate: 2I = w0 + w1
-        g01 = gcd(w0, w1)
-        w2s = W2[start[w1]:]
-        w3s = W3[start[w1]:]
-        d = (w0 + w1 - I) + w2s + w3s
-        mask = (d > w3s) & (d <= 3 * w3s)
-        # well-formedness: all four weight triples coprime
-        mask &= np.gcd(g01, w2s) == 1
-        mask &= np.gcd(g01, w3s) == 1
-        mask &= np.gcd(np.gcd(w0, w2s), w3s) == 1
-        mask &= np.gcd(np.gcd(w1, w2s), w3s) == 1
-        if not mask.any():
-            continue
-        # condition I for each variable: some partner j with w_i | d - w_j >= w_i
-        for wi in (w0, w1):
-            ok = np.zeros_like(mask)
-            for r in (d - w0, d - w1, d - w2s, d - w3s):
-                ok |= (r >= wi) & (r % wi == 0)
-            mask &= ok
-            if not mask.any():
-                break
-        else:
-            for wv in (w2s, w3s):
-                ok = np.zeros_like(mask)
-                for r in (d - w0, d - w1, d - w2s, d - w3s):
-                    ok |= (r >= wv) & (r % wv == 0)
-                mask &= ok
-                if not mask.any():
-                    break
-        if not mask.any():
-            continue
-        for w2, w3 in zip(w2s[mask].tolist(), w3s[mask].tolist()):
-            w = (w0, w1, w2, w3)
-            if _admissible(w, I, w_max, strict) is not None:
-                out.append(w)
-    return out
-
-
-def _pair_grid(w_max: int):
-    """Flattened (w2, w3) pairs with w2 <= w3 <= w_max, sliceable by min w2."""
-    w2s, w3s, start = [], [], [0] * (w_max + 2)
-    for w2 in range(1, w_max + 1):
-        start[w2] = len(w2s)
-        for w3 in range(w2, w_max + 1):
-            w2s.append(w2)
-            w3s.append(w3)
-    start[w_max + 1] = len(w2s)
-    return np.array(w2s, dtype=np.int64), np.array(w3s, dtype=np.int64), start
+        Is = I_all[2 * I_all != w0 + w1]  # G2
+        w2 = np.arange(w1, w_max + 1)[:, None]
+        r = w0 + w1 + w2 - Is  # S - I: a row per w2, a column per index
+        w3 = np.stack([r, np.where(r % 2, 0, r // 2), r - w0, r - w1, r - w2])
+        box = (w2 <= w3) & (w3 <= w_max)
+        _, k2, kI = np.nonzero(box)
+        w2, w3, Is = w1 + k2, w3[box], Is[kI]
+        d = w0 + w1 + w2 + w3 - Is
+        for i in range(3):  # condition I for z0, z1, z2; w2 shrinks with each cut
+            wi = (w0, w1, w2)[i]
+            dm = d % wi
+            keep = (dm == w0 % wi) | (dm == w1 % wi) | (dm == w2 % wi) | (dm == w3 % wi)
+            w2, w3, Is, d = w2[keep], w3[keep], Is[keep], d[keep]
+        for I, x2, x3 in zip(Is.tolist(), w2.tolist(), w3.tolist()):
+            found.add((I, (w0, w1, x2, x3)))
+    return [(I, w) for I, w in found if _admissible(w, I, w_max, strict) is not None]
 
 
 def brute_force_enumerate(
@@ -319,30 +312,25 @@ def brute_force_enumerate(
     """Exhaustive scan: the complete record list below the weight bound.
 
     Deterministic order (index ascending, then weights lexicographic),
-    identical for any job count; workers split on the smallest weight.
+    identical for any job count.  One pool of spawned workers splits on
+    the smallest weight w0, and each w0 serves every index; a script that
+    passes jobs > 1 needs the usual `if __name__ == "__main__"` guard.
     """
     if not (1 <= I_min <= I_max):
         raise ValueError(f"bad index range [{I_min}, {I_max}]")
     if w_max < 1:
         raise ValueError(f"bad weight bound {w_max}")
-    grid = _pair_grid(w_max)
-    records: list[CandidateRecord] = []
-    for I in range(I_min, I_max + 1):
-        w0_min = (2 * I) // 3 + 1  # gate: need 3*w0 > 2I
-        w0s = list(range(w0_min, w_max + 1))
-        if jobs > 1 and len(w0s) > 1:
-            from multiprocessing import Pool
+    w0_min = (2 * I_min) // 3 + 1  # gate G1 at the smallest index
+    args = [(w0, I_min, I_max, w_max, strict) for w0 in range(w0_min, w_max + 1)]
+    if jobs > 1 and len(args) > 1:
+        from multiprocessing import get_context
 
-            with Pool(jobs) as pool:
-                chunks = pool.starmap(
-                    _scan_slice, [(I, w0, w_max, grid, strict) for w0 in w0s]
-                )
-        else:
-            chunks = [_scan_slice(I, w0, w_max, grid, strict) for w0 in w0s]
-        tuples = sorted(w for chunk in chunks for w in chunk)
-        for w in tuples:
-            records.append(build_record(Candidate(WeightSystem(w), sum(w) - I)))
-    return records
+        with get_context("spawn").Pool(jobs) as pool:
+            chunks = pool.starmap(_scan_w0, args, chunksize=1)
+    else:
+        chunks = [_scan_w0(*a) for a in args]
+    found = sorted(t for chunk in chunks for t in chunk)
+    return [build_record(Candidate(WeightSystem(w), sum(w) - I)) for I, w in found]
 
 
 def match_series(r) -> tuple[str, int] | None:

@@ -101,6 +101,44 @@ def test_cli_usage_error_exit1(capsys):
     assert cli.main(["certify", "1", "2", "3", "5"]) == 1  # needs degree or index
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--jobs", "0"],
+        ["reproduce", "--table", "1", "--jobs", "-1"],
+    ],
+)
+def test_cli_rejects_nonpositive_jobs(capsys, argv):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --jobs:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--max-weight", "0", "--method", "brute"],
+        ["enumerate", "--max-weight", "-5", "--method", "structured"],
+        ["reproduce", "--table", "1", "--max-weight", "0"],
+    ],
+)
+def test_cli_rejects_nonpositive_max_weight(capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: argument --max-weight:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_cli_rejects_non_integer_env_max_weight(monkeypatch, capsys):
+    monkeypatch.setenv(cli.MAX_WEIGHT_ENV, "abc")
+    assert cli.main(["enumerate", "--index", "3", "--method", "brute"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "'abc'" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_certify_outputs(capsys):
     assert cli.main(["certify", "2", "3", "5", "9", "--index", "1"]) == 0
     assert "Certified (rule R3: 36 < 54)" in capsys.readouterr().out

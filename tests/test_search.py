@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 
 from delpezzo import catalog
+from delpezzo.quasismooth import STRICT_PAIRS_DEFAULT
 from delpezzo.search import (
     BranchAssignment,
+    _admissible,
     brute_force_enumerate,
     witness_branches,
     match_series,
@@ -69,15 +73,15 @@ def test_solve_inconsistent_branch_empty():
     assert kinds <= {"empty", "finite", "line", "plane"}
 
 
-def test_brute_force_index3():
-    records = brute_force_enumerate(3, 3, 150)
+def test_brute_force_index3(enumeration_150):
+    records = [r for r in enumeration_150[0] if r.candidate.I == 3]
     assert len(records) == 7
     assert all(r.candidate.I == 3 for r in records)
     assert all(r.series_id is None for r in records)
 
 
-def test_brute_force_index1():
-    records = brute_force_enumerate(1, 1, 150)
+def test_brute_force_index1(enumeration_150):
+    records = [r for r in enumeration_150[0] if r.candidate.I == 1]
     sporadic = [r for r in records if r.series_id is None]
     series = [r for r in records if r.series_id is not None]
     assert len(sporadic) == 19
@@ -93,6 +97,30 @@ def test_brute_force_deterministic_and_parallel():
     parallel = brute_force_enumerate(2, 2, 40, jobs=2)
     assert [r.key() for r in single] == [r.key() for r in again]
     assert [r.key() for r in single] == [r.key() for r in parallel]
+    # one pool serves every index
+    all_single = brute_force_enumerate(1, 10, 60, jobs=1)
+    all_parallel = brute_force_enumerate(1, 10, 60, jobs=2)
+    assert [r.key() for r in all_single] == [r.key() for r in all_parallel]
+
+
+def test_oracle_matches_unpruned_scan():
+    """The oracle's prunings lose nothing: compare with no pruning at all.
+
+    The oracle skips 3*w0 <= 2I and w0 + w1 = 2I and tries only five
+    values of w3 per (w0, w1, w2, I); the proofs are in
+    `search._scan_w0`.  Here every ascending tuple and every index goes
+    through `_admissible` alone.
+    """
+    w_max = 40
+    expected = [
+        (I, w)
+        for w in itertools.combinations_with_replacement(range(1, w_max + 1), 4)
+        for I in range(1, 11)
+        if _admissible(w, I, w_max, STRICT_PAIRS_DEFAULT) is not None
+    ]
+    got = [(r.candidate.I, r.candidate.weights.w) for r in brute_force_enumerate(1, 10, w_max)]
+    assert got == sorted(expected)
+    assert len(got) == 123
 
 
 def test_structured_includes_all_index2_series():
