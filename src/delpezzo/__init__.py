@@ -44,7 +44,6 @@ from .search import (
     SolutionSpace,
     brute_force_enumerate,
     witness_branches,
-    match_series,
     solve_condition_system,
     structured_enumerate,
 )

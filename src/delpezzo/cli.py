@@ -1,7 +1,7 @@
 """Command-line driver: enumeration, certification, topology, reproduction.
 
-Exit codes: 0 success/match, 1 usage error, 2 verification mismatch,
-3 internal invariant violation.
+Exit codes: 0 success/match, 1 usage or output-file error, 2 verification
+mismatch, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -296,10 +296,14 @@ def main(argv=None) -> int:
                 jobs=args.jobs,
                 output=args.output,
             )
-            if cfg.output:
+            if not cfg.output:
+                return _enumerate(cfg, sys.stdout)
+            try:
                 with open(cfg.output, "w") as fh:
                     return _enumerate(cfg, fh)
-            return _enumerate(cfg, sys.stdout)
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
         if args.command == "certify":
             return _certify(args)
         if args.command == "topology":

@@ -9,9 +9,6 @@ the structured search.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import ceil, floor
-
 
 def _eye(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -118,12 +115,11 @@ def _interval(constraints):
             if cst < 0:
                 return 1, 0  # infeasible
             continue
-        bound = Fraction(cst, a)
         if a > 0:
-            v = floor(bound)
+            v = cst // a
             hi = v if hi is None else min(hi, v)
         else:
-            v = ceil(bound)
+            v = -(-cst // a)
             lo = v if lo is None else max(lo, v)
     return lo, hi
 

@@ -12,7 +12,10 @@ Two independent routes produce the classification below a weight bound:
   for each variable i = 1, 2, 3 the quasi-smoothness witness gives an
   equation m_i*w_i + w_{j(i)} = d and the witness exponents are bounded
   (m_3 <= 2, m_2 <= 4, m_1 <= 10 once the gates hold), so finitely many
-  branch assignments remain and each yields a small linear system.
+  branch shapes (m, j) remain and each yields a small linear system.  Each
+  shape is diagonalized once per process, the shapes gate G1 rules out are
+  skipped (proof in `_g1_rules_out`), and each index walks every distinct
+  solution line once.
 
 The two must agree; the test suite enforces it.
 """
@@ -21,13 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, gcd
+from functools import cache
+from math import gcd, lcm
 
 import numpy as np
 
-from . import catalog
-from .diophantine import box_solutions, solve_linear_system
+from .diophantine import box_solutions, diagonalize
 from .errors import NonPrimitiveWeights
 from .klt import gate_check
 from .quasismooth import STRICT_PAIRS_DEFAULT, is_quasismooth
@@ -74,11 +76,64 @@ def witness_branches(I: int):
     classical bound analysis all satisfy a gate condition and are discarded later, so
     nothing below the classical lower bounds is lost by including them.
     """
-    for m1, m2, m3 in itertools.product(
-        range(1, M1_MAX + 1), range(1, M2_MAX + 1), range(1, M3_MAX + 1)
-    ):
-        for j in itertools.product(range(4), repeat=3):
-            yield BranchAssignment(m=(m1, m2, m3), j=j, index=I)
+    # one tuple per j for every m, since the shape cache keeps them
+    js = list(itertools.product(range(4), repeat=3))
+    for m in itertools.product(range(1, M1_MAX + 1), range(1, M2_MAX + 1), range(1, M3_MAX + 1)):
+        for j in js:
+            yield BranchAssignment(m=m, j=j, index=I)
+
+
+@cache
+def _shape(m, j):
+    """One diagonalization U*A*V = D of the branch matrix of the shape (m, j).
+
+    The right-hand side at index I is -I*(1,1,1), so with u = -U*(1,1,1) the
+    system is consistent iff u_i = 0 wherever D_ii = 0 and D_ii divides
+    I*u_i elsewhere, that is iff `step` divides I.  The particular solution
+    is then (I // step) * `base`.  Returns (step, base, kernel basis), or
+    None for a shape that is inconsistent at every index.
+    """
+    D, U, V = diagonalize(BranchAssignment(m, j, 1).equations()[0])
+    u = [-sum(row) for row in U]
+    if any(D[i][i] == 0 and u[i] for i in range(3)):
+        return None
+    step = lcm(*(D[i][i] // gcd(D[i][i], u[i]) for i in range(3) if D[i][i]))
+    y = [step * u[i] // D[i][i] if D[i][i] else 0 for i in range(3)] + [0]
+    base = tuple(sum(V[i][k] * y[k] for k in range(4)) for i in range(4))
+    # the pivots come first, so the kernel is spanned by the columns past them
+    return step, base, tuple(tuple(r[k] for r in V) for k in range(4) if k == 3 or not D[k][k])
+
+
+def _solve(shape, I: int):
+    """(particular solution, kernel basis) of a `_shape` at index I, or None."""
+    if shape is None or I % shape[0]:
+        return None
+    step, base, kernel = shape
+    return [I // step * x for x in base], kernel
+
+
+def _g1_rules_out(m, j) -> bool:
+    """True for a shape whose every solution fails gate G1 at every index.
+
+    That is a shape with some m_i = 1 and j(i) != i.  Its row i reads
+    w_i + w_{j(i)} - sum(w) = -I, that is w_a + w_b = I for the two other
+    variables a, b.  Then w0 <= min(w_a, w_b) <= I/2, so 3*w0 < 2I and G1
+    rejects the solution.
+    """
+    return any(mi == 1 and ji != i for i, (mi, ji) in enumerate(zip(m, j), start=1))
+
+
+@cache
+def _line_shapes():
+    """The distinct solved shapes `structured_enumerate` walks.
+
+    `_g1_rules_out` leaves 2,405 of the 5,120 shapes, and it removes all 64
+    of rank two (the "plane" kind).  The rest have rank three, so each
+    solution set is a line; two of them are inconsistent at every index,
+    and 1,879 distinct (step, base, kernel) remain.
+    """
+    shapes = (_shape(b.m, b.j) for b in witness_branches(1) if not _g1_rules_out(b.m, b.j))
+    return tuple(dict.fromkeys(s for s in shapes if s is not None))
 
 
 @dataclass(frozen=True)
@@ -90,9 +145,9 @@ class SolutionSpace:
     kind "line":   a one-parameter family w_i(k) = a_i*k + b_i (k >= k_min)
                    with degree d(k); instances still need the pointwise
                    filters (primitivity, quasi-smoothness, gates).
-    kind "plane":  a two-parameter lattice coset; only occurs for branches
-                   whose equations coincide, all of whose members turn out
-                   to be gated.  Enumerated by slicing under the bound.
+    kind "plane":  a two-parameter lattice coset; only shapes that
+                   `_g1_rules_out` marks give it, so gate G1 rejects every
+                   member.  Enumerated by slicing under the bound.
     """
 
     index: int
@@ -102,14 +157,6 @@ class SolutionSpace:
     k_min: int | None = None
     origin: tuple[int, int, int, int] | None = None
     directions: tuple[tuple[int, int, int, int], ...] = ()
-
-    @property
-    def degree_form(self) -> tuple[int, int] | None:
-        if self.weight_forms is None:
-            return None
-        a = sum(f[0] for f in self.weight_forms)
-        b = sum(f[1] for f in self.weight_forms) - self.index
-        return (a, b)
 
     def weights_at(self, k: int) -> tuple[int, int, int, int]:
         if self.weight_forms is None:
@@ -126,42 +173,38 @@ class SolutionSpace:
                     yield w
             return
         if self.kind == "line":
-            k = self.k_min
-            while True:
+            for k in itertools.count(self.k_min):
                 w = self.weights_at(k)
                 if max(w) > w_max:
                     return
                 yield w
-                k += 1
-            return
         # plane: slice the two-parameter coset inside the box, filter order
         for w in box_solutions(list(self.origin), [list(v) for v in self.directions], 1, w_max):
             if w[0] <= w[1] <= w[2] <= w[3]:
                 yield w
 
 
-def _ordering_interval(p, v):
+def _ordering_interval(p, v, w_max=None):
     """Integer k-interval where p + k*v is positive and ascending.
 
-    Returns (lo, hi) with None for an unbounded side, or None if empty.
+    Given `w_max`, also w3 <= w_max.  Returns (lo, hi) with None for an
+    unbounded side, or None if empty.
     """
     lo, hi = None, None
-    constraints = []  # a*k >= c  as (a, c)
-    for i in range(4):
-        constraints.append((v[i], 1 - p[i]))  # w_i >= 1
-    for i in range(3):
-        constraints.append((v[i + 1] - v[i], p[i] - p[i + 1]))  # w_{i+1} >= w_i
+    constraints = [(v[i], 1 - p[i]) for i in range(4)]  # a*k >= c as (a, c): w_i >= 1
+    constraints += [(v[i + 1] - v[i], p[i] - p[i + 1]) for i in range(3)]  # w_{i+1} >= w_i
+    if w_max is not None:
+        constraints.append((-v[3], p[3] - w_max))
     for a, c in constraints:
         if a == 0:
             if c > 0:
                 return None
             continue
-        bound = Fraction(c, a)
         if a > 0:
-            val = ceil(bound)
+            val = -(-c // a)
             lo = val if lo is None else max(lo, val)
         else:
-            val = floor(bound)
+            val = c // a
             hi = val if hi is None else min(hi, val)
     if lo is not None and hi is not None and lo > hi:
         return None
@@ -173,44 +216,57 @@ def solve_condition_system(b: BranchAssignment) -> SolutionSpace:
 
     Full-rank branches give a line of solutions (possibly cut to finitely
     many by the ordering constraints); coinciding equations give a plane.
-    Inconsistent systems give the empty space, not an error.
+    Three equations in four unknowns always leave a kernel.  Inconsistent
+    systems give the empty space, not an error.
     """
-    A, rhs = b.equations()
-    sol = solve_linear_system(A, rhs)
+    sol = _solve(_shape(b.m, b.j), b.index)
     if sol is None:
         return SolutionSpace(index=b.index, kind="empty")
     p, basis = sol
-    if len(basis) == 0:
-        w = tuple(p)
-        if all(x >= 1 for x in w) and w[0] <= w[1] <= w[2] <= w[3]:
-            return SolutionSpace(index=b.index, kind="finite", points=(w,))
-        return SolutionSpace(index=b.index, kind="empty")
-    if len(basis) == 1:
-        v = basis[0]
-        interval = _ordering_interval(p, v)
-        if interval is None:
-            return SolutionSpace(index=b.index, kind="empty")
-        lo, hi = interval
-        if lo is not None and hi is not None:
-            if hi - lo > 200_000:
-                raise AssertionError(f"branch {b}: ordering window [{lo}, {hi}] too wide")
-            pts = tuple(
-                tuple(p[i] + k * v[i] for i in range(4)) for k in range(lo, hi + 1)
-            )
-            return SolutionSpace(index=b.index, kind="finite", points=pts)
-        if lo is None:  # ray towards -infinity: flip the direction
-            p, v = p, [-x for x in v]
-            lo = -hi
-        forms = tuple((v[i], p[i]) for i in range(4))
-        return SolutionSpace(index=b.index, kind="line", weight_forms=forms, k_min=lo)
     if len(basis) == 2:
-        return SolutionSpace(
-            index=b.index,
-            kind="plane",
-            origin=tuple(p),
-            directions=tuple(tuple(v) for v in basis),
+        return SolutionSpace(index=b.index, kind="plane", origin=tuple(p), directions=basis)
+    v = basis[0]
+    interval = _ordering_interval(p, v)
+    if interval is None:
+        return SolutionSpace(index=b.index, kind="empty")
+    lo, hi = interval
+    if lo is not None and hi is not None:
+        if hi - lo > 200_000:
+            raise AssertionError(f"branch {b}: ordering window [{lo}, {hi}] too wide")
+        pts = tuple(
+            tuple(p[i] + k * v[i] for i in range(4)) for k in range(lo, hi + 1)
         )
-    raise AssertionError(f"branch {b} has kernel dimension {len(basis)} > 2")
+        return SolutionSpace(index=b.index, kind="finite", points=pts)
+    if lo is None:  # ray towards -infinity: flip the direction
+        v = [-x for x in v]
+        lo = -hi
+    forms = tuple((v[i], p[i]) for i in range(4))
+    return SolutionSpace(index=b.index, kind="line", weight_forms=forms, k_min=lo)
+
+
+def _lines(I: int, w_max: int):
+    """The distinct segments (start, direction, length) the line shapes give at I.
+
+    A segment holds the positive ascending points of one solution line with
+    w3 <= w_max, which bounds k on both sides: w3 <= w_max on one, and
+    w3 >= 1 or, if v3 = 0, order and positivity on the other.  The
+    direction is made lexicographically positive, so two shapes with the
+    same solution line give the same segment.
+    """
+    lines = set()
+    for shape in _line_shapes():
+        sol = _solve(shape, I)
+        if sol is None:
+            continue
+        p, (v,) = sol
+        interval = _ordering_interval(p, v, w_max)
+        if interval is None:
+            continue
+        lo, hi = interval
+        if v < (0, 0, 0, 0):
+            v, lo, hi = tuple(-x for x in v), -hi, -lo
+        lines.add((tuple(p[i] + lo * v[i] for i in range(4)), v, hi - lo + 1))
+    return lines
 
 
 def _admissible(w, I: int, w_max: int, strict: bool) -> Candidate | None:
@@ -239,17 +295,20 @@ def _admissible(w, I: int, w_max: int, strict: bool) -> Candidate | None:
 def structured_enumerate(
     I: int, w_max: int, strict: bool = STRICT_PAIRS_DEFAULT
 ) -> list[CandidateRecord]:
-    """Union of the filtered branch solutions, deduplicated, canonical order."""
+    """Union of the filtered branch solutions, deduplicated, canonical order.
+
+    Each shape in `_line_shapes` is diagonalized once per process; at each
+    index the distinct segments of `_lines` are walked once, and every
+    point goes through `_admissible`.
+    """
     found: dict[tuple, Candidate] = {}
-    for branch in witness_branches(I):
-        space = solve_condition_system(branch)
-        for w in space.instances(w_max):
-            key = tuple(w)
-            if key in found:
-                continue
-            c = _admissible(w, I, w_max, strict)
-            if c is not None:
-                found[key] = c
+    for start, v, n in _lines(I, w_max):
+        for k in range(n):
+            w = tuple(start[i] + k * v[i] for i in range(4))
+            if w not in found:
+                c = _admissible(w, I, w_max, strict)
+                if c is not None:
+                    found[w] = c
     cands = sorted(found.values(), key=Candidate.key)
     return [build_record(c) for c in cands]
 
@@ -331,10 +390,3 @@ def brute_force_enumerate(
         chunks = [_scan_w0(*a) for a in args]
     found = sorted(t for chunk in chunks for t in chunk)
     return [build_record(Candidate(WeightSystem(w), sum(w) - I)) for I, w in found]
-
-
-def match_series(r) -> tuple[str, int] | None:
-    """Tag a record (or candidate) with its catalog family and parameter."""
-    c = r.candidate if isinstance(r, CandidateRecord) else r
-    hit = catalog.find_series_match(c)
-    return (hit[0].id, hit[1]) if hit else None

@@ -1,8 +1,7 @@
 """Lossless record serialization: JSON, CSV, and presentation markdown.
 
 JSON and CSV carry identical data and round-trip exactly; markdown is for
-reading.  Exact rationals, where they occur, serialize as "p/q" strings,
-never as decimals.
+reading.  No record field is rational: every number is an exact integer.
 """
 
 from __future__ import annotations
@@ -10,20 +9,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
 
 from .klt import Certified, KltVerdict, NotKltGate, Unknown
 from .records import CandidateRecord
 from .weights import Candidate, WeightSystem
-
-
-def fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 def _klt_dict(v: KltVerdict, provenance: str) -> dict:

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -9,8 +8,6 @@ from delpezzo.search import brute_force_enumerate
 from delpezzo.serialize import (
     from_csv,
     from_json,
-    fraction_str,
-    parse_fraction,
     to_csv,
     to_json,
     to_markdown,
@@ -49,12 +46,6 @@ def test_json_schema_fields(sample_records):
         }
         assert set(entry["moduli"]) == {"m", "dimG", "n"}
         assert entry["klt"]["verdict"] in {"certified", "not_klt", "unknown"}
-
-
-def test_fraction_strings():
-    assert fraction_str(Fraction(5, 7)) == "5/7"
-    assert parse_fraction("5/7") == Fraction(5, 7)
-    assert parse_fraction("4") == Fraction(4)
 
 
 def test_cli_enumerate_index3(capsys):
@@ -184,6 +175,17 @@ def test_cli_output_file(tmp_path):
                      "--output", str(target)])
     assert code == 0
     assert len(json.loads(target.read_text())) == 7
+
+
+def test_cli_unwritable_output_exit1(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code = cli.main(["enumerate", "--index", "3", "--max-weight", "40",
+                     "--method", "structured", "--output", str(target)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_cli_reproduce_table3(capsys):

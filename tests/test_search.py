@@ -7,9 +7,9 @@ from delpezzo.quasismooth import STRICT_PAIRS_DEFAULT
 from delpezzo.search import (
     BranchAssignment,
     _admissible,
+    _g1_rules_out,
     brute_force_enumerate,
     witness_branches,
-    match_series,
     solve_condition_system,
     structured_enumerate,
 )
@@ -71,6 +71,45 @@ def test_solve_inconsistent_branch_empty():
             empties += 1
     assert empties > 0
     assert kinds <= {"empty", "finite", "line", "plane"}
+
+
+def test_structured_matches_unpruned_branches():
+    """Leaving out the G1-pruned shapes and walking each line once loses nothing.
+
+    The reference solves every one of the 5,120 branches at each index,
+    keeps every instance (each checked against its own equations), and
+    filters the union with `_admissible` alone.
+    """
+    w_max = 80
+    branches = list(witness_branches(1))
+    for I in range(1, 13):
+        expected = {}
+        for b in branches:
+            b = BranchAssignment(m=b.m, j=b.j, index=I)
+            A, rhs = b.equations()
+            for w in solve_condition_system(b).instances(w_max):
+                assert [sum(a * x for a, x in zip(row, w)) for row in A] == rhs
+                c = _admissible(w, I, w_max, STRICT_PAIRS_DEFAULT)
+                if c is not None:
+                    expected[w] = c
+        got = [r.key() for r in structured_enumerate(I, w_max)]
+        assert got == sorted(c.key() for c in expected.values())
+        assert (I >= 11) == (got == [])
+
+
+def test_pruned_shapes_fix_two_weights_to_index():
+    """Every shape the search leaves out has a row w_a + w_b = I, and only
+    those shapes give a plane."""
+    pruned = [b for b in witness_branches(1) if _g1_rules_out(b.m, b.j)]
+    assert len(pruned) == 2715
+    for b in pruned:
+        A, rhs = b.equations()
+        assert any(sorted(row) == [-1, -1, 0, 0] for row in A)
+        assert rhs == [-1, -1, -1]
+    for I in range(1, 11):
+        for b in witness_branches(I):
+            if solve_condition_system(b).kind == "plane":
+                assert _g1_rules_out(b.m, b.j)
 
 
 def test_brute_force_index3(enumeration_150):
@@ -150,6 +189,11 @@ def test_partition_sporadic_or_series(enumeration_60_both):
             assert r.series_id is not None or key in sporadic_keys
 
 
+def _series_tag(c):
+    hit = catalog.find_series_match(c)
+    return (hit[0].id, hit[1]) if hit else None
+
+
 @pytest.mark.parametrize(
     "w,d,expected",
     [
@@ -160,7 +204,7 @@ def test_partition_sporadic_or_series(enumeration_60_both):
 )
 def test_match_series(w, d, expected):
     c = Candidate(normalize_weights(w), d)
-    assert match_series(c) == expected
+    assert _series_tag(c) == expected
 
 
 def test_match_series_unique_over_instances():
@@ -168,9 +212,9 @@ def test_match_series_unique_over_instances():
     for fam in catalog.reference_series():
         for k in range(fam.k_min, fam.k_min + 6):
             c = fam.candidate_at(k)
-            assert match_series(c) == (fam.id, k)
+            assert _series_tag(c) == (fam.id, k)
 
 
 def test_sporadic_rows_never_match_series():
     for row in catalog.reference_table1():
-        assert match_series(row.candidate()) is None
+        assert _series_tag(row.candidate()) is None
