@@ -250,6 +250,7 @@ def known_discrepancies() -> list[dict]:
     return list(_raw()["known_discrepancies"])
 
 
+@lru_cache(maxsize=1)
 def _sporadic_keys() -> frozenset:
     return frozenset((r.index, r.weights, r.degree) for r in reference_table1())
 

@@ -84,11 +84,17 @@ def certify_KE(c: Candidate) -> KltVerdict:
     Requires a well-formed quasi-smooth candidate; the verdict is undefined
     otherwise and the call is rejected.
     """
-    w, d = c.weights, c.d
-    if not is_well_formed(w):
+    if not is_well_formed(c.weights):
         raise PreconditionError(f"{c}: weights are not well-formed")
-    if not is_quasismooth(w, d):
+    if not is_quasismooth(c.weights, c.d):
         raise PreconditionError(f"{c}: general member is not quasi-smooth")
+    return _cascade(c)
+
+
+def _cascade(c: Candidate) -> KltVerdict:
+    """`certify_KE` without its precondition checks, for callers that have
+    already made them."""
+    w, d = c.weights, c.d
     gate = gate_check(c)
     if gate is not None:
         return NotKltGate(gate)

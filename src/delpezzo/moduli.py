@@ -46,14 +46,16 @@ def aut_dimension(w: WeightSystem) -> int:
 
 def moduli_dimension(c: Candidate) -> int:
     """n = m - dim G(w); a negative value means the candidate was misapplied."""
-    n = monomial_dimension(c) - aut_dimension(c.weights)
-    if n < 0:
-        raise InvariantViolation(f"{c}: moduli dimension {n} < 0")
-    return n
+    return moduli_report(c).n
 
 
 def moduli_report(c: Candidate) -> ModuliReport:
-    m = monomial_dimension(c)
+    """m, dim G(w) and n; requires a quasi-smooth candidate."""
+    return _moduli_report(c, monomial_dimension(c))
+
+
+def _moduli_report(c: Candidate, m: int) -> ModuliReport:
+    """`moduli_report` given m, for callers that have checked quasi-smoothness."""
     g = aut_dimension(c.weights)
     if m - g < 0:
         raise InvariantViolation(f"{c}: moduli dimension {m - g} < 0")

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import catalog
-from .klt import Certified, KltVerdict, NotKltGate, certify_KE
-from .moduli import moduli_report
-from .topology import diffeo_type, milnor_number
-from .weights import Candidate
+from .klt import Certified, KltVerdict, NotKltGate, _cascade
+from .moduli import _moduli_report
+from .topology import _link_report, _require_smooth_link
+from .weights import Candidate, count_monomials
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,16 @@ class CandidateRecord:
 
 
 def build_record(c: Candidate) -> CandidateRecord:
-    """Classify one candidate: topology, KE verdict with provenance, moduli."""
-    link = diffeo_type(c)
-    mod = moduli_report(c)
-    verdict = certify_KE(c)
+    """Classify one candidate: topology, KE verdict with provenance, moduli.
+
+    Requires well-formed weights and a quasi-smooth general member, the
+    preconditions of `diffeo_type`, `moduli_report` and `certify_KE`; they
+    are checked once here, and each invariant is computed once.
+    """
+    _require_smooth_link(c)
+    link = _link_report(c)
+    mod = _moduli_report(c, count_monomials(c.weights, c.d))
+    verdict = _cascade(c)
     match = catalog.find_series_match(c)
     series_id, series_k = (match[0].id, match[1]) if match else (None, None)
 
@@ -57,7 +63,7 @@ def build_record(c: Candidate) -> CandidateRecord:
 
     return CandidateRecord(
         candidate=c,
-        mu=milnor_number(c),
+        mu=link.mu,
         b2_link=link.b2_link,
         b2_orbifold=link.b2_link + 1,
         l=link.l,

@@ -9,15 +9,16 @@ the characteristic polynomial of the monodromy.
 That divisor lives in the integral ring Z[C*] with basis elements L_n
 ("all n-th roots of unity"), multiplied by L_a * L_b = gcd(a,b) * L_lcm(a,b),
 and equals the four-fold product of (L_{u_i}/v_i - 1) where d/w_i = u_i/v_i
-in lowest terms.  Coefficients are rational mid-computation and provably
-integral at the end; integrality is asserted, not assumed.
+in lowest terms.  The product is expanded in integers with each factor
+scaled by v_i, as the product of (L_{u_i} - v_i), and divided by the
+product of the v_i once at the end; integrality is asserted, not assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InvariantViolation, PreconditionError
 from .quasismooth import is_quasismooth
@@ -25,44 +26,49 @@ from .weights import Candidate, is_well_formed
 
 
 class VirtualCharacter:
-    """Sparse element sum_n c_n * L_n of Z[C*] with exact rational c_n.
+    """Sparse element sum_n c_n * L_n of Z[C*] with exact coefficients c_n.
 
-    L_1 is the multiplicative unit; zero coefficients are never stored.
+    Integral coefficients are stored as int and others as Fraction, so
+    integral characters are summed and multiplied in plain integers.  L_1
+    is the multiplicative unit; zero coefficients are never stored.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
+    def __init__(self, coeffs: dict[int, int | Fraction] | None = None):
+        clean: dict[int, int | Fraction] = {}
         for n, c in (coeffs or {}).items():
             if n < 1:
                 raise ValueError(f"character order must be positive, got {n}")
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
             if c != 0:
                 clean[int(n)] = c
         self.coeffs = clean
 
     @classmethod
     def lam(cls, n: int, coeff=1) -> "VirtualCharacter":
-        return cls({n: Fraction(coeff)})
+        return cls({n: coeff})
 
     @classmethod
     def one(cls) -> "VirtualCharacter":
-        return cls({1: Fraction(1)})
+        return cls({1: 1})
 
-    def coeff(self, n: int) -> Fraction:
-        return self.coeffs.get(n, Fraction(0))
+    def coeff(self, n: int) -> int | Fraction:
+        return self.coeffs.get(n, 0)
 
     def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            out[n] = out.get(n, Fraction(0)) + c
+            out[n] = out.get(n, 0) + c
         return VirtualCharacter(out)
 
     def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            out[n] = out.get(n, Fraction(0)) - c
+            out[n] = out.get(n, 0) - c
         return VirtualCharacter(out)
 
     def scaled(self, s) -> "VirtualCharacter":
@@ -78,12 +84,12 @@ class VirtualCharacter:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def coefficient_sum(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
+    def coefficient_sum(self) -> int | Fraction:
+        return sum(self.coeffs.values())
 
-    def degree_sum(self) -> Fraction:
+    def degree_sum(self) -> int | Fraction:
         """sum_n n * c_n: the size of the underlying root-of-unity multiset."""
-        return sum((Fraction(n) * c for n, c in self.coeffs.items()), Fraction(0))
+        return sum(n * c for n, c in self.coeffs.items())
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
@@ -115,11 +121,12 @@ class VirtualCharacter:
 
 def char_mul(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter:
     """Bilinear extension of L_a * L_b = gcd(a,b) * L_lcm(a,b)."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, int | Fraction] = {}
     for n, cn in a.coeffs.items():
         for m, cm in b.coeffs.items():
-            k = lcm(n, m)
-            out[k] = out.get(k, Fraction(0)) + cn * cm * gcd(n, m)
+            g = gcd(n, m)
+            k = n // g * m
+            out[k] = out.get(k, 0) + cn * cm * g
     return VirtualCharacter(out)
 
 
@@ -133,27 +140,46 @@ def reduced_ratios(c: Candidate) -> list[tuple[int, int]]:
 
 
 def milnor_number(c: Candidate) -> int:
-    """Product of (d/w_i - 1) over the four weights, checked to be integral."""
-    mu = Fraction(1)
+    """Product of (d/w_i - 1) = (d - w_i)/w_i over the four weights.
+
+    The numerator and denominator products are divided once; a remainder or
+    a non-positive quotient is an invariant violation.
+    """
+    num = den = 1
     for wi in c.weights:
-        mu *= Fraction(c.d, wi) - 1
-    if mu.denominator != 1 or mu <= 0:
-        raise InvariantViolation(f"{c}: Milnor number {mu} is not a positive integer")
-    return mu.numerator
+        num *= c.d - wi
+        den *= wi
+    mu, rem = divmod(num, den)
+    if rem or mu <= 0:
+        raise InvariantViolation(
+            f"{c}: Milnor number {Fraction(num, den)} is not a positive integer"
+        )
+    return mu
 
 
 def characteristic_divisor(c: Candidate) -> VirtualCharacter:
     """Expand the product of (L_{u_i}/v_i - 1) over the four reduced ratios.
 
-    The result must have integral coefficients with L_1 coefficient exactly 1;
-    anything else signals an invalid candidate upstream.
+    Scaled by the product of the v_i, this is the product of (L_{u_i} - v_i),
+    which `char_mul` expands in ints; the product of the v_i is then divided
+    out once.  The result must have integral coefficients with L_1
+    coefficient exactly 1; anything else signals an invalid candidate
+    upstream.
     """
-    div = VirtualCharacter.one()
+    scaled = VirtualCharacter.one()
+    scale = 1
     for u, v in reduced_ratios(c):
-        factor = VirtualCharacter.lam(u, Fraction(1, v)) - VirtualCharacter.one()
-        div = char_mul(div, factor)
-    if not div.is_integral():
-        raise InvariantViolation(f"{c}: characteristic divisor {div} not integral")
+        # u > 1 because d > w_i, so the factor has two distinct terms
+        scaled = char_mul(scaled, VirtualCharacter({u: 1, 1: -v}))
+        scale *= v
+    coeffs = {}
+    for n, cn in scaled.coeffs.items():
+        q, rem = divmod(cn, scale)
+        if rem:
+            rational = scaled.scaled(Fraction(1, scale))
+            raise InvariantViolation(f"{c}: characteristic divisor {rational} not integral")
+        coeffs[n] = q
+    div = VirtualCharacter(coeffs)
     if div.coeff(1) != 1:
         raise InvariantViolation(f"{c}: divisor unit coefficient {div.coeff(1)} != 1")
     return div
@@ -165,7 +191,11 @@ def second_betti_link(c: Candidate) -> int:
     Equals 1 + sum of the L_j coefficients for j >= 2, since the L_1
     coefficient is always 1.
     """
-    b2 = characteristic_divisor(c).coefficient_sum()
+    return _betti_of(c, characteristic_divisor(c))
+
+
+def _betti_of(c: Candidate, div: VirtualCharacter) -> int:
+    b2 = div.coefficient_sum()
     if b2.denominator != 1 or b2 < 0:
         raise InvariantViolation(f"{c}: link b2 = {b2} is not a non-negative integer")
     return b2.numerator
@@ -199,6 +229,13 @@ def diffeo_type(c: Candidate) -> LinkReport:
     Requires well-formed weights and a quasi-smooth general member, which
     together guarantee H2 of the link is torsion-free.
     """
+    _require_smooth_link(c)
+    return _link_report(c)
+
+
+def _require_smooth_link(c: Candidate) -> None:
+    """Raise PreconditionError unless the weights are well-formed and the
+    general member is quasi-smooth, the preconditions of `diffeo_type`."""
     if not is_well_formed(c.weights):
         raise PreconditionError(
             f"{c}: weights not well-formed, torsion-freeness not guaranteed"
@@ -207,10 +244,14 @@ def diffeo_type(c: Candidate) -> LinkReport:
         raise PreconditionError(
             f"{c}: not quasi-smooth, the link is not a smooth manifold"
         )
+
+
+def _link_report(c: Candidate) -> LinkReport:
+    """`diffeo_type` without its precondition checks, for callers that have
+    already made them.  The divisor is expanded once and b2 read off it."""
     div = characteristic_divisor(c)
-    mu = milnor_number(c)
-    b2 = second_betti_link(c)
-    return LinkReport(mu=mu, divisor=div, b2_link=b2, l=b2)
+    b2 = _betti_of(c, div)
+    return LinkReport(mu=milnor_number(c), divisor=div, b2_link=b2, l=b2)
 
 
 def orbifold_b2(c: Candidate) -> int:

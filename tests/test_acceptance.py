@@ -27,7 +27,7 @@ from delpezzo.topology import (
     reduced_ratios,
 )
 from delpezzo.weights import Candidate, normalize_weights
-from oracles import divisor_roots_oracle, roots_vector
+from oracles import divisor_roots_oracle, milnor_orlik_invariants, roots_vector
 
 
 def test_criterion_1_table1_reproduction(enumeration_150):
@@ -146,10 +146,13 @@ def test_criterion_4_milnor_orlik_cross_checks(enumeration_150):
             assert oracle[0] == rec.b2_link
             assert sum(oracle) == mu
             checked_oracle += 1
+        # third route: the Milnor-algebra Poincare polynomial, no divisor calculus
+        assert milnor_orlik_invariants(c.weights.w, c.d) == (rec.mu, rec.b2_link), c
     assert checked_oracle == len(records)  # every enumerated order is small
     print(
-        f"\nACCEPTANCE 4 PASS: divisor degree, unit coefficient, integrality "
-        f"and the root-of-unity oracle agree on all {len(records)} records"
+        f"\nACCEPTANCE 4 PASS: divisor degree, unit coefficient, integrality, "
+        f"the root-of-unity oracle and the Milnor-Orlik Poincare polynomial "
+        f"(mu and b2) agree on all {len(records)} records"
     )
 
 

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 import delpezzo.cli as cli
-from delpezzo import serialize
+from delpezzo import catalog, serialize
 from delpezzo.search import brute_force_enumerate
 from delpezzo.serialize import (
     from_csv,
@@ -148,6 +149,7 @@ def test_cli_topology_outputs(capsys):
     assert cli.main(["topology", "2", "3", "5", "9", "--degree", "18"]) == 0
     out = capsys.readouterr().out
     assert "mu = 104" in out
+    assert "divisor = 1 - L2 + L6 - L9 + 6L18\n" in out
     assert "b2(link) = 6" in out
     assert "#6(S^2 x S^3)" in out
 
@@ -158,6 +160,7 @@ def test_cli_topology_outputs(capsys):
     assert cli.main(["topology", "1", "1", "1", "1", "--degree", "3"]) == 0
     out = capsys.readouterr().out
     assert "mu = 16" in out and "b2(link) = 6" in out
+    assert "divisor = 1 + 5L3\n" in out
 
 
 def test_cli_env_var_overrides_default(monkeypatch, capsys):
@@ -199,3 +202,19 @@ def test_cli_reproduce_series(capsys):
     assert cli.main(["reproduce", "--table", "series"]) == 0
     out = capsys.readouterr().out
     assert out.count("check out") == 13  # 12 printed + 1 errata family
+
+
+def test_cli_reproduce_series_reports_non_quasismooth_member(capsys, monkeypatch):
+    # fault injection: a family whose members are all (2,3,4,5) of degree 13,
+    # which is not quasi-smooth
+    fam = dataclasses.replace(
+        catalog.reference_series()[0],
+        weight_forms=((0, 2), (0, 3), (0, 4), (0, 5)),
+        degree_form=(0, 13),
+        k_min=1,
+    )
+    monkeypatch.setattr(catalog, "reference_series", lambda: (fam,))
+    assert cli.main(["reproduce", "--table", "series"]) == 2
+    captured = capsys.readouterr()
+    assert f"{fam.id} (I=1, printed): k=1: not quasi-smooth/well-formed;" in captured.out
+    assert "Traceback" not in captured.out + captured.err

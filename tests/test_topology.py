@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo.errors import PreconditionError
+from delpezzo import catalog
+from delpezzo.errors import InvariantViolation, PreconditionError
 from delpezzo.topology import (
     VirtualCharacter,
     char_mul,
@@ -17,7 +18,7 @@ from delpezzo.topology import (
     second_betti_link,
 )
 from delpezzo.weights import Candidate, normalize_weights
-from oracles import divisor_roots_oracle, roots_vector
+from oracles import divisor_roots_oracle, milnor_oracle, roots_vector
 
 L = VirtualCharacter.lam
 
@@ -176,3 +177,55 @@ def test_degree_identity():
     for w, d in [((2, 3, 4, 7), 14), ((5, 6, 8, 9), 24), ((6, 9, 10, 13), 36)]:
         c = cand(w, d)
         assert characteristic_divisor(c).degree_sum() == milnor_number(c)
+
+
+def _fraction_divisor(c):
+    """The divisor as a fold of Fraction-coefficient factors (L_u/v - 1)."""
+    one = VirtualCharacter.one()
+    div = one
+    for u, v in reduced_ratios(c):
+        div = char_mul(div, VirtualCharacter.lam(u, Fraction(1, v)) - one)
+    return div
+
+
+_families = catalog.reference_series() + catalog.errata_series()
+catalog_candidates = st.one_of(
+    st.sampled_from([row.candidate() for row in catalog.reference_table1()]),
+    st.builds(
+        lambda fam, k: fam.candidate_at(fam.k_min + k),
+        st.sampled_from(_families),
+        st.integers(0, 40),
+    ),
+)
+
+
+@given(catalog_candidates)
+@settings(max_examples=200, deadline=None)
+def test_integer_divisor_matches_fraction_fold(c):
+    div = characteristic_divisor(c)
+    assert div == _fraction_divisor(c)
+    assert all(type(v) is int for v in div.coeffs.values())
+    assert milnor_number(c) == milnor_oracle(c.weights.w, c.d)
+
+
+@given(st.lists(st.integers(1, 30), min_size=4, max_size=4), st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_integer_divisor_checks_match_fraction_fold(raw, index):
+    """On any candidate, quasi-smooth or not, the integer expansion raises
+    exactly when the Fraction fold is not integral or has unit coefficient
+    other than 1, and equals it otherwise."""
+    w = sorted(raw)
+    assume(gcd(*w) == 1 and sum(w) - index > w[3])
+    c = cand(w, sum(w) - index)
+    expected = _fraction_divisor(c)
+    if expected.is_integral() and expected.coeff(1) == 1:
+        assert characteristic_divisor(c) == expected
+    else:
+        with pytest.raises(InvariantViolation):
+            characteristic_divisor(c)
+    mu = milnor_oracle(w, c.d)
+    if mu.denominator == 1 and mu > 0:
+        assert milnor_number(c) == mu
+    else:
+        with pytest.raises(InvariantViolation):
+            milnor_number(c)
