@@ -15,7 +15,8 @@ import pathlib
 import sys
 
 from delpezzo import catalog, serialize
-from delpezzo.search import brute_force_enumerate, structured_enumerate
+from delpezzo.errors import RouteDisagreement
+from delpezzo.search import verified_enumeration
 
 
 def main() -> int:
@@ -28,12 +29,10 @@ def main() -> int:
     outdir = pathlib.Path(args.out)
     outdir.mkdir(exist_ok=True)
 
-    records = brute_force_enumerate(1, 10, args.max_weight, jobs=args.jobs)
-    structured = []
-    for index in range(1, 11):
-        structured.extend(structured_enumerate(index, args.max_weight))
-    if [r.key() for r in records] != [r.key() for r in structured]:
-        print("FATAL: structured search disagrees with the exhaustive oracle")
+    try:
+        records = verified_enumeration(1, 10, args.max_weight, jobs=args.jobs)
+    except RouteDisagreement as exc:
+        print(f"FATAL: method disagreement: {exc}")
         return 2
 
     (outdir / "records.json").write_text(serialize.to_json(records))

@@ -1,7 +1,8 @@
 """Command-line driver: enumeration, certification, topology, reproduction.
 
 Exit codes: 0 success/match, 1 usage or output-file error, 2 verification
-mismatch, 3 internal invariant violation.
+mismatch, 3 internal invariant violation or any other internal error.  Every
+nonzero exit prints one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -9,13 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import catalog, serialize
-from .errors import InvariantViolation, NonPrimitiveWeights, PreconditionError
+from .errors import InvariantViolation, NonPrimitiveWeights, PreconditionError, RouteDisagreement
 from .klt import certify_KE
 from .moduli import aut_dimension, monomial_dimension
-from .search import brute_force_enumerate, structured_enumerate
+from .search import brute_force_enumerate, structured_enumerate, verified_enumeration
 from .topology import diffeo_type, orbifold_b2
 from .weights import Candidate, normalize_weights
 
@@ -25,19 +25,6 @@ EXIT_MISMATCH = 2
 EXIT_INVARIANT = 3
 
 MAX_WEIGHT_ENV = "DELPEZZO_MAX_WEIGHT"
-
-
-@dataclass
-class RunConfig:
-    """Enumeration settings; defaults reproduce the published classification."""
-
-    index_min: int = 1
-    index_max: int = 10
-    w_max: int = 150
-    method: str = "both"  # brute | structured | both
-    fmt: str = "markdown"  # json | csv | markdown
-    jobs: int = 1
-    output: str | None = None
 
 
 class _UsageError(Exception):
@@ -59,12 +46,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_index_range(text: str) -> tuple[int, int]:
+def _index_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    a = int(lo)
-    b = int(hi) if sep else a
+    try:
+        a = int(lo)
+        b = int(hi) if sep else a
+    except ValueError:
+        a = b = 0
     if a < 1 or b < a:
-        raise ValueError(f"bad index range {text!r}")
+        raise argparse.ArgumentTypeError(f"bad index range {text!r}")
     return a, b
 
 
@@ -76,7 +66,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("enumerate", help="enumerate candidates per index")
-    pe.add_argument("--index", default="1..10", help="index or range, e.g. 3 or 1..10")
+    pe.add_argument("--index", type=_index_range, default="1..10", help="index or range, e.g. 3 or 1..10")
     w_max_help = f"weight bound (default: ${MAX_WEIGHT_ENV}, else 150)"
     pe.add_argument("--max-weight", type=_positive_int, default=w_max_default, help=w_max_help)
     pe.add_argument("--method", choices=["brute", "structured", "both"], default="both")
@@ -109,33 +99,16 @@ def _make_candidate(raw_weights, degree, index) -> Candidate:
     return Candidate(w, d)
 
 
-def _enumerate(cfg: RunConfig, out) -> int:
-    brute = structured = None
-    if cfg.method in ("brute", "both"):
-        brute = brute_force_enumerate(cfg.index_min, cfg.index_max, cfg.w_max, jobs=cfg.jobs)
-    if cfg.method in ("structured", "both"):
-        structured = []
-        for index in range(cfg.index_min, cfg.index_max + 1):
-            structured.extend(structured_enumerate(index, cfg.w_max))
-    if brute is not None and structured is not None:
-        bkeys = [r.key() for r in brute]
-        skeys = [r.key() for r in structured]
-        if bkeys != skeys:
-            extra = set(skeys) - set(bkeys)
-            missing = set(bkeys) - set(skeys)
-            print(
-                f"method disagreement: structured-only {sorted(extra)}, "
-                f"brute-only {sorted(missing)}",
-                file=sys.stderr,
-            )
-            return EXIT_MISMATCH
-    records = brute if brute is not None else structured
-    if cfg.fmt == "json":
-        out.write(serialize.to_json(records))
-    elif cfg.fmt == "csv":
-        out.write(serialize.to_csv(records))
+def _enumerate(args, out) -> int:
+    imin, imax = args.index
+    if args.method == "both":
+        records = verified_enumeration(imin, imax, args.max_weight, jobs=args.jobs)
+    elif args.method == "brute":
+        records = brute_force_enumerate(imin, imax, args.max_weight, jobs=args.jobs)
     else:
-        out.write(serialize.to_markdown(records))
+        records = [r for I in range(imin, imax + 1) for r in structured_enumerate(I, args.max_weight)]
+    write = {"json": serialize.to_json, "csv": serialize.to_csv, "markdown": serialize.to_markdown}
+    out.write(write[args.format](records))
     return EXIT_OK
 
 
@@ -170,22 +143,8 @@ def _topology(args) -> int:
     return EXIT_OK
 
 
-def _full_enumeration(w_max: int, jobs: int):
-    brute = brute_force_enumerate(1, 10, w_max, jobs=jobs)
-    structured = []
-    for index in range(1, 11):
-        structured.extend(structured_enumerate(index, w_max))
-    if [r.key() for r in brute] != [r.key() for r in structured]:
-        return None, None
-    return brute, structured
-
-
 def _reproduce_table1(w_max: int, jobs: int) -> int:
-    records, _ = _full_enumeration(w_max, jobs)
-    if records is None:
-        print("method disagreement between oracle and structured search")
-        return EXIT_MISMATCH
-    report = catalog.diff_against_reference(records)
+    report = catalog.diff_against_reference(verified_enumeration(1, 10, w_max, jobs=jobs))
     print(report.summary())
     return EXIT_OK if report.clean else EXIT_MISMATCH
 
@@ -264,61 +223,49 @@ def _reproduce_series() -> int:
 
 
 def _reproduce_theorem_a(w_max: int, jobs: int) -> int:
-    records = brute_force_enumerate(1, 10, w_max, jobs=jobs)
-    tally = catalog.theorem_a_tally(records)
+    tally = catalog.theorem_a_tally(verified_enumeration(1, 10, w_max, jobs=jobs))
     ok, lines = catalog.compare_theorem_a(tally)
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _run(args) -> int:
+    if args.command == "enumerate":
+        if not args.output:
+            return _enumerate(args, sys.stdout)
+        try:
+            with open(args.output, "w") as fh:
+                return _enumerate(args, fh)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    if args.command == "certify":
+        return _certify(args)
+    if args.command == "topology":
+        return _topology(args)
+    if args.table == "1":
+        return _reproduce_table1(args.max_weight, args.jobs)
+    if args.table == "3":
+        return _reproduce_table3()
+    if args.table == "series":
+        return _reproduce_series()
+    return _reproduce_theorem_a(args.max_weight, args.jobs)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _run(_build_parser().parse_args(argv))
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "enumerate":
-            try:
-                imin, imax = _parse_index_range(args.index)
-            except ValueError as exc:
-                print(f"usage error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            cfg = RunConfig(
-                index_min=imin,
-                index_max=imax,
-                w_max=args.max_weight,
-                method=args.method,
-                fmt=args.format,
-                jobs=args.jobs,
-                output=args.output,
-            )
-            if not cfg.output:
-                return _enumerate(cfg, sys.stdout)
-            try:
-                with open(cfg.output, "w") as fh:
-                    return _enumerate(cfg, fh)
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        if args.command == "certify":
-            return _certify(args)
-        if args.command == "topology":
-            return _topology(args)
-        if args.command == "reproduce":
-            if args.table == "1":
-                return _reproduce_table1(args.max_weight, args.jobs)
-            if args.table == "3":
-                return _reproduce_table3()
-            if args.table == "series":
-                return _reproduce_series()
-            return _reproduce_theorem_a(args.max_weight, args.jobs)
-        raise AssertionError(f"unhandled command {args.command}")
+        message, code = f"usage error: {exc}", EXIT_USAGE
+    except RouteDisagreement as exc:
+        message, code = f"method disagreement: {exc}", EXIT_MISMATCH
     except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        message, code = f"invariant violation: {exc}", EXIT_INVARIANT
+    except Exception as exc:
+        message, code = f"internal error: {type(exc).__name__}: {exc}", EXIT_INVARIANT
+    print(" ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,3 +15,16 @@ class InvariantViolation(RuntimeError):
 
 class CatalogIntegrityError(InvariantViolation):
     """The embedded reference data is inconsistent with itself."""
+
+
+class RouteDisagreement(RuntimeError):
+    """The exhaustive oracle and the structured search found different records.
+
+    `disputed` lists each (I, w, d) one route lacks, with the name of that route.
+    """
+
+    def __init__(self, disputed):
+        self.disputed = disputed
+        super().__init__("; ".join(
+            f"(I={I}, w={w}, d={d}) missing from the {route}" for (I, w, d), route in disputed
+        ))

@@ -1,15 +1,19 @@
 """Quasi-smoothness of the general degree-d hypersurface in P(w).
 
-Three arithmetic conditions on (w, d) decide whether the general member is
-quasi-smooth (smooth affine cone away from the origin):
+`is_quasismooth` checks three arithmetic conditions on (w, d):
 
   I.   each variable z_i admits a monomial z_i^{m_i} z_j of degree d,
   II.  each pair with gcd(w_i, w_j) > 1 admits a monomial z_i^a z_j^b,
-  III. each pair admits either a pure monomial z_i^a z_j^b, or monomials
-       z_i^a z_j^b z_k and z_i^c z_j^e z_l with {k, l} != {i, j}.
+  III. each pair without a monomial z_i^a z_j^b admits monomials
+       z_i^a z_j^b z_k and z_i^c z_j^e z_l with k != l, both outside {i, j}.
 
-Condition III is implemented in two variants (see `condition_III`); the
-default is fixed by the table regression in the test suite.
+I and III together are Iano-Fletcher's criterion for the general member
+to be quasi-smooth, i.e. to have an affine cone smooth away from the
+origin (Iano-Fletcher, "Working with weighted complete intersections",
+LMS LN 281, 2000, Thm 8.1).  II is not part of it: it says that X is
+well-formed, i.e. contains no singular line of P(w) (ibid. section 6).
+III is the two-witness form; `condition_III` proves that the one-witness
+reading follows from I.
 """
 
 from __future__ import annotations
@@ -18,12 +22,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .weights import WeightSystem, pair_has_monomial
-
-# Pair-witness rule for condition III.  The literal reading of {k,l} != {i,j}
-# permits k = l, so a single monomial (pair)*z_k suffices; the strict variant
-# demands witnesses with both extra variables outside the pair.  The catalog
-# regression is the arbiter between the two; literal reproduces the tables.
-STRICT_PAIRS_DEFAULT = False
 
 
 @dataclass(frozen=True)
@@ -80,33 +78,25 @@ def _pair_witness_extras(w: WeightSystem, d: int, i: int, j: int) -> set[int]:
     return extras
 
 
-def condition_III(w: WeightSystem, d: int, strict: bool = STRICT_PAIRS_DEFAULT) -> bool:
-    """Pair condition ensuring smoothness along coordinate axes.
+def condition_III(w: WeightSystem, d: int) -> bool:
+    """Every pair without a pure monomial has witnesses for two other variables.
 
-    With strict=False (the literal set inequality {k,l} != {i,j}) one
-    witness monomial z_i^a z_j^b z_k suffices when no pure pair monomial
-    exists, since then k is forced outside {i,j} and the singleton {k}
-    already differs from {i,j}.  With strict=True both extra variables
-    must occur among the witnesses.
+    The one-witness reading ({k, l} != {i, j} with k = l allowed) follows
+    from condition I, so it never rejects anything I accepts.  Let the
+    pair (i, j) have no monomial z_i^a z_j^b of degree d.  Condition I
+    gives z_i^{m_i} z_{j(i)} of degree d; j(i) in {i, j} would make it a
+    pure pair monomial, so j(i) = k lies outside {i, j}, and the same
+    monomial is the witness z_i^{m_i} z_j^0 z_k.  Hence j(i) and j(j) are
+    both in `_pair_witness_extras`, and a single witness always exists.
+    What III checks is that the extras hold two distinct variables.
     """
     for i in range(4):
         for j in range(i + 1, 4):
-            if pair_has_monomial(w[i], w[j], d):
-                continue
-            extras = _pair_witness_extras(w, d, i, j)
-            if strict:
-                if len(extras) < 2:
-                    return False
-            else:
-                if not extras:
-                    return False
+            if not pair_has_monomial(w[i], w[j], d) and len(_pair_witness_extras(w, d, i, j)) < 2:
+                return False
     return True
 
 
-def is_quasismooth(w: WeightSystem, d: int, strict: bool = STRICT_PAIRS_DEFAULT) -> bool:
+def is_quasismooth(w: WeightSystem, d: int) -> bool:
     """Conjunction of conditions I, II, III for the general member."""
-    return (
-        condition_I(w, d) is not None
-        and condition_II(w, d)
-        and condition_III(w, d, strict=strict)
-    )
+    return condition_I(w, d) is not None and condition_II(w, d) and condition_III(w, d)

@@ -17,7 +17,8 @@ Two independent routes produce the classification below a weight bound:
   skipped (proof in `_g1_rules_out`), and each index walks every distinct
   solution line once.
 
-The two must agree; the test suite enforces it.
+The two must agree: `verified_enumeration` runs both and returns the
+records only when they do.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from math import gcd, lcm
 import numpy as np
 
 from .diophantine import box_solutions, diagonalize
-from .errors import NonPrimitiveWeights
+from .errors import NonPrimitiveWeights, RouteDisagreement
 from .klt import gate_check
-from .quasismooth import STRICT_PAIRS_DEFAULT, is_quasismooth
+from .quasismooth import is_quasismooth
 from .records import CandidateRecord, build_record
 from .weights import Candidate, WeightSystem, is_well_formed
 
@@ -269,7 +270,7 @@ def _lines(I: int, w_max: int):
     return lines
 
 
-def _admissible(w, I: int, w_max: int, strict: bool) -> Candidate | None:
+def _admissible(w, I: int, w_max: int) -> Candidate | None:
     """Apply every enumeration filter to an ordered weight tuple."""
     if w[3] > w_max:
         return None
@@ -287,14 +288,12 @@ def _admissible(w, I: int, w_max: int, strict: bool) -> Candidate | None:
     c = Candidate(ws, d)
     if gate_check(c) is not None:
         return None
-    if not is_quasismooth(ws, d, strict=strict):
+    if not is_quasismooth(ws, d):
         return None
     return c
 
 
-def structured_enumerate(
-    I: int, w_max: int, strict: bool = STRICT_PAIRS_DEFAULT
-) -> list[CandidateRecord]:
+def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
     """Union of the filtered branch solutions, deduplicated, canonical order.
 
     Each shape in `_line_shapes` is diagonalized once per process; at each
@@ -306,14 +305,14 @@ def structured_enumerate(
         for k in range(n):
             w = tuple(start[i] + k * v[i] for i in range(4))
             if w not in found:
-                c = _admissible(w, I, w_max, strict)
+                c = _admissible(w, I, w_max)
                 if c is not None:
                     found[w] = c
     cands = sorted(found.values(), key=Candidate.key)
     return [build_record(c) for c in cands]
 
 
-def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int, strict: bool):
+def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int):
     """All admissible (I, w) with smallest weight w0 and I_min <= I <= I_max.
 
     One numpy pass per w1 covers every w2 in [w1, w_max], every index and
@@ -358,16 +357,10 @@ def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int, strict: bool):
             w2, w3, Is, d = w2[keep], w3[keep], Is[keep], d[keep]
         for I, x2, x3 in zip(Is.tolist(), w2.tolist(), w3.tolist()):
             found.add((I, (w0, w1, x2, x3)))
-    return [(I, w) for I, w in found if _admissible(w, I, w_max, strict) is not None]
+    return [(I, w) for I, w in found if _admissible(w, I, w_max) is not None]
 
 
-def brute_force_enumerate(
-    I_min: int,
-    I_max: int,
-    w_max: int,
-    jobs: int = 1,
-    strict: bool = STRICT_PAIRS_DEFAULT,
-) -> list[CandidateRecord]:
+def brute_force_enumerate(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> list[CandidateRecord]:
     """Exhaustive scan: the complete record list below the weight bound.
 
     Deterministic order (index ascending, then weights lexicographic),
@@ -380,7 +373,7 @@ def brute_force_enumerate(
     if w_max < 1:
         raise ValueError(f"bad weight bound {w_max}")
     w0_min = (2 * I_min) // 3 + 1  # gate G1 at the smallest index
-    args = [(w0, I_min, I_max, w_max, strict) for w0 in range(w0_min, w_max + 1)]
+    args = [(w0, I_min, I_max, w_max) for w0 in range(w0_min, w_max + 1)]
     if jobs > 1 and len(args) > 1:
         from multiprocessing import get_context
 
@@ -390,3 +383,21 @@ def brute_force_enumerate(
         chunks = [_scan_w0(*a) for a in args]
     found = sorted(t for chunk in chunks for t in chunk)
     return [build_record(Candidate(WeightSystem(w), sum(w) - I)) for I, w in found]
+
+
+def verified_enumeration(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> list[CandidateRecord]:
+    """The oracle's records for I_min..I_max below w_max, checked against the structured search.
+
+    Raises `RouteDisagreement` naming each (I, w, d) that one route finds
+    and the other lacks.
+    """
+    oracle = brute_force_enumerate(I_min, I_max, w_max, jobs=jobs)
+    found = {r.key() for r in oracle}
+    structured = {r.key() for I in range(I_min, I_max + 1) for r in structured_enumerate(I, w_max)}
+    disputed = sorted(
+        [(k, "structured search") for k in found - structured]
+        + [(k, "exhaustive oracle") for k in structured - found]
+    )
+    if disputed:
+        raise RouteDisagreement(disputed)
+    return oracle

@@ -1,12 +1,17 @@
 """Independent brute-force oracles the implementation must agree with.
 
 Everything here deliberately avoids the package's algebra: the divisor
-oracle works with explicit root-of-unity multisets in Z[Z/L], and the
-monomial oracle counts lattice points by blunt iteration.
+oracle works with explicit root-of-unity multisets in Z[Z/L], the
+monomial oracle counts lattice points by blunt iteration, and the Jacobian
+oracle decides quasi-smoothness by linear algebra over F_p.
 """
 
+import random
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
+
+import numpy as np
 
 from delpezzo.topology import VirtualCharacter, reduced_ratios
 
@@ -120,3 +125,102 @@ def gcd4(*xs) -> int:
     for x in xs:
         g = gcd(g, x)
     return g
+
+
+JACOBIAN_P = 2**31 - 1  # prime; products of two residues fit in int64
+
+
+@cache
+def _monomials(weights, D: int) -> np.ndarray:
+    """Exponent vectors (one row each) of every monomial of weighted degree D."""
+    w0, w1, w2, w3 = weights
+    out = []
+    for a3 in range(D // w3 + 1 if D >= 0 else 0):
+        for a2 in range((D - a3 * w3) // w2 + 1):
+            rem = D - a3 * w3 - a2 * w2
+            out += [((rem - a1 * w1) // w0, a1, a2, a3)
+                    for a1 in range(rem // w1 + 1) if (rem - a1 * w1) % w0 == 0]
+    return np.array(out, dtype=np.int64).reshape(len(out), 4)
+
+
+def _in_row_space(A: np.ndarray, t: np.ndarray) -> bool:
+    """Is the vector t an F_p-combination of the rows of A?  Row echelon form.
+
+    Rows are scaled rather than normalized, so every product is of two
+    residues below p < 2^31 and stays inside int64.
+    """
+    P = JACOBIAN_P
+    A = A.copy()
+    r = 0
+    for col in range(A.shape[1]):
+        if r == A.shape[0]:
+            break
+        k = r + int(np.argmax(A[r:, col] != 0))
+        if not A[k, col]:
+            continue
+        A[[r, k]] = A[[k, r]]
+        piv = A[r, col]
+        A[r + 1:, col:] = (A[r + 1:, col:] * piv - A[r + 1:, col, None] * A[r, col:]) % P
+        t[col:] = (t[col:] * piv - t[col] * A[r, col:]) % P
+        r += 1
+    return not t.any()
+
+
+def jacobian_quasismooth(weights, d: int, seed: int) -> bool:
+    """Is the cone over a random degree-d F in P(weights) smooth off the origin?
+
+    Decided from the definition, with none of the package's conditions.
+    The cone is smooth away from 0 iff the partials of F vanish together
+    only at 0 (Euler: d*F = sum w_i x_i dF/dx_i), iff the Milnor algebra
+    k[x]/J_F is finite-dimensional.  If it is, the partials are a regular
+    sequence of degrees d - w_i, so k[x]/J_F has Hilbert series
+    prod (1 - t^(d - w_i)) / (1 - t^(w_i)), a polynomial of degree
+    s = 4d - 2|w|, and x_i^(N_i) lies in J_F whenever N_i*w_i > s.
+    Conversely x_i^(N_i) in J_F for every i leaves 0 as the only common
+    zero.  So the test is x_i^(N_i) in J_F for the least N_i >= 0 with
+    N_i*w_i > s; for s < 0 that is N_i = 0, i.e. J_F = (1).  Membership is
+    exact elimination in the degree-N_i*w_i piece over F_p, cheapest
+    piece first.
+
+    F has uniform random coefficients mod p = 2^31 - 1 drawn from `seed`.
+    True is sound: the coefficient vectors whose cone is singular off 0
+    form a closed set defined over Z (elimination over the proper P(w)),
+    so an F with only the trivial common zero mod p lifts to an integer F
+    with only the trivial common zero over C, and the general member is
+    quasi-smooth.  False can come from an unlucky F or prime; callers
+    confirm it with a second seed.
+    """
+    weights = tuple(weights)
+    P = JACOBIAN_P
+    rng = random.Random(seed)
+    exps = _monomials(weights, d)
+    coeffs = np.array([rng.randrange(1, P) for _ in range(len(exps))], dtype=np.int64)
+    partials = []  # (degree, exponents, coefficients) of dF/dx_j
+    for j in range(4):
+        has = exps[:, j] > 0
+        e = exps[has]  # a mask index copies
+        e[:, j] -= 1
+        partials.append((d - weights[j], e, coeffs[has] * exps[has, j] % P))
+    s = 4 * d - 2 * sum(weights)
+    systems = []
+    for i, w in enumerate(weights):
+        D = max(0, s // w + 1) * w
+        basis = _monomials(weights, D)
+        radix = D + 1  # every exponent in degree D is at most D
+        keys = basis @ radix ** np.arange(4)
+        order = np.argsort(keys)
+        blocks = [np.zeros((0, len(basis)), dtype=np.int64)]
+        for deg, e, c in partials:
+            m = _monomials(weights, D - deg)
+            if len(m) and len(e):
+                cols = order[np.searchsorted(keys[order], (m[:, None, :] + e) @ radix ** np.arange(4))]
+                block = np.zeros((len(m), len(basis)), dtype=np.int64)
+                np.put_along_axis(block, cols, np.broadcast_to(c, cols.shape), axis=1)
+                blocks.append(block)
+        A = np.vstack(blocks)
+        target = np.zeros(len(basis), dtype=np.int64)
+        target[order[np.searchsorted(keys[order], D // w * radix**i)]] = 1
+        if not A[:, target == 1].any():  # no generator multiple reaches x_i^N_i
+            return False
+        systems.append((A, target))
+    return all(_in_row_space(A, t) for A, t in sorted(systems, key=lambda x: x[0].size))

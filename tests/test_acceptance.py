@@ -5,6 +5,7 @@ only where the catalog ships a verified erratum for them; everything else
 must match exactly.
 """
 
+import itertools
 import time
 from fractions import Fraction
 from math import gcd, lcm
@@ -15,6 +16,7 @@ from delpezzo.klt import (
     KltLocalQuery,
     Unknown,
     certify_KE,
+    gate_check,
     klt_local_bound,
 )
 from delpezzo.moduli import aut_dimension, is_minimal_torus, monomial_dimension
@@ -26,8 +28,14 @@ from delpezzo.topology import (
     milnor_number,
     reduced_ratios,
 )
-from delpezzo.weights import Candidate, normalize_weights
-from oracles import divisor_roots_oracle, milnor_orlik_invariants, roots_vector
+from delpezzo.quasismooth import condition_I, condition_II, condition_III, is_quasismooth
+from delpezzo.weights import Candidate, WeightSystem, is_well_formed, normalize_weights
+from oracles import (
+    divisor_roots_oracle,
+    jacobian_quasismooth,
+    milnor_orlik_invariants,
+    roots_vector,
+)
 
 
 def test_criterion_1_table1_reproduction(enumeration_150):
@@ -292,3 +300,44 @@ def test_criterion_8_property_suites():
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"property suites took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 8 PASS: property suites completed in {elapsed:.1f}s")
+
+
+def _jacobian_verdict(w, d) -> bool:
+    """Quasi-smooth by the Jacobian oracle; a singular verdict needs two seeds."""
+    return jacobian_quasismooth(w, d, 0) or jacobian_quasismooth(w, d, 1)
+
+
+def test_criterion_9_jacobian_quasismoothness(enumeration_150):
+    t0 = time.monotonic()
+    records, _ = enumeration_150
+    for rec in records:
+        assert jacobian_quasismooth(rec.candidate.weights.w, rec.candidate.d, 0), rec.candidate
+    # every well-formed, gate-passing (w, d) with weights <= 10 and I = 1..10
+    cases = 0
+    fail_III = 0
+    fail_II = 0
+    for w in itertools.combinations_with_replacement(range(1, 11), 4):
+        if gcd(*w) != 1:
+            continue
+        ws = WeightSystem(w)
+        if not is_well_formed(ws):
+            continue
+        for I in range(1, 11):
+            d = sum(w) - I
+            if d <= w[3] or gate_check(Candidate(ws, d)) is not None:
+                continue
+            cases += 1
+            passes_I = condition_I(ws, d) is not None
+            criterion = passes_I and condition_III(ws, d)
+            assert _jacobian_verdict(w, d) is criterion, (w, d)
+            assert is_quasismooth(ws, d) is (criterion and condition_II(ws, d)), (w, d)
+            fail_III += passes_I and not criterion
+            fail_II += criterion and not condition_II(ws, d)
+    assert (cases, fail_III) == (935, 49)
+    elapsed = time.monotonic() - t0
+    print(
+        f"\nACCEPTANCE 9 PASS: all {len(records)} records quasi-smooth by the Jacobian "
+        f"oracle; Jacobian-QS == I and III on all {cases} well-formed gate-passing (w, d) "
+        f"with w <= 10 ({fail_III} pass I but fail III; {fail_II} quasi-smooth ones fail "
+        f"II, X not well-formed) ({elapsed:.1f}s)"
+    )

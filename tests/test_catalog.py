@@ -28,6 +28,14 @@ def test_series_counts():
     assert per_index == {1: 1, 2: 6, 4: 3, 6: 2}
 
 
+def test_series_degree_forms_match_index():
+    # the weight forms sum to the degree form plus the index, for every k
+    for fam in catalog.reference_series() + catalog.errata_series():
+        a = sum(f[0] for f in fam.weight_forms)
+        b = sum(f[1] for f in fam.weight_forms)
+        assert (a, b - fam.index) == fam.degree_form, fam.id
+
+
 def test_specific_rows_present():
     keyed = {(r.weights, r.degree): r for r in catalog.reference_table1()}
     big = keyed[((11, 49, 69, 128), 256)]

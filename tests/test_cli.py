@@ -4,7 +4,7 @@ import json
 import pytest
 
 import delpezzo.cli as cli
-from delpezzo import catalog, serialize
+from delpezzo import catalog, search, serialize
 from delpezzo.search import brute_force_enumerate
 from delpezzo.serialize import (
     from_csv,
@@ -75,16 +75,34 @@ def test_cli_enumerate_both_methods_agree(capsys):
 
 def test_cli_method_disagreement_exit2(capsys, monkeypatch):
     # fault injection: make the structured route drop a record
-    def broken(index, w_max, strict=False):
-        from delpezzo.search import structured_enumerate as real
+    real = search.structured_enumerate
+    dropped = []
 
-        return real(index, w_max)[:-1]
+    def broken(index, w_max):
+        records = real(index, w_max)
+        dropped.append(records[-1].key())
+        return records[:-1]
 
-    monkeypatch.setattr(cli, "structured_enumerate", broken)
+    monkeypatch.setattr(search, "structured_enumerate", broken)
     code = cli.main(["enumerate", "--index", "3", "--max-weight", "100",
                      "--method", "both", "--format", "json"])
     assert code == 2
-    assert "disagreement" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "disagreement" in err
+    I, w, d = dropped[0]
+    assert f"(I={I}, w={w}, d={d}) missing from the structured search" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_internal_error_exit3(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "_certify", crash)
+    assert cli.main(["certify", "2", "3", "5", "9", "--index", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: injected fault\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_usage_error_exit1(capsys):

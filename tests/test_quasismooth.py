@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delpezzo.quasismooth import (
@@ -77,12 +77,12 @@ def test_condition_III_witness_pair():
 
     assert not pair_has_monomial(12, 17, 45)
     assert _pair_witness_extras(w, 45, 2, 3) == {0, 1}
-    assert condition_III(w, 45, strict=True)
+    assert condition_III(w, 45)
 
 
-def test_condition_III_strict_vs_literal():
-    # one-witness pair: the literal set inequality passes ({0} != {1,2}),
-    # the strict variant demands both extra directions
+def test_condition_III_one_witness_pair_fails():
+    # the (2,2)-pair has no pure monomial and only z_0 as a witness, so
+    # the two-witness rule rejects it
     from delpezzo.quasismooth import _pair_witness_extras
     from delpezzo.weights import pair_has_monomial
 
@@ -90,8 +90,39 @@ def test_condition_III_strict_vs_literal():
     d = 3
     assert not pair_has_monomial(w[1], w[2], d)
     assert _pair_witness_extras(w, d, 1, 2) == {0}
-    assert condition_III(w, d, strict=False) is True
-    assert condition_III(w, d, strict=True) is False
+    assert condition_III(w, d) is False
+
+
+@st.composite
+def _weights_and_degree(draw):
+    raw = draw(st.lists(st.integers(1, 30), min_size=4, max_size=4))
+    if draw(st.booleans()):  # a degree with z3^m z_j, so that condition I holds more often
+        return raw, draw(st.integers(1, 3)) * max(raw) + raw[draw(st.integers(0, 3))]
+    return raw, draw(st.integers(1, 120))
+
+
+@settings(max_examples=400)
+@given(_weights_and_degree())
+def test_condition_I_partners_witness_every_pair(case):
+    """Lemma behind the single condition III: under condition I, a pair
+    without a pure monomial has both partners j(i) and j(j) among its
+    witness variables, so one witness always exists."""
+    from math import gcd
+
+    from delpezzo.quasismooth import _pair_witness_extras
+    from delpezzo.weights import pair_has_monomial
+
+    raw, d = case
+    if gcd(*raw) != 1:
+        return
+    w = normalize_weights(raw)
+    witness = condition_I(w, d)
+    if witness is None:
+        return
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if not pair_has_monomial(w[i], w[j], d):
+                assert {witness.j[i], witness.j[j]} <= _pair_witness_extras(w, d, i, j)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from delpezzo import catalog
-from delpezzo.quasismooth import STRICT_PAIRS_DEFAULT
 from delpezzo.search import (
     BranchAssignment,
     _admissible,
@@ -89,7 +88,7 @@ def test_structured_matches_unpruned_branches():
             A, rhs = b.equations()
             for w in solve_condition_system(b).instances(w_max):
                 assert [sum(a * x for a, x in zip(row, w)) for row in A] == rhs
-                c = _admissible(w, I, w_max, STRICT_PAIRS_DEFAULT)
+                c = _admissible(w, I, w_max)
                 if c is not None:
                     expected[w] = c
         got = [r.key() for r in structured_enumerate(I, w_max)]
@@ -155,7 +154,7 @@ def test_oracle_matches_unpruned_scan():
         (I, w)
         for w in itertools.combinations_with_replacement(range(1, w_max + 1), 4)
         for I in range(1, 11)
-        if _admissible(w, I, w_max, STRICT_PAIRS_DEFAULT) is not None
+        if _admissible(w, I, w_max) is not None
     ]
     got = [(r.candidate.I, r.candidate.weights.w) for r in brute_force_enumerate(1, 10, w_max)]
     assert got == sorted(expected)
