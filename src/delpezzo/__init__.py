@@ -33,12 +33,13 @@ from .moduli import (
 )
 from .quasismooth import (
     ConditionIWitness,
+    Rejection,
     condition_I,
     condition_II,
     condition_III,
     is_quasismooth,
 )
-from .records import CandidateRecord, build_record
+from .records import CandidateRecord, build_record, classify
 from .search import (
     BranchAssignment,
     SolutionSpace,
@@ -59,10 +60,8 @@ from .topology import (
 )
 from .weights import (
     Candidate,
-    ExponentVector,
     WeightSystem,
     count_monomials,
-    fano_index,
     is_well_formed,
     monomials_of_degree,
     normalize_weights,

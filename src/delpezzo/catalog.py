@@ -396,12 +396,6 @@ class TallyBucket:
     families: dict[int, int] = field(default_factory=dict)  # n -> count, n >= 1
     series: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
 
-    def moduli_multiset(self) -> dict[int, int]:
-        out = dict(self.families)
-        if self.rigid:
-            out[0] = self.rigid
-        return out
-
 
 def theorem_a_tally(computed) -> dict[int, TallyBucket]:
     """Group KE-certified records by link parameter l.

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import PreconditionError
-from .quasismooth import is_quasismooth
-from .weights import Candidate, WeightSystem, is_well_formed, pair_has_monomial
+from .quasismooth import require_hypersurface
+from .weights import Candidate, WeightSystem, pair_has_monomial
 
 GATE_INDEX_VS_SMALLEST = "G1"  # 2I >= 3*w0
 GATE_INDEX_PAIR_SUM = "G2"  # 2I = w0 + w1
+GATE_RULES = {GATE_INDEX_VS_SMALLEST: "2I >= 3w0", GATE_INDEX_PAIR_SUM: "2I = w0+w1"}
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class NotKltGate:
     gate: str  # "G1" or "G2"
 
     def __str__(self) -> str:
-        reason = "2I >= 3w0" if self.gate == GATE_INDEX_VS_SMALLEST else "2I = w0+w1"
-        return f"NotKlt (gate {self.gate}: {reason})"
+        return f"NotKlt (gate {self.gate}: {GATE_RULES[self.gate]})"
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ KltVerdict = Union[NotKltGate, Certified, Unknown]
 
 def gate_check(c: Candidate) -> str | None:
     """First failing gate ("G1" before "G2"), or None if both pass."""
-    w = c.weights
+    w = c.weights.w
     if 2 * c.I >= 3 * w[0]:
         return GATE_INDEX_VS_SMALLEST
     if 2 * c.I == w[0] + w[1]:
@@ -81,13 +80,10 @@ def vertex_3_free(w: WeightSystem, d: int) -> bool:
 def certify_KE(c: Candidate) -> KltVerdict:
     """Run the gate checks, then the rule cascade R1, R2, R3 in order.
 
-    Requires a well-formed quasi-smooth candidate; the verdict is undefined
-    otherwise and the call is rejected.
+    Requires a candidate that passes `require_hypersurface`; the verdict is
+    undefined otherwise and the call is rejected.
     """
-    if not is_well_formed(c.weights):
-        raise PreconditionError(f"{c}: weights are not well-formed")
-    if not is_quasismooth(c.weights, c.d):
-        raise PreconditionError(f"{c}: general member is not quasi-smooth")
+    require_hypersurface(c)
     return _cascade(c)
 
 
@@ -106,23 +102,6 @@ def _cascade(c: Candidate) -> KltVerdict:
     if vertex_3_free(w, d) and lhs < 3 * w[0] * w[3]:
         return Certified("R3", lhs, 3 * w[0] * w[3])
     return Unknown()
-
-
-def rule_triple(rule: str, w: WeightSystem) -> tuple[int, int, int]:
-    """Weight triple of the local bound each cascade rule folds in.
-
-    R1 comes from the generic bound with triple (w0,w1,w3), R2 from the
-    line-free bound with (w0,w2,w3), R3 from the vertex-free bound with
-    (w1,w2,w3); in each case the worst local order and alpha=2/3 are
-    absorbed into the 2Id < 3*w0*w_i form.
-    """
-    if rule == "R1":
-        return (w[0], w[1], w[3])
-    if rule == "R2":
-        return (w[0], w[2], w[3])
-    if rule == "R3":
-        return (w[1], w[2], w[3])
-    raise ValueError(f"unknown rule {rule!r}")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, PreconditionError
-from .quasismooth import is_quasismooth
+from .errors import InvariantViolation
+from .quasismooth import require_hypersurface
 from .weights import Candidate, WeightSystem, count_monomials
 
 
@@ -31,11 +31,8 @@ class ModuliReport:
 
 
 def monomial_dimension(c: Candidate) -> int:
-    """Number of degree-d monomials; requires a quasi-smooth candidate."""
-    if not is_quasismooth(c.weights, c.d):
-        raise PreconditionError(
-            f"{c}: not quasi-smooth, the quasi-smooth locus may not span"
-        )
+    """Number of degree-d monomials; requires `require_hypersurface` to pass."""
+    require_hypersurface(c)
     return count_monomials(c.weights, c.d)
 
 
@@ -50,12 +47,12 @@ def moduli_dimension(c: Candidate) -> int:
 
 
 def moduli_report(c: Candidate) -> ModuliReport:
-    """m, dim G(w) and n; requires a quasi-smooth candidate."""
+    """m, dim G(w) and n; requires `require_hypersurface` to pass."""
     return _moduli_report(c, monomial_dimension(c))
 
 
 def _moduli_report(c: Candidate, m: int) -> ModuliReport:
-    """`moduli_report` given m, for callers that have checked quasi-smoothness."""
+    """`moduli_report` given m, for callers that have made its check."""
     g = aut_dimension(c.weights)
     if m - g < 0:
         raise InvariantViolation(f"{c}: moduli dimension {m - g} < 0")

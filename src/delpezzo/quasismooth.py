@@ -14,14 +14,34 @@ LMS LN 281, 2000, Thm 8.1).  II is not part of it: it says that X is
 well-formed, i.e. contains no singular line of P(w) (ibid. section 6).
 III is the two-witness form; `condition_III` proves that the one-witness
 reading follows from I.
+
+`hypersurface_rejection` is the one precondition check of every invariant:
+P(w) well-formed, then I, III and II, each failure reported as a
+`Rejection` that names its variable, pair or triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
-from .weights import WeightSystem, pair_has_monomial
+from .errors import PreconditionError
+from .weights import Candidate, WeightSystem, is_well_formed, pair_has_monomial
+
+_PAIRS = tuple(combinations(range(4), 2))
+_TRIPLES = tuple(combinations(range(4), 3))
+
+
+@dataclass(frozen=True)
+class Rejection:
+    """Why a (w, d) is not admitted: a short reason and a one-line detail."""
+
+    reason: str
+    detail: str
+
+    def __str__(self) -> str:
+        return f"{self.reason}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -41,30 +61,36 @@ def condition_I(w: WeightSystem, d: int) -> ConditionIWitness | None:
     For each i the witness takes the smallest m_i >= 1 with
     m_i*w_i + w_j = d for some j, ties broken by the smallest j.
     """
-    ms = []
-    js = []
-    for i in range(4):
-        best = None
-        for j in range(4):
-            r = d - w[j]
-            if r >= w[i] and r % w[i] == 0:
-                m = r // w[i]
-                if best is None or m < best[0]:
-                    best = (m, j)
-        if best is None:
-            return None
-        ms.append(best[0])
-        js.append(best[1])
-    return ConditionIWitness(tuple(ms), tuple(js))
+    partners = [_partner(w, d, i) for i in range(4)]
+    if None in partners:
+        return None
+    m, j = zip(*partners)
+    return ConditionIWitness(m, j)
+
+
+def _partner(w, d: int, i: int) -> tuple[int, int] | None:
+    """Smallest (m, j) with m >= 1 and m*w_i + w_j = d, ties to the smallest j."""
+    best = None
+    for j in range(4):
+        r = d - w[j]
+        if r >= w[i] and r % w[i] == 0:
+            m = r // w[i]
+            if best is None or m < best[0]:
+                best = (m, j)
+    return best
 
 
 def condition_II(w: WeightSystem, d: int) -> bool:
     """Every pair with non-coprime weights must support a pure pair monomial."""
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if gcd(w[i], w[j]) > 1 and not pair_has_monomial(w[i], w[j], d):
-                return False
-    return True
+    return _failing_pair_II(w, d) is None
+
+
+def _failing_pair_II(w, d: int) -> tuple[int, int] | None:
+    """The first pair (i, j) that condition II rejects, or None."""
+    for i, j in _PAIRS:
+        if gcd(w[i], w[j]) > 1 and not pair_has_monomial(w[i], w[j], d):
+            return i, j
+    return None
 
 
 def _pair_witness_extras(w: WeightSystem, d: int, i: int, j: int) -> set[int]:
@@ -90,13 +116,67 @@ def condition_III(w: WeightSystem, d: int) -> bool:
     both in `_pair_witness_extras`, and a single witness always exists.
     What III checks is that the extras hold two distinct variables.
     """
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not pair_has_monomial(w[i], w[j], d) and len(_pair_witness_extras(w, d, i, j)) < 2:
-                return False
-    return True
+    return _failing_pair_III(w, d) is None
+
+
+def _failing_pair_III(w, d: int) -> tuple[int, int] | None:
+    """The first pair (i, j) that condition III rejects, or None."""
+    for i, j in _PAIRS:
+        if not pair_has_monomial(w[i], w[j], d) and len(_pair_witness_extras(w, d, i, j)) < 2:
+            return i, j
+    return None
 
 
 def is_quasismooth(w: WeightSystem, d: int) -> bool:
-    """Conjunction of conditions I, II, III for the general member."""
+    """Quasi-smooth (I and III) and X well-formed (II).
+
+    The enumeration admits exactly this conjunction on well-formed P(w);
+    `hypersurface_rejection` tells the three apart.
+    """
     return condition_I(w, d) is not None and condition_II(w, d) and condition_III(w, d)
+
+
+def hypersurface_rejection(c: Candidate) -> Rejection | None:
+    """The first failing precondition of `c`, or None if it has none.
+
+    In order: P(w) well-formed (no triple of weights shares a factor),
+    condition I, condition III, and condition II, reported as "X not
+    well-formed".  Each condition runs once, as the search for its failing
+    variable or pair that the `condition_*` functions also use; the
+    failing triple is looked up only when P(w) is not well-formed.
+    """
+    w, d = c.weights.w, c.d
+    if not is_well_formed(c.weights):
+        for a, b, e in _TRIPLES:
+            g = gcd(w[a], w[b], w[e])
+            if g > 1:
+                return Rejection("P(w) not well-formed", f"gcd(w{a}, w{b}, w{e}) = {g}")
+    for i in range(4):
+        if _partner(w, d, i) is None:
+            return Rejection("condition I fails", f"no monomial z{i}^m z_j has degree {d}")
+    pair = _failing_pair_III(w, d)
+    if pair is not None:
+        i, j = pair
+        found = ", ".join(f"z{k}" for k in sorted(_pair_witness_extras(w, d, i, j)))
+        return Rejection("condition III fails", f"no z{i}^a z{j}^b has degree {d}, and "
+                         f"z{i}^a z{j}^b z_k does only for z_k in {{{found}}}; two are needed")
+    pair = _failing_pair_II(w, d)
+    if pair is not None:
+        i, j = pair
+        k, l = (x for x in range(4) if x not in pair)
+        g = gcd(w[i], w[j])
+        why = f"does not divide {d}" if d % g else f"> 1 and no z{i}^a z{j}^b has degree {d}"
+        return Rejection("X not well-formed", f"gcd(w{i}, w{j}) = {g} {why}, so X contains "
+                         f"the line z{k} = z{l} = 0")
+    return None
+
+
+def require_hypersurface(c: Candidate) -> None:
+    """Raise PreconditionError naming the first failing precondition of `c`.
+
+    The one check behind every invariant that needs a quasi-smooth,
+    well-formed hypersurface in a well-formed P(w).
+    """
+    rejection = hypersurface_rejection(c)
+    if rejection is not None:
+        raise PreconditionError(f"{c}: {rejection}")

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import catalog
-from .klt import Certified, KltVerdict, NotKltGate, _cascade
+from .klt import GATE_RULES, Certified, KltVerdict, NotKltGate, _cascade, gate_check
 from .moduli import _moduli_report
-from .topology import _link_report, _require_smooth_link
-from .weights import Candidate, count_monomials
+from .quasismooth import Rejection, hypersurface_rejection, require_hypersurface
+from .topology import _link_report
+from .weights import Candidate, WeightSystem, count_monomials
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,43 @@ class CandidateRecord:
         return self.candidate.key()
 
 
+def classify(w, d: int) -> CandidateRecord | Rejection:
+    """The record of (w, d), or the `Rejection` that keeps it out.
+
+    The checks run in order: w is primitive (tested first and without an
+    exception, since a third of the points the searches walk are not); w
+    is an ascending positive 4-tuple with 1 <= I and d > w3, as
+    `WeightSystem` and `Candidate` check; gates G1 and G2; then
+    `hypersurface_rejection`.  A candidate that passes them all is built
+    into its record without checking anything twice.
+    """
+    g = gcd(*w)
+    if g != 1:
+        return Rejection("not primitive", f"the weights share the factor {g}")
+    try:
+        c = Candidate(WeightSystem(tuple(w)), d)
+    except ValueError as exc:
+        return Rejection("not a candidate", str(exc))
+    gate = gate_check(c)
+    if gate is not None:
+        return Rejection(f"gate {gate}", f"{GATE_RULES[gate]} with I = {c.I}, w = {c.weights}")
+    rejection = hypersurface_rejection(c)
+    return rejection if rejection is not None else _record(c)
+
+
 def build_record(c: Candidate) -> CandidateRecord:
     """Classify one candidate: topology, KE verdict with provenance, moduli.
 
-    Requires well-formed weights and a quasi-smooth general member, the
-    preconditions of `diffeo_type`, `moduli_report` and `certify_KE`; they
-    are checked once here, and each invariant is computed once.
+    Requires what `require_hypersurface` checks, the precondition of
+    `diffeo_type`, `moduli_report` and `certify_KE`; it is checked once
+    here, and each invariant is computed once.  A candidate that fails a
+    gate gets a record with the `NotKltGate` verdict.
     """
-    _require_smooth_link(c)
+    require_hypersurface(c)
+    return _record(c)
+
+
+def _record(c: Candidate) -> CandidateRecord:
     link = _link_report(c)
     mod = _moduli_report(c, count_monomials(c.weights, c.d))
     verdict = _cascade(c)

@@ -31,11 +31,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .diophantine import box_solutions, diagonalize
-from .errors import NonPrimitiveWeights, RouteDisagreement
-from .klt import gate_check
-from .quasismooth import is_quasismooth
-from .records import CandidateRecord, build_record
-from .weights import Candidate, WeightSystem, is_well_formed
+from .errors import RouteDisagreement
+from .records import CandidateRecord, classify
 
 M1_MAX = 10
 M2_MAX = 4
@@ -270,46 +267,22 @@ def _lines(I: int, w_max: int):
     return lines
 
 
-def _admissible(w, I: int, w_max: int) -> Candidate | None:
-    """Apply every enumeration filter to an ordered weight tuple."""
-    if w[3] > w_max:
-        return None
-    if gcd(*w) != 1:
-        return None
-    d = sum(w) - I
-    if d < 1 or d <= w[3]:
-        return None
-    try:
-        ws = WeightSystem(tuple(w))
-    except (ValueError, NonPrimitiveWeights):
-        return None
-    if not is_well_formed(ws):
-        return None
-    c = Candidate(ws, d)
-    if gate_check(c) is not None:
-        return None
-    if not is_quasismooth(ws, d):
-        return None
-    return c
-
-
 def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
     """Union of the filtered branch solutions, deduplicated, canonical order.
 
     Each shape in `_line_shapes` is diagonalized once per process; at each
     index the distinct segments of `_lines` are walked once, and every
-    point goes through `_admissible`.
+    point goes through `classify`.  The segments end at w3 = w_max.
     """
-    found: dict[tuple, Candidate] = {}
+    found: dict[tuple, CandidateRecord] = {}
     for start, v, n in _lines(I, w_max):
-        for k in range(n):
-            w = tuple(start[i] + k * v[i] for i in range(4))
+        # the n points start + k*v, k = 0..n-1
+        for w in itertools.islice(zip(*map(itertools.count, start, v)), n):
             if w not in found:
-                c = _admissible(w, I, w_max)
-                if c is not None:
-                    found[w] = c
-    cands = sorted(found.values(), key=Candidate.key)
-    return [build_record(c) for c in cands]
+                r = classify(w, sum(w) - I)
+                if isinstance(r, CandidateRecord):
+                    found[w] = r
+    return sorted(found.values(), key=CandidateRecord.key)
 
 
 def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int):
@@ -317,9 +290,9 @@ def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int):
 
     One numpy pass per w1 covers every w2 in [w1, w_max], every index and
     the at most five values of w3 that condition I for z3 leaves; w3 is
-    never scanned.  Each pruning is a necessary condition for `_admissible`,
-    which still decides every survivor.  Write S = w0 + w1 + w2, so that
-    d = S + w3 - I.
+    never scanned.  Each pruning is a necessary condition for admission,
+    and `classify` still decides every survivor and builds its record.
+    Write S = w0 + w1 + w2, so that d = S + w3 - I.
 
     * 3*w0 > 2I and w0 + w1 != 2I: otherwise `gate_check` fails (G1, G2).
     * w3 in {S - I, (S - I)/2, S - w0 - I, S - w1 - I, S - w2 - I}.
@@ -357,7 +330,8 @@ def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int):
             w2, w3, Is, d = w2[keep], w3[keep], Is[keep], d[keep]
         for I, x2, x3 in zip(Is.tolist(), w2.tolist(), w3.tolist()):
             found.add((I, (w0, w1, x2, x3)))
-    return [(I, w) for I, w in found if _admissible(w, I, w_max) is not None]
+    records = (classify(w, sum(w) - I) for I, w in found)
+    return [r for r in records if isinstance(r, CandidateRecord)]
 
 
 def brute_force_enumerate(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> list[CandidateRecord]:
@@ -381,8 +355,7 @@ def brute_force_enumerate(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> 
             chunks = pool.starmap(_scan_w0, args, chunksize=1)
     else:
         chunks = [_scan_w0(*a) for a in args]
-    found = sorted(t for chunk in chunks for t in chunk)
-    return [build_record(Candidate(WeightSystem(w), sum(w) - I)) for I, w in found]
+    return sorted((r for chunk in chunks for r in chunk), key=CandidateRecord.key)
 
 
 def verified_enumeration(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> list[CandidateRecord]:

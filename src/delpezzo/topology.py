@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvariantViolation, PreconditionError
-from .quasismooth import is_quasismooth
-from .weights import Candidate, is_well_formed
+from .errors import InvariantViolation
+from .quasismooth import require_hypersurface
+from .weights import Candidate
 
 
 class VirtualCharacter:
@@ -226,24 +226,12 @@ class LinkReport:
 def diffeo_type(c: Candidate) -> LinkReport:
     """Full link report; valid only when torsion vanishes and Smale applies.
 
-    Requires well-formed weights and a quasi-smooth general member, which
-    together guarantee H2 of the link is torsion-free.
+    Requires a well-formed P(w) and a quasi-smooth, well-formed general
+    member (`require_hypersurface`), which together guarantee H2 of the
+    link is torsion-free.
     """
-    _require_smooth_link(c)
+    require_hypersurface(c)
     return _link_report(c)
-
-
-def _require_smooth_link(c: Candidate) -> None:
-    """Raise PreconditionError unless the weights are well-formed and the
-    general member is quasi-smooth, the preconditions of `diffeo_type`."""
-    if not is_well_formed(c.weights):
-        raise PreconditionError(
-            f"{c}: weights not well-formed, torsion-freeness not guaranteed"
-        )
-    if not is_quasismooth(c.weights, c.d):
-        raise PreconditionError(
-            f"{c}: not quasi-smooth, the link is not a smooth manifold"
-        )
 
 
 def _link_report(c: Candidate) -> LinkReport:

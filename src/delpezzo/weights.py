@@ -8,7 +8,7 @@ this module is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import NonPrimitiveWeights
@@ -24,16 +24,15 @@ class WeightSystem:
     w: tuple[int, int, int, int]
 
     def __post_init__(self):
-        if len(self.w) != 4:
-            raise ValueError(f"need exactly four weights, got {self.w!r}")
-        if any(x < 1 for x in self.w):
-            raise ValueError(f"weights must be positive, got {self.w!r}")
-        if list(self.w) != sorted(self.w):
-            raise ValueError(f"weights must be ascending, got {self.w!r}")
-        if gcd(*self.w) != 1:
-            raise NonPrimitiveWeights(
-                f"weights {self.w!r} have common factor {gcd(*self.w)}"
-            )
+        w = self.w
+        if len(w) != 4:
+            raise ValueError(f"need exactly four weights, got {w!r}")
+        if not 0 < w[0] <= w[1] <= w[2] <= w[3]:
+            problem = "positive" if min(w) < 1 else "ascending"
+            raise ValueError(f"weights must be {problem}, got {w!r}")
+        g = gcd(*w)
+        if g != 1:
+            raise NonPrimitiveWeights(f"weights {w!r} have common factor {g}")
 
     @property
     def total(self) -> int:
@@ -69,31 +68,25 @@ class Candidate:
 
     Degrees equal to a weight (linear cones) are excluded: d > w3 is
     required, which rules out every d = w_i since the weights ascend.
+    I is computed once; it takes no part in equality, hashing or repr.
     """
 
     weights: WeightSystem
     d: int
+    I: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"degree must be positive, got {self.d}")
+        w, d = self.weights.w, self.d
+        object.__setattr__(self, "I", sum(w) - d)
+        if d < 1:
+            raise ValueError(f"degree must be positive, got {d}")
         if self.I < 1:
+            raise ValueError(f"index {self.I} < 1 for weights {self.weights} degree {d}")
+        if d <= w[3]:
             raise ValueError(
-                f"index {self.I} < 1 for weights {self.weights} degree {self.d}"
-            )
-        if self.d <= self.weights[3]:
-            raise ValueError(
-                f"degree {self.d} <= largest weight {self.weights[3]}: linear cone "
+                f"degree {d} <= largest weight {w[3]}: linear cone "
                 f"or empty monomial space, excluded"
             )
-
-    @property
-    def I(self) -> int:
-        return self.weights.total - self.d
-
-    @classmethod
-    def from_index(cls, weights: WeightSystem, index: int) -> "Candidate":
-        return cls(weights, weights.total - index)
 
     def key(self) -> tuple:
         """Canonical sort key: index ascending, then weights, then degree."""
@@ -101,11 +94,6 @@ class Candidate:
 
     def __str__(self) -> str:
         return f"{self.weights} d={self.d} I={self.I}"
-
-
-def fano_index(w: WeightSystem, d: int) -> int:
-    """|w| - d; may be <= 0, in which case no Candidate exists."""
-    return w.total - d
 
 
 def monomials_of_degree(w: WeightSystem, d: int) -> list[ExponentVector]:

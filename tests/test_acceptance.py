@@ -29,6 +29,7 @@ from delpezzo.topology import (
     reduced_ratios,
 )
 from delpezzo.quasismooth import condition_I, condition_II, condition_III, is_quasismooth
+from delpezzo.records import classify
 from delpezzo.weights import Candidate, WeightSystem, is_well_formed, normalize_weights
 from oracles import (
     divisor_roots_oracle,
@@ -332,12 +333,15 @@ def test_criterion_9_jacobian_quasismoothness(enumeration_150):
             assert _jacobian_verdict(w, d) is criterion, (w, d)
             assert is_quasismooth(ws, d) is (criterion and condition_II(ws, d)), (w, d)
             fail_III += passes_I and not criterion
-            fail_II += criterion and not condition_II(ws, d)
+            if criterion and not condition_II(ws, d):
+                fail_II += 1
+                assert classify(w, d).reason == "X not well-formed", (w, d)
     assert (cases, fail_III) == (935, 49)
+    assert fail_II == 14
     elapsed = time.monotonic() - t0
     print(
         f"\nACCEPTANCE 9 PASS: all {len(records)} records quasi-smooth by the Jacobian "
         f"oracle; Jacobian-QS == I and III on all {cases} well-formed gate-passing (w, d) "
         f"with w <= 10 ({fail_III} pass I but fail III; {fail_II} quasi-smooth ones fail "
-        f"II, X not well-formed) ({elapsed:.1f}s)"
+        f"II, X not well-formed, and classify rejects all {fail_II} as such) ({elapsed:.1f}s)"
     )

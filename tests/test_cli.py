@@ -4,7 +4,7 @@ import json
 import pytest
 
 import delpezzo.cli as cli
-from delpezzo import catalog, search, serialize
+from delpezzo import catalog, moduli, search, serialize
 from delpezzo.search import brute_force_enumerate
 from delpezzo.serialize import (
     from_csv,
@@ -73,7 +73,7 @@ def test_cli_enumerate_both_methods_agree(capsys):
     assert rows[0].startswith("index,")
 
 
-def test_cli_method_disagreement_exit2(capsys, monkeypatch):
+def test_cli_method_disagreement_exit2(capsys, monkeypatch, tmp_path):
     # fault injection: make the structured route drop a record
     real = search.structured_enumerate
     dropped = []
@@ -84,14 +84,19 @@ def test_cli_method_disagreement_exit2(capsys, monkeypatch):
         return records[:-1]
 
     monkeypatch.setattr(search, "structured_enumerate", broken)
-    code = cli.main(["enumerate", "--index", "3", "--max-weight", "100",
-                     "--method", "both", "--format", "json"])
+    argv = ["enumerate", "--index", "3", "--max-weight", "100", "--method", "both", "--format", "json"]
+    code = cli.main(argv)
     assert code == 2
     err = capsys.readouterr().err
     assert "disagreement" in err
     I, w, d = dropped[0]
     assert f"(I={I}, w={w}, d={d}) missing from the structured search" in err
     assert err.count("\n") == 1
+    # a failed run leaves an existing output file as it was
+    target = tmp_path / "rows.json"
+    target.write_text("old content")
+    assert cli.main(argv + ["--output", str(target)]) == 2
+    assert target.read_text() == "old content"
 
 
 def test_cli_internal_error_exit3(capsys, monkeypatch):
@@ -163,6 +168,26 @@ def test_cli_certify_rejects_non_quasismooth(capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["2", "3", "4", "5", "--degree", "13"],
+         "X not well-formed: gcd(w0, w2) = 2 does not divide 13, so X contains the line z1 = z3 = 0"),
+        (["2", "2", "2", "3", "--degree", "8"], "P(w) not well-formed: gcd(w0, w1, w2) = 2"),
+        (["1", "1", "1", "3", "--degree", "5"], "condition I fails: no monomial z3^m z_j"),
+        (["1", "2", "3", "3", "--degree", "8"], "condition III fails: no z2^a z3^b"),
+    ],
+    ids=["X-not-well-formed", "P-not-well-formed", "condition-I", "condition-III"],
+)
+@pytest.mark.parametrize("command", ["certify", "topology"])
+def test_cli_rejection_names_its_reason(capsys, command, argv, reason):
+    assert cli.main([command] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("rejected: ") and reason in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_cli_topology_outputs(capsys):
     assert cli.main(["topology", "2", "3", "5", "9", "--degree", "18"]) == 0
     out = capsys.readouterr().out
@@ -214,6 +239,21 @@ def test_cli_reproduce_table3(capsys):
     out = capsys.readouterr().out
     assert "10/16 exact" in out
     assert "known discrepancies" in out
+
+
+def test_cli_reproduce_table3_checks_series_row(capsys, monkeypatch):
+    # fault injection: seven extra degree-12 monomials for (2,3,3,5), the
+    # series row's first member; the row must no longer pass as documented
+    real = moduli.count_monomials
+
+    def inflated(w, d):
+        return real(w, d) + (7 if (tuple(w), d) == ((2, 3, 3, 5), 12) else 0)
+
+    monkeypatch.setattr(moduli, "count_monomials", inflated)
+    assert cli.main(["reproduce", "--table", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "series (2,2k+1,2k+1,4k+1): printed (m=12, n=5), computed (m=19, n=11)  MISMATCH" in out
+    assert "known discrepancy: series moduli n" not in out
 
 
 def test_cli_reproduce_series(capsys):

@@ -12,7 +12,6 @@ from delpezzo.klt import (
     gate_check,
     klt_local_bound,
     line_23_free,
-    rule_triple,
     vertex_3_free,
 )
 from delpezzo.weights import Candidate, normalize_weights
@@ -147,12 +146,14 @@ def test_rule_order_does_not_change_outcome():
 
 def test_scaling_monotonicity_vs_local_bound():
     # a cascade certificate implies the local bound with alpha=2/3, ell=1
-    # and the rule's weight triple
+    # and the rule's weight triple: R1 folds in the generic bound (w0,w1,w3),
+    # R2 the line-free bound (w0,w2,w3), R3 the vertex-free bound (w1,w2,w3)
+    rule_triples = {"R1": (0, 1, 3), "R2": (0, 2, 3), "R3": (1, 2, 3)}
     for w, d in [((2, 3, 5, 9), 18), ((5, 13, 19, 35), 70), ((9, 15, 17, 20), 60)]:
         c = cand(w, d)
         verdict = certify_KE(c)
         assert isinstance(verdict, Certified)
-        triple = rule_triple(verdict.rule, c.weights)
+        triple = tuple(c.weights[i] for i in rule_triples[verdict.rule])
         q = KltLocalQuery(
             alpha=Fraction(2, 3), ell=1, d=c.d, index=c.I, triple=triple
         )

@@ -1,8 +1,15 @@
-import pytest
+from math import gcd
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from delpezzo import catalog
 from delpezzo.errors import PreconditionError
-from delpezzo.records import build_record
-from delpezzo.weights import Candidate, normalize_weights
+from delpezzo.klt import gate_check
+from delpezzo.quasismooth import Rejection, hypersurface_rejection, is_quasismooth
+from delpezzo.records import CandidateRecord, build_record, classify
+from delpezzo.weights import Candidate, WeightSystem, is_well_formed, normalize_weights
 
 
 def cand(w, d):
@@ -13,10 +20,86 @@ def cand(w, d):
     "w,d,reason",
     [
         ((2, 2, 2, 3), 8, "not well-formed"),
-        ((2, 3, 4, 5), 13, "not quasi-smooth"),
+        ((2, 3, 4, 5), 13, "X not well-formed"),
     ],
 )
 def test_build_record_checks_preconditions(w, d, reason):
     with pytest.raises(PreconditionError, match=reason):
         build_record(cand(w, d))
 
+
+@pytest.mark.parametrize(
+    "w,d,reason",
+    [
+        ((3, 2, 5, 9), 18, "not a candidate"),  # not ascending
+        ((2, 3, 5, 9), 9, "not a candidate"),  # d <= w3
+        ((2, 4, 6, 8), 18, "not primitive"),
+        ((1, 1, 4, 4), 8, "gate G1"),
+        ((3, 3, 4, 5), 12, "gate G2"),
+        ((2, 2, 2, 3), 8, "P(w) not well-formed"),
+        ((1, 2, 2, 5), 9, "condition I fails"),
+        ((1, 2, 3, 3), 8, "condition III fails"),
+        ((2, 3, 4, 5), 13, "X not well-formed"),
+    ],
+)
+def test_classify_rejection_reasons(w, d, reason):
+    rejection = classify(w, d)
+    assert isinstance(rejection, Rejection)
+    assert rejection.reason == reason
+    assert "\n" not in str(rejection) and str(rejection).startswith(reason + ": ")
+
+
+@pytest.mark.parametrize(
+    "w,d,detail",
+    [
+        ((2, 2, 2, 3), 8, "gcd(w0, w1, w2) = 2"),
+        ((1, 1, 1, 3), 5, "no monomial z3^m z_j has degree 5"),
+        ((1, 2, 3, 3), 8, "z2^a z3^b z_k does only for z_k in {z1}"),
+        ((2, 3, 4, 5), 13, "gcd(w0, w2) = 2 does not divide 13, so X contains the line z1 = z3 = 0"),
+    ],
+)
+def test_rejection_names_its_witness(w, d, detail):
+    c = cand(w, d)
+    rejection = hypersurface_rejection(c)
+    assert detail in rejection.detail
+    with pytest.raises(PreconditionError) as exc:
+        build_record(c)
+    assert str(exc.value) == f"{c}: {rejection}"
+
+
+def _chain_admits(w, d) -> Candidate | None:
+    """The public admission chain: WeightSystem, is_well_formed, gate_check,
+    is_quasismooth."""
+    ws = WeightSystem(w)
+    if d <= w[3]:
+        return None
+    c = Candidate(ws, d)
+    if not is_well_formed(ws) or gate_check(c) is not None or not is_quasismooth(ws, d):
+        return None
+    return c
+
+
+primitive_weights = st.tuples(*[st.integers(1, 60)] * 4).map(lambda t: tuple(sorted(t))).filter(
+    lambda t: gcd(*t) == 1
+)
+# the sporadic rows with weights <= 60 at their own index, so that admissions are common
+table1_cases = st.sampled_from(
+    sorted((r.weights, r.index) for r in catalog.reference_table1() if r.weights[3] <= 60)
+)
+
+
+@given(st.one_of(st.tuples(primitive_weights, st.integers(1, 10)), table1_cases))
+@example(((2, 3, 4, 5), 1))  # quasi-smooth, X not well-formed
+@example(((1, 2, 2, 3), 1))  # the same
+@example(((1, 2, 3, 3), 1))  # fails conditions II and III
+@settings(max_examples=400, deadline=None)
+def test_classify_admits_exactly_the_public_chain(case):
+    w, I = case
+    d = sum(w) - I
+    got = classify(w, d)
+    c = _chain_admits(w, d)
+    if c is None:
+        assert isinstance(got, Rejection)
+    else:
+        assert isinstance(got, CandidateRecord)
+        assert got == build_record(c)

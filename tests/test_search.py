@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from delpezzo import catalog
+from delpezzo.records import CandidateRecord, classify
 from delpezzo.search import (
     BranchAssignment,
-    _admissible,
     _g1_rules_out,
     brute_force_enumerate,
     witness_branches,
@@ -77,7 +77,7 @@ def test_structured_matches_unpruned_branches():
 
     The reference solves every one of the 5,120 branches at each index,
     keeps every instance (each checked against its own equations), and
-    filters the union with `_admissible` alone.
+    filters the union with `classify` and the bound w3 <= w_max alone.
     """
     w_max = 80
     branches = list(witness_branches(1))
@@ -88,11 +88,11 @@ def test_structured_matches_unpruned_branches():
             A, rhs = b.equations()
             for w in solve_condition_system(b).instances(w_max):
                 assert [sum(a * x for a, x in zip(row, w)) for row in A] == rhs
-                c = _admissible(w, I, w_max)
-                if c is not None:
-                    expected[w] = c
+                r = classify(w, sum(w) - I)
+                if w[3] <= w_max and isinstance(r, CandidateRecord):
+                    expected[w] = r
         got = [r.key() for r in structured_enumerate(I, w_max)]
-        assert got == sorted(c.key() for c in expected.values())
+        assert got == sorted(r.key() for r in expected.values())
         assert (I >= 11) == (got == [])
 
 
@@ -147,14 +147,14 @@ def test_oracle_matches_unpruned_scan():
     The oracle skips 3*w0 <= 2I and w0 + w1 = 2I and tries only five
     values of w3 per (w0, w1, w2, I); the proofs are in
     `search._scan_w0`.  Here every ascending tuple and every index goes
-    through `_admissible` alone.
+    through `classify` and the bound w3 <= w_max alone.
     """
     w_max = 40
     expected = [
         (I, w)
         for w in itertools.combinations_with_replacement(range(1, w_max + 1), 4)
         for I in range(1, 11)
-        if _admissible(w, I, w_max) is not None
+        if w[3] <= w_max and isinstance(classify(w, sum(w) - I), CandidateRecord)
     ]
     got = [(r.candidate.I, r.candidate.weights.w) for r in brute_force_enumerate(1, 10, w_max)]
     assert got == sorted(expected)

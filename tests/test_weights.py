@@ -1,3 +1,4 @@
+import pickle
 from math import gcd
 
 import pytest
@@ -9,7 +10,6 @@ from delpezzo.weights import (
     Candidate,
     WeightSystem,
     count_monomials,
-    fano_index,
     is_well_formed,
     monomials_of_degree,
     normalize_weights,
@@ -77,23 +77,14 @@ def test_monomials_deterministic_order():
     assert monos == monomials_of_degree(ws, 18)
 
 
-@pytest.mark.parametrize(
-    "w,d,expected",
-    [
-        ((1, 1, 1, 1), 3, 1),
-        ((2, 3, 5, 9), 18, 1),
-        ((1, 1, 1, 1), 2, 2),
-        ((1, 1, 1, 1), 20, -16),
-    ],
-)
-def test_fano_index(w, d, expected):
-    assert fano_index(normalize_weights(w), d) == expected
-
-
 def test_candidate_invariants():
     c = Candidate(normalize_weights((2, 3, 5, 9)), 18)
     assert c.I == 1
-    assert fano_index(c.weights, c.d) == c.I
+    # the stored index takes no part in repr, equality or hashing
+    assert repr(c) == "Candidate(weights=WeightSystem(w=(2, 3, 5, 9)), d=18)"
+    assert c == Candidate(normalize_weights((2, 3, 5, 9)), 18)
+    assert hash(c) == hash((c.weights, c.d))
+    assert pickle.loads(pickle.dumps(c)).I == 1
 
 
 def test_candidate_rejects_linear_cone():
