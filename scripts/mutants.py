@@ -1,0 +1,101 @@
+"""Mutation check: each mutant must make the tests that guard it fail.
+
+    python scripts/mutants.py
+
+For each mutant the script copies the checkout's `src/` and `tests/` into a
+temporary directory, makes one textual edit there, and runs the mutant's
+targeted tests against the copy.  A mutant is killed when those tests fail
+(pytest exit 1) and survives when they pass.  Any other outcome is an
+error: the edit no longer applies, or pytest found no such test or could
+not run.  The script exits 1 if any mutant is not killed.  It is not part
+of Tier-1; all mutants take about 30 seconds.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the checkout
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]
+
+
+ORACLE_TESTS = (
+    "tests/test_search.py::test_oracle_intervals_match_docstring_scan",
+    "tests/test_search.py::test_oracle_matches_unpruned_scan",
+)
+
+MUTANTS = [
+    Mutant("drop-w3-case", "src/delpezzo/search.py",
+           "np.where(T <= w_max, T, 0), T, 1, 0),  # w3 = T",
+           "0 * T, T, 1, 0),  # w3 = T", ORACLE_TESTS),
+    Mutant("interval-top-plus-one", "src/delpezzo/search.py",
+           "(w1, w_max - T, T + w1, 1, 1),", "(w1, w_max - T + 1, T + w1, 1, 1),", ORACLE_TESTS),
+    Mutant("no-parity", "src/delpezzo/search.py",
+           "half = w1 + (T + w1) % 2", "half = w1", ORACLE_TESTS),
+    Mutant("prefilter-r-gt-wi", "src/delpezzo/search.py",
+           "((r >= wi) & (r % wi == 0))", "((r > wi) & (r % wi == 0))",
+           ("tests/test_search.py::test_prefilter_drops_only_what_classify_rejects",
+            "tests/test_search.py::test_oracle_matches_unpruned_scan")),
+    Mutant("prefilter-partner-not-self", "src/delpezzo/search.py",
+           "r = P[4] - P[:4]  # d - w_j, a row per j",
+           "r = np.delete(P[4] - P[:4], i, axis=0)",
+           ("tests/test_search.py::test_prefilter_drops_only_what_classify_rejects",
+            "tests/test_search.py::test_oracle_matches_unpruned_scan")),
+    Mutant("g1-prune-ignores-partner", "src/delpezzo/search.py",
+           "mi == 1 and ji != i", "mi == 1",
+           ("tests/test_search.py::test_structured_matches_unpruned_branches",
+            "tests/test_search.py::test_pruned_shapes_fix_two_weights_to_index")),
+    Mutant("char-mul-no-gcd", "src/delpezzo/topology.py",
+           "cn * cm * g", "cn * cm",
+           ("tests/test_topology.py::test_char_mul_relations",
+            "tests/test_topology.py::test_integer_divisor_matches_fraction_fold")),
+    Mutant("divisor-no-remainder-check", "src/delpezzo/topology.py",
+           "        if rem:\n            rational", "        if False:\n            rational",
+           ("tests/test_topology.py::test_integer_divisor_checks_match_fraction_fold",)),
+]
+
+
+def run(m: Mutant) -> str:
+    """'killed', 'survived' or an error for one mutant."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp) / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        target = Path(tmp) / m.path
+        text = target.read_text()
+        if text.count(m.old) != 1:
+            return "not applied"
+        target.write_text(text.replace(m.old, m.new))
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *m.tests],
+            cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        return {0: "survived", 1: "killed"}.get(proc.returncode, f"pytest exit {proc.returncode}")
+
+
+def main() -> int:
+    bad = 0
+    for m in MUTANTS:
+        outcome = run(m)
+        bad += outcome != "killed"
+        print(f"{m.name}: {outcome}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

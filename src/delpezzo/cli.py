@@ -12,9 +12,10 @@ import os
 import sys
 
 from . import catalog, serialize
-from .errors import InvariantViolation, PreconditionError, RouteDisagreement
+from .errors import InvariantViolation, RouteDisagreement
 from .klt import certify_KE
 from .moduli import moduli_report
+from .quasismooth import hypersurface_rejection
 from .search import brute_force_enumerate, structured_enumerate, verified_enumeration
 from .topology import diffeo_type, orbifold_b2
 from .weights import Candidate, normalize_weights
@@ -209,11 +210,12 @@ def _reproduce_series() -> int:
     for fam in catalog.reference_series() + catalog.errata_series():
         status = []
         for k in range(fam.k_min, fam.k_min + 5):
-            try:
-                b2 = orbifold_b2(fam.candidate_at(k))
-            except PreconditionError:
-                status.append(f"k={k}: not quasi-smooth/well-formed")
+            c = fam.candidate_at(k)
+            rejection = hypersurface_rejection(c)
+            if rejection is not None:
+                status.append(f"k={k}: {rejection}")
                 continue
+            b2 = orbifold_b2(c)
             if b2 != fam.b2_printed:
                 status.append(f"k={k}: b2 {b2} != {fam.b2_printed}")
         origin = "errata" if fam.source_table == "errata" else "printed"

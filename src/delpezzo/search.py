@@ -14,8 +14,12 @@ Two independent routes produce the classification below a weight bound:
   (m_3 <= 2, m_2 <= 4, m_1 <= 10 once the gates hold), so finitely many
   branch shapes (m, j) remain and each yields a small linear system.  Each
   shape is diagonalized once per process, the shapes gate G1 rules out are
-  skipped (proof in `_g1_rules_out`), and each index walks every distinct
-  solution line once.
+  skipped (proof in `_g1_rules_out`), and each index expands every
+  distinct solution line once.
+
+Both routes generate their candidate points as integer arrays, and the
+shared numpy `_prefilter` drops every point that fails a necessary
+condition `classify` checks again; `classify` decides the rest.
 
 The two must agree: `verified_enumeration` runs both and returns the
 records only when they do.
@@ -27,8 +31,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import gcd, lcm
-
-import numpy as np
 
 from .diophantine import box_solutions, diagonalize
 from .errors import RouteDisagreement
@@ -271,30 +273,100 @@ def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
     """Union of the filtered branch solutions, deduplicated, canonical order.
 
     Each shape in `_line_shapes` is diagonalized once per process; at each
-    index the distinct segments of `_lines` are walked once, and every
-    point goes through `classify`.  The segments end at w3 = w_max.
+    index the distinct segments of `_lines` are expanded once into point
+    arrays, which end at w3 = w_max.  `classify` decides the distinct
+    points that pass `_prefilter`.
     """
-    found: dict[tuple, CandidateRecord] = {}
-    for start, v, n in _lines(I, w_max):
-        # the n points start + k*v, k = 0..n-1
-        for w in itertools.islice(zip(*map(itertools.count, start, v)), n):
-            if w not in found:
-                r = classify(w, sum(w) - I)
-                if isinstance(r, CandidateRecord):
-                    found[w] = r
-    return sorted(found.values(), key=CandidateRecord.key)
+    import numpy as np
+
+    lines = list(_lines(I, w_max))
+    # rows (w0, w1, w2, w3, d) with d = |w| - I, one column per segment
+    start = np.array([(*p, sum(p) - I) for p, _, _ in lines], dtype=np.int64).reshape(-1, 5).T
+    step = np.array([(*v, sum(v)) for _, v, _ in lines], dtype=np.int64).reshape(-1, 5).T
+    length = np.array([n for _, _, n in lines], dtype=np.int64)
+    return sorted(_admit(_line_points(start, step, length)), key=CandidateRecord.key)
 
 
-def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int):
+PASS_CAP = 1 << 13  # points per numpy pass, so that no pass grows with w_max
+
+
+def _line_points(start, step, length):
+    """The points start[:, s] + k*step[:, s], k = 0..length[s]-1, of each segment s.
+
+    `start` and `step` hold one column per segment.  Yields arrays with
+    the same rows, one column per point, at most `PASS_CAP` columns each;
+    a pass may cut a segment.
+    """
+    import numpy as np
+
+    ends = np.cumsum(length)
+    total = int(ends[-1]) if len(ends) else 0
+    moving = np.flatnonzero(step.any(axis=1))  # the rows some segment steps
+    for a in range(0, total, PASS_CAP):
+        b = min(a + PASS_CAP, total)  # the points a..b-1, counted over all segments
+        s0, s1 = np.searchsorted(ends, [a, b - 1], side="right")  # their first and last segment
+        seg = slice(s0, s1 + 1)
+        firsts = ends[seg] - length[seg]
+        n = np.minimum(ends[seg], b) - np.maximum(firsts, a)  # points of each in the pass
+        P = np.repeat(start[:, seg], n, axis=1)
+        P[moving] += (np.arange(a, b) - np.repeat(firsts, n)) * np.repeat(step[moving, seg], n, axis=1)
+        yield P
+
+
+def _prefilter(P):
+    """The columns of P that pass the necessary conditions below.
+
+    P has rows (w0, w1, w2, w3, d) with ascending positive weights and
+    I = |w| - d >= 1.  `classify` checks every condition again, so a
+    point this wrongly keeps is still rejected.  A point this wrongly
+    drops is lost to both routes alike, and `verified_enumeration` cannot
+    see it; the tests that compare each route with an unpruned scan at
+    small bounds, and the property test against `classify`, guard that.
+    The conditions:
+
+    * condition I for each z_i: m*w_i + w_j = d for some m >= 1 and j, as
+      `quasismooth._partner` tests it; z2 first, which drops the most
+      points of the oracle, and each test on the points still kept;
+    * d > w3;
+    * gates G1 (3*w0 > 2I) and G2 (w0 + w1 != 2I);
+    * P(w) well-formed: no triple of weights shares a factor, which also
+      makes the weights primitive.
+    """
+    import numpy as np
+
+    for i in (2, 1, 0, 3):
+        r = P[4] - P[:4]  # d - w_j, a row per j
+        wi = P[i]
+        P = P.compress(((r >= wi) & (r % wi == 0)).any(axis=0), axis=1)
+    w0, w1, w2, w3, d = P
+    I2 = 2 * (w0 + w1 + w2 + w3 - d)
+    keep = (d > w3) & (3 * w0 > I2) & (I2 != w0 + w1)
+    for a, b, c in itertools.combinations(P[:4], 3):
+        keep &= np.gcd(np.gcd(a, b), c) == 1
+    return P.compress(keep, axis=1)
+
+
+def _admit(passes) -> list[CandidateRecord]:
+    """The records `classify` builds from the distinct survivors of `_prefilter`."""
+    found = set()
+    for P in passes:
+        P = _prefilter(P)
+        found.update(zip(zip(*P[:4].tolist()), P[4].tolist()))
+    records = (classify(w, d) for w, d in found)
+    return [r for r in records if isinstance(r, CandidateRecord)]
+
+
+def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
     """All admissible (I, w) with smallest weight w0 and I_min <= I <= I_max.
 
-    One numpy pass per w1 covers every w2 in [w1, w_max], every index and
-    the at most five values of w3 that condition I for z3 leaves; w3 is
-    never scanned.  Each pruning is a necessary condition for admission,
-    and `classify` still decides every survivor and builds its record.
+    `_oracle_points` generates every (I, w) the conditions below allow;
+    w3 is never scanned.  Each condition is necessary for admission,
+    `_prefilter` drops what fails condition I for z0..z2 or the rest of its
+    list, and `classify` decides every survivor and builds its record.
     Write S = w0 + w1 + w2, so that d = S + w3 - I.
 
-    * 3*w0 > 2I and w0 + w1 != 2I: otherwise `gate_check` fails (G1, G2).
+    * 3*w0 > 2I: otherwise `gate_check` fails (G1).  The intervals below
+      need it; gate G2 is only pruning, and `_prefilter` applies it.
     * w3 in {S - I, (S - I)/2, S - w0 - I, S - w1 - I, S - w2 - I}.
       Condition I for z3 asks for d - w_j = m*w3 with m >= 1 and some j.
       - j = 3: d - w3 = S - I <= 3*w3 - I < 3*w3, so m <= 2 and w3 is
@@ -303,35 +375,51 @@ def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int):
         since 3*w0 > 2I, so d - w_j > w3 and m >= 2.  Also
         d - w_j <= 2*w3 - I + w3 < 3*w3, so m = 2 and w3 = S - w_j - I.
       Either way d = (m + 1)*w3 or d = 2*w3 + w_j, so d <= 3*w3 follows.
-    * w2 <= w3 <= w_max: the tuple is ascending and inside the box.
-    * Condition I for z0, z1, z2: w_i | d - w_j for some j.  Every
-      d - w_j >= d - w3 = S - I > 0, so divisibility already gives
-      d - w_j >= w_i.
+    * w1 <= w2 <= w3 <= w_max: the tuple is ascending and inside the box.
 
-    An odd S - I has no half; the pass puts 0 there, which the box drops.
-    Two cases can give the same w3; the set keeps one copy.  Each pass
-    holds O(w_max * (I_max - I_min + 1)) entries per array.
+    With T = w0 + w1 - I, so S - I = T + w2, each w3 value gives one
+    interval of w2 >= w1.  G1 makes T > w1 - w0/2 > 0.
+    - w3 = T + w2: w3 >= w2 always; w3 <= w_max iff w2 <= w_max - T.
+    - w3 = (T + w2)/2, only for T + w2 even: w3 >= w2 iff w2 <= T, and
+      w3 <= w_max iff w2 <= 2*w_max - T.  w2 starts at w1 or w1 + 1,
+      whichever has the parity of T, and steps by 2; w3 steps by 1.
+    - w3 = w1 + w2 - I: w3 >= w2 iff w1 >= I; then w2 <= w_max - w1 + I.
+    - w3 = w0 + w2 - I: w3 >= w2 iff w0 >= I; then w2 <= w_max - w0 + I.
+    - w3 = T: w3 >= w2 iff w2 <= T, and w3 <= w_max iff T <= w_max.
+    On each interval w2 and w3 are linear in the step count, so every
+    (w1, I, case) is one segment for `_line_points`, which caps each numpy
+    pass at `PASS_CAP` points whatever w_max is; the table of segments
+    holds 5*(w_max - w0 + 1) per index.  Two cases can give the same w3;
+    the set in `_admit` keeps one copy.
     """
-    I_all = np.arange(I_min, min(I_max, (3 * w0 - 1) // 2) + 1)  # G1
-    found = set()
-    for w1 in range(w0, w_max + 1):
-        Is = I_all[2 * I_all != w0 + w1]  # G2
-        w2 = np.arange(w1, w_max + 1)[:, None]
-        r = w0 + w1 + w2 - Is  # S - I: a row per w2, a column per index
-        w3 = np.stack([r, np.where(r % 2, 0, r // 2), r - w0, r - w1, r - w2])
-        box = (w2 <= w3) & (w3 <= w_max)
-        _, k2, kI = np.nonzero(box)
-        w2, w3, Is = w1 + k2, w3[box], Is[kI]
-        d = w0 + w1 + w2 + w3 - Is
-        for i in range(3):  # condition I for z0, z1, z2; w2 shrinks with each cut
-            wi = (w0, w1, w2)[i]
-            dm = d % wi
-            keep = (dm == w0 % wi) | (dm == w1 % wi) | (dm == w2 % wi) | (dm == w3 % wi)
-            w2, w3, Is, d = w2[keep], w3[keep], Is[keep], d[keep]
-        for I, x2, x3 in zip(Is.tolist(), w2.tolist(), w3.tolist()):
-            found.add((I, (w0, w1, x2, x3)))
-    records = (classify(w, sum(w) - I) for I, w in found)
-    return [r for r in records if isinstance(r, CandidateRecord)]
+    return _admit(_oracle_points(w0, I_min, I_max, w_max))
+
+
+def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
+    """The passes of points (w0, w1, w2, w3, d) that `_scan_w0` hands to the
+    prefilter; the intervals are proved there."""
+    import numpy as np
+
+    Is = np.arange(I_min, min(I_max, (3 * w0 - 1) // 2) + 1)  # G1
+    w1, I = (a.ravel() for a in np.meshgrid(np.arange(w0, w_max + 1), Is))
+    T = w0 + w1 - I
+    half = w1 + (T + w1) % 2  # the first w2 with T + w2 even
+    # per case: first w2, last w2 (0 < w1 when the case is empty), w3 at the
+    # first w2, and the steps of w2 and w3
+    cases = [
+        (w1, w_max - T, T + w1, 1, 1),  # w3 = T + w2
+        (half, np.minimum(T, 2 * w_max - T), (T + half) // 2, 2, 1),  # w3 = (T + w2)/2
+        (w1, np.where(w1 >= I, w_max - w1 + I, 0), 2 * w1 - I, 1, 1),  # w3 = w1 + w2 - I
+        (w1, np.where(w0 >= I, w_max - w0 + I, 0), T, 1, 1),  # w3 = w0 + w2 - I
+        (w1, np.where(T <= w_max, T, 0), T, 1, 0),  # w3 = T
+    ]
+    first, last, w3, a2, a3 = (
+        np.concatenate([np.broadcast_to(c[k], w1.shape) for c in cases]) for k in range(5)
+    )
+    w1, I = np.tile(w1, 5), np.tile(I, 5)
+    start = np.stack([np.full_like(w1, w0), w1, first, w3, w0 + w1 + first + w3 - I])
+    step = np.stack([0 * w1, 0 * w1, a2, a3, a2 + a3])
+    return _line_points(start, step, np.maximum((last - first) // a2 + 1, 0))
 
 
 def brute_force_enumerate(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> list[CandidateRecord]:
@@ -362,7 +450,9 @@ def verified_enumeration(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> l
     """The oracle's records for I_min..I_max below w_max, checked against the structured search.
 
     Raises `RouteDisagreement` naming each (I, w, d) that one route finds
-    and the other lacks.
+    and the other lacks.  Both routes drop points through the same
+    `_prefilter`, so a point it wrongly drops goes missing from both and
+    this check cannot see it.
     """
     oracle = brute_force_enumerate(I_min, I_max, w_max, jobs=jobs)
     found = {r.key() for r in oracle}

@@ -264,7 +264,7 @@ def test_cli_reproduce_series(capsys):
 
 def test_cli_reproduce_series_reports_non_quasismooth_member(capsys, monkeypatch):
     # fault injection: a family whose members are all (2,3,4,5) of degree 13,
-    # which is not quasi-smooth
+    # which is quasi-smooth but not well-formed: X contains a singular line
     fam = dataclasses.replace(
         catalog.reference_series()[0],
         weight_forms=((0, 2), (0, 3), (0, 4), (0, 5)),
@@ -274,5 +274,8 @@ def test_cli_reproduce_series_reports_non_quasismooth_member(capsys, monkeypatch
     monkeypatch.setattr(catalog, "reference_series", lambda: (fam,))
     assert cli.main(["reproduce", "--table", "series"]) == 2
     captured = capsys.readouterr()
-    assert f"{fam.id} (I=1, printed): k=1: not quasi-smooth/well-formed;" in captured.out
+    assert (
+        f"{fam.id} (I=1, printed): k=1: X not well-formed: gcd(w0, w2) = 2 does not divide 13, "
+        "so X contains the line z1 = z3 = 0; k=2: " in captured.out
+    )
     assert "Traceback" not in captured.out + captured.err

@@ -1,12 +1,25 @@
 import itertools
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from delpezzo import catalog
+import delpezzo
+from delpezzo import catalog, search
 from delpezzo.records import CandidateRecord, classify
 from delpezzo.search import (
+    PASS_CAP,
     BranchAssignment,
     _g1_rules_out,
+    _line_points,
+    _oracle_points,
+    _prefilter,
     brute_force_enumerate,
     witness_branches,
     solve_condition_system,
@@ -159,6 +172,101 @@ def test_oracle_matches_unpruned_scan():
     got = [(r.candidate.I, r.candidate.weights.w) for r in brute_force_enumerate(1, 10, w_max)]
     assert got == sorted(expected)
     assert len(got) == 123
+
+
+def _docstring_scan(w_max):
+    """(I, w) for every w0 <= w1 <= w2, every index 1..10 past gate G1 and
+    every w3 case of `search._scan_w0` with w2 <= w3 <= w_max, one count per
+    case that gives it."""
+    out = Counter()
+    for w0, w1, w2 in itertools.combinations_with_replacement(range(1, w_max + 1), 3):
+        for I in range(1, 11):
+            if 3 * w0 <= 2 * I:
+                continue
+            r = w0 + w1 + w2 - I  # S - I
+            cases = [r, r - w0, r - w1, r - w2] + ([r // 2] if r % 2 == 0 else [])
+            out.update((I, (w0, w1, w2, w3)) for w3 in cases if w2 <= w3 <= w_max)
+    return out
+
+
+@pytest.mark.parametrize("w_max", [40, 61])
+def test_oracle_intervals_match_docstring_scan(w_max):
+    """The interval generator emits exactly the points, with the repeats,
+    that a plain loop over the conditions of `_scan_w0` gives, in passes of
+    at most `PASS_CAP` points.  An odd bound reaches w3 = (S - I)/2 at
+    the edge 2*w_max - T."""
+    got = Counter()
+    for w0 in range(1, w_max + 1):
+        for P in _oracle_points(w0, 1, 10, w_max):
+            assert P.shape[1] <= PASS_CAP
+            *w, d = P.tolist()
+            got.update((sum(x) - dd, x) for x, dd in zip(zip(*w), d))
+    assert got == _docstring_scan(w_max)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 7])
+def test_line_points_cut_segments_anywhere(monkeypatch, cap):
+    """Passes that cut segments anywhere still give every point once, in order."""
+    monkeypatch.setattr(search, "PASS_CAP", cap)
+    start = np.array([[5, 1, 0, 2], [0, 9, 3, 4]])
+    step = np.array([[1, 0, 0, -1], [2, 0, 0, 0]])
+    length = np.array([4, 0, 6, 3])
+    passes = list(_line_points(start, step, length))
+    assert all(P.shape[1] <= cap for P in passes)
+    expected = [(start[0, s] + k * step[0, s], start[1, s] + k * step[1, s])
+                for s in range(4) for k in range(length[s])]
+    assert [tuple(x) for P in passes for x in P.T.tolist()] == expected
+
+
+# reasons `classify` gives that the prefilter also tests
+PREFILTER_REASONS = {"not primitive", "not a candidate", "gate G1", "gate G2",
+                     "P(w) not well-formed", "condition I fails"}
+
+
+@st.composite
+def _points(draw):
+    w = tuple(sorted(draw(st.tuples(*[st.integers(1, 60)] * 4))))
+    if draw(st.booleans()):  # a degree with z3^m z_j, so that condition I holds more often
+        d = draw(st.integers(1, 3)) * w[3] + w[draw(st.integers(0, 3))]
+    else:
+        d = sum(w) - draw(st.integers(1, 10))
+    assume(sum(w) - d >= 1)
+    return w, d
+
+
+# the sporadic rows and series members with weights <= 60, so that admissions are common
+_admitted_cases = st.sampled_from(sorted(
+    [(r.weights, r.degree) for r in catalog.reference_table1() if r.weights[3] <= 60]
+    + [(c.weights.w, c.d) for f in catalog.reference_series()
+       for c in map(f.candidate_at, range(f.k_min, f.k_min + 8)) if c.weights[3] <= 60]
+))
+
+
+@given(st.one_of(_points(), _admitted_cases))
+@example(((2, 3, 4, 5), 13))  # X not well-formed
+@example(((1, 2, 3, 3), 8))  # condition III fails
+@example(((2, 4, 6, 8), 18))  # not primitive
+@example(((2, 2, 2, 3), 8))  # P(w) not well-formed
+@settings(max_examples=400, deadline=None)
+def test_prefilter_drops_only_what_classify_rejects(case):
+    """The prefilter keeps a point iff `classify` does not reject it for a
+    reason the prefilter tests, so it never drops an admitted point."""
+    w, d = case
+    kept = _prefilter(np.array([[*w, d]], dtype=np.int64).T).shape[1] == 1
+    got = classify(w, d)
+    if kept:
+        assert isinstance(got, CandidateRecord) or got.reason in {"condition III fails",
+                                                                 "X not well-formed"}
+    else:
+        assert not isinstance(got, CandidateRecord) and got.reason in PREFILTER_REASONS
+
+
+def test_import_leaves_numpy_out():
+    """Only the enumeration routes need numpy, so they import it themselves."""
+    src = str(Path(delpezzo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, delpezzo, delpezzo.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_structured_includes_all_index2_series():
