@@ -63,6 +63,12 @@ MUTANTS = [
            "cn * cm * g", "cn * cm",
            ("tests/test_topology.py::test_char_mul_relations",
             "tests/test_topology.py::test_integer_divisor_matches_fraction_fold")),
+    Mutant("count-residue-off-by-one", "src/delpezzo/weights.py",
+           "% q) // q + 1", "% q) // q",
+           ("tests/test_weights.py::test_count_monomials_matches_oracle",)),
+    Mutant("partner-first-not-min", "src/delpezzo/quasismooth.py",
+           "if best is None or m < best[0]:", "if best is None:",
+           ("tests/test_quasismooth.py::test_condition_I_witness_matches_scan",)),
     Mutant("divisor-no-remainder-check", "src/delpezzo/topology.py",
            "        if rem:\n            rational", "        if False:\n            rational",
            ("tests/test_topology.py::test_integer_divisor_checks_match_fraction_fold",)),

@@ -254,12 +254,17 @@ def _run(args) -> int:
     if args.command == "topology":
         return _topology(args)
     if args.table == "1":
-        return _reproduce_table1(args.max_weight, args.jobs)
-    if args.table == "3":
-        return _reproduce_table3()
-    if args.table == "series":
-        return _reproduce_series()
-    return _reproduce_theorem_a(args.max_weight, args.jobs)
+        code = _reproduce_table1(args.max_weight, args.jobs)
+    elif args.table == "3":
+        code = _reproduce_table3()
+    elif args.table == "series":
+        code = _reproduce_series()
+    else:
+        code = _reproduce_theorem_a(args.max_weight, args.jobs)
+    if code != EXIT_OK:
+        print(f"mismatch: table {args.table} differs from the reference; the report is on stdout",
+              file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:

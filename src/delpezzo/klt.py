@@ -90,7 +90,7 @@ def certify_KE(c: Candidate) -> KltVerdict:
 def _cascade(c: Candidate) -> KltVerdict:
     """`certify_KE` without its precondition checks, for callers that have
     already made them."""
-    w, d = c.weights, c.d
+    w, d = c.weights.w, c.d
     gate = gate_check(c)
     if gate is not None:
         return NotKltGate(gate)

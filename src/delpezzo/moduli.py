@@ -64,7 +64,9 @@ def is_minimal_torus(w: WeightSystem) -> bool:
 
     Holds exactly when no w_i (i >= 1) is a non-negative integer combination
     of the earlier weights, i.e. no degree-w_i monomial in z_0..z_{i-1}
-    exists.  Equivalent to aut_dimension(w) == 4.
+    exists.  Equivalent to aut_dimension(w) == 4, and kept as an
+    independent check of it: the `_representable` recursion deliberately
+    does not go through `count_monomials`, so the two cannot share a bug.
     """
     for i in range(1, 4):
         if _representable(w.w[:i], w[i]):

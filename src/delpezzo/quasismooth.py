@@ -18,6 +18,11 @@ reading follows from I.
 `hypersurface_rejection` is the one precondition check of every invariant:
 P(w) well-formed, then I, III and II, each failure reported as a
 `Rejection` that names its variable, pair or triple.
+
+The predicates unpack the plain int tuple `w.w` once and the private scans
+index it directly.  Condition I short-circuits: it stops at the first
+variable without a partner, so `is_quasismooth` rejects most inputs
+before it scans a single pair.
 """
 
 from __future__ import annotations
@@ -61,20 +66,25 @@ def condition_I(w: WeightSystem, d: int) -> ConditionIWitness | None:
     For each i the witness takes the smallest m_i >= 1 with
     m_i*w_i + w_j = d for some j, ties broken by the smallest j.
     """
-    partners = [_partner(w, d, i) for i in range(4)]
-    if None in partners:
-        return None
+    t = w.w
+    partners = []
+    for i in range(4):
+        p = _partner(t, d, i)
+        if p is None:
+            return None
+        partners.append(p)
     m, j = zip(*partners)
     return ConditionIWitness(m, j)
 
 
-def _partner(w, d: int, i: int) -> tuple[int, int] | None:
+def _partner(w: tuple[int, ...], d: int, i: int) -> tuple[int, int] | None:
     """Smallest (m, j) with m >= 1 and m*w_i + w_j = d, ties to the smallest j."""
+    wi = w[i]
     best = None
     for j in range(4):
         r = d - w[j]
-        if r >= w[i] and r % w[i] == 0:
-            m = r // w[i]
+        if r >= wi and r % wi == 0:
+            m = r // wi
             if best is None or m < best[0]:
                 best = (m, j)
     return best
@@ -82,10 +92,10 @@ def _partner(w, d: int, i: int) -> tuple[int, int] | None:
 
 def condition_II(w: WeightSystem, d: int) -> bool:
     """Every pair with non-coprime weights must support a pure pair monomial."""
-    return _failing_pair_II(w, d) is None
+    return _failing_pair_II(w.w, d) is None
 
 
-def _failing_pair_II(w, d: int) -> tuple[int, int] | None:
+def _failing_pair_II(w: tuple[int, ...], d: int) -> tuple[int, int] | None:
     """The first pair (i, j) that condition II rejects, or None."""
     for i, j in _PAIRS:
         if gcd(w[i], w[j]) > 1 and not pair_has_monomial(w[i], w[j], d):
@@ -93,7 +103,7 @@ def _failing_pair_II(w, d: int) -> tuple[int, int] | None:
     return None
 
 
-def _pair_witness_extras(w: WeightSystem, d: int, i: int, j: int) -> set[int]:
+def _pair_witness_extras(w: tuple[int, ...], d: int, i: int, j: int) -> set[int]:
     """Indices k outside {i,j} with a monomial z_i^a z_j^b z_k of degree d."""
     extras = set()
     for k in range(4):
@@ -116,10 +126,10 @@ def condition_III(w: WeightSystem, d: int) -> bool:
     both in `_pair_witness_extras`, and a single witness always exists.
     What III checks is that the extras hold two distinct variables.
     """
-    return _failing_pair_III(w, d) is None
+    return _failing_pair_III(w.w, d) is None
 
 
-def _failing_pair_III(w, d: int) -> tuple[int, int] | None:
+def _failing_pair_III(w: tuple[int, ...], d: int) -> tuple[int, int] | None:
     """The first pair (i, j) that condition III rejects, or None."""
     for i, j in _PAIRS:
         if not pair_has_monomial(w[i], w[j], d) and len(_pair_witness_extras(w, d, i, j)) < 2:
@@ -133,7 +143,11 @@ def is_quasismooth(w: WeightSystem, d: int) -> bool:
     The enumeration admits exactly this conjunction on well-formed P(w);
     `hypersurface_rejection` tells the three apart.
     """
-    return condition_I(w, d) is not None and condition_II(w, d) and condition_III(w, d)
+    t = w.w
+    for i in range(4):
+        if _partner(t, d, i) is None:
+            return False
+    return _failing_pair_II(t, d) is None and _failing_pair_III(t, d) is None
 
 
 def hypersurface_rejection(c: Candidate) -> Rejection | None:

@@ -121,21 +121,27 @@ class VirtualCharacter:
 
 def char_mul(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter:
     """Bilinear extension of L_a * L_b = gcd(a,b) * L_lcm(a,b)."""
-    out: dict[int, int | Fraction] = {}
-    for n, cn in a.coeffs.items():
-        for m, cm in b.coeffs.items():
+    return VirtualCharacter(_mul(a.coeffs, b.coeffs))
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """`char_mul` on plain coefficient dicts, unvalidated; zeros may remain."""
+    out: dict = {}
+    for n, cn in a.items():
+        for m, cm in b.items():
             g = gcd(n, m)
             k = n // g * m
             out[k] = out.get(k, 0) + cn * cm * g
-    return VirtualCharacter(out)
+    return out
 
 
 def reduced_ratios(c: Candidate) -> list[tuple[int, int]]:
     """d/w_i in lowest terms (u_i, v_i) for i = 0..3."""
+    d = c.d
     out = []
-    for wi in c.weights:
-        g = gcd(c.d, wi)
-        out.append((c.d // g, wi // g))
+    for wi in c.weights.w:
+        g = gcd(d, wi)
+        out.append((d // g, wi // g))
     return out
 
 
@@ -146,7 +152,7 @@ def milnor_number(c: Candidate) -> int:
     a non-positive quotient is an invariant violation.
     """
     num = den = 1
-    for wi in c.weights:
+    for wi in c.weights.w:
         num *= c.d - wi
         den *= wi
     mu, rem = divmod(num, den)
@@ -161,22 +167,22 @@ def characteristic_divisor(c: Candidate) -> VirtualCharacter:
     """Expand the product of (L_{u_i}/v_i - 1) over the four reduced ratios.
 
     Scaled by the product of the v_i, this is the product of (L_{u_i} - v_i),
-    which `char_mul` expands in ints; the product of the v_i is then divided
-    out once.  The result must have integral coefficients with L_1
-    coefficient exactly 1; anything else signals an invalid candidate
-    upstream.
+    which `_mul` folds in plain int dicts; the product of the v_i is then
+    divided out once, and one `VirtualCharacter` is built at the end.  The
+    result must have integral coefficients with L_1 coefficient exactly 1;
+    anything else signals an invalid candidate upstream.
     """
-    scaled = VirtualCharacter.one()
+    scaled = {1: 1}
     scale = 1
     for u, v in reduced_ratios(c):
         # u > 1 because d > w_i, so the factor has two distinct terms
-        scaled = char_mul(scaled, VirtualCharacter({u: 1, 1: -v}))
+        scaled = _mul(scaled, {u: 1, 1: -v})
         scale *= v
     coeffs = {}
-    for n, cn in scaled.coeffs.items():
+    for n, cn in scaled.items():
         q, rem = divmod(cn, scale)
         if rem:
-            rational = scaled.scaled(Fraction(1, scale))
+            rational = VirtualCharacter(scaled).scaled(Fraction(1, scale))
             raise InvariantViolation(f"{c}: characteristic divisor {rational} not integral")
         coeffs[n] = q
     div = VirtualCharacter(coeffs)

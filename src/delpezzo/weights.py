@@ -119,18 +119,28 @@ def monomials_of_degree(w: WeightSystem, d: int) -> list[ExponentVector]:
 
 
 def count_monomials(w: WeightSystem, d: int) -> int:
-    """len(monomials_of_degree(w, d)) without building the list."""
+    """len(monomials_of_degree(w, d)) without building the list.
+
+    For fixed (a3, a2) with remainder r2, the monomials are the a1 in
+    [0, r2 // w1] with a1*w1 = r2 (mod w0).  With g = gcd(w0, w1) and
+    q = w0/g, there are none unless g | r2, and then they are the a1 =
+    (r2/g) * (w1/g)^-1 (mod q): one residue class mod q, whose smallest
+    member a < q lies in the range iff r2 // w1 >= a.  Its members in the
+    range number (r2 // w1 - a) // q + 1, which is 0 when r2 // w1 < a.
+    """
     if d < 0:
         return 0
     w0, w1, w2, w3 = w.w
+    g = gcd(w0, w1)
+    q = w0 // g
+    inv = pow(w1 // g, -1, q)
     n = 0
     for a3 in range(d // w3 + 1):
         r3 = d - a3 * w3
         for a2 in range(r3 // w2 + 1):
             r2 = r3 - a2 * w2
-            for a1 in range(r2 // w1 + 1):
-                if (r2 - a1 * w1) % w0 == 0:
-                    n += 1
+            if r2 % g == 0:
+                n += (r2 // w1 - r2 // g * inv % q) // q + 1
     return n
 
 

@@ -103,6 +103,16 @@ def count_monomials_oracle(weights, d: int) -> int:
     return count
 
 
+def partner_oracle(weights, d: int, i: int) -> tuple[int, int] | None:
+    """Minimal (m, j) with m >= 1 and m*w_i + w_j = d, by scanning m upward
+    and, for each m, j upward; None if there is none."""
+    for m in range(1, d // weights[i] + 1):
+        for j in range(4):
+            if m * weights[i] + weights[j] == d:
+                return m, j
+    return None
+
+
 def pair_solvable_oracle(wi: int, wj: int, d: int) -> bool:
     if d < 0:
         return False

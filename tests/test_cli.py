@@ -1,7 +1,14 @@
 import dataclasses
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import delpezzo.cli as cli
 from delpezzo import catalog, moduli, search, serialize
@@ -251,7 +258,8 @@ def test_cli_reproduce_table3_checks_series_row(capsys, monkeypatch):
 
     monkeypatch.setattr(moduli, "count_monomials", inflated)
     assert cli.main(["reproduce", "--table", "3"]) == 2
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == "mismatch: table 3 differs from the reference; the report is on stdout\n"
     assert "series (2,2k+1,2k+1,4k+1): printed (m=12, n=5), computed (m=19, n=11)  MISMATCH" in out
     assert "known discrepancy: series moduli n" not in out
 
@@ -279,3 +287,76 @@ def test_cli_reproduce_series_reports_non_quasismooth_member(capsys, monkeypatch
         "so X contains the line z1 = z3 = 0; k=2: " in captured.out
     )
     assert "Traceback" not in captured.out + captured.err
+
+
+_BAD_INTS = ["", "0", "-1", "-40", "x", "1.5", "2..", "5..2", "1..0", "--1"]
+
+
+def _flag(name, good):
+    """[name, value] with a value that is either accepted or malformed."""
+    return st.tuples(st.just(name), st.one_of(good.map(str), st.sampled_from(_BAD_INTS))).map(list)
+
+
+def _choice(name, values):
+    return st.tuples(st.just(name), st.sampled_from(values + ["", "x"])).map(list)
+
+
+# Accepted values stay small (jobs <= 2, max weight <= 40, index <= 10) so
+# that no case starts many workers or a long scan.
+_INDEX_RANGE = st.tuples(st.integers(1, 10), st.integers(1, 10)).map(lambda t: f"{min(t)}..{max(t)}")
+_MAX_WEIGHT = _flag("--max-weight", st.integers(-3, 40))
+_JOBS = _flag("--jobs", st.integers(-1, 2))
+_POINT = st.one_of(_flag("--degree", st.integers(-3, 60)), _flag("--index", st.integers(-3, 10)))
+_NOISE = st.one_of(
+    st.sampled_from(["--index", "--degree", "--bogus", "-x", "", "certify"]).map(lambda s: [s]),
+    st.integers(-3, 40).map(lambda n: [str(n)]),
+)
+_WEIGHTS = st.one_of(st.sampled_from([[2, 3, 5, 9], [1, 2, 3, 5], [3, 3, 5, 5], [1, 1, 2, 3]]),
+                     st.lists(st.integers(1, 12), min_size=4, max_size=4),
+                     st.lists(st.integers(-3, 40), max_size=5)).map(lambda ws: [str(w) for w in ws])
+_ARGS = {
+    "enumerate": st.one_of(
+        _flag("--index", st.one_of(st.integers(-3, 10), _INDEX_RANGE)), _MAX_WEIGHT, _JOBS,
+        _choice("--method", ["brute", "structured", "both"]),
+        _choice("--format", ["json", "csv", "markdown"]),
+        st.tuples(st.just("--output"), st.sampled_from(["OUT", "MISSING_DIR", ""])).map(list),
+        _NOISE),
+    "certify": st.one_of(_POINT, _NOISE),
+    "topology": st.one_of(_POINT, _NOISE),
+    "reproduce": st.one_of(_MAX_WEIGHT, _JOBS, _NOISE),
+}
+# what a subcommand needs first: the weights and a degree or an index, or a table
+_TABLE = _choice("--table", ["1", "3", "series", "theorem-a"])
+_LEAD = {"certify": st.tuples(_WEIGHTS, _POINT), "topology": st.tuples(_WEIGHTS, _POINT),
+         "reproduce": st.tuples(_TABLE)}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand (or junk), usually what it needs first, then up to
+    three more flags, mostly its own, with good or bad values."""
+    command = draw(st.sampled_from(list(_ARGS) * 4 + ["", "bogus", "-5"]))
+    argv = [command]
+    if command in _LEAD and draw(st.integers(0, 3)):
+        argv += [tok for piece in draw(_LEAD[command]) for tok in piece]
+    for piece in draw(st.lists(_ARGS.get(command, _NOISE), max_size=3)):
+        argv += piece
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_cli_argv_fuzz(argv):
+    """Any argv ends in a documented exit code, never a traceback, and a
+    nonzero exit prints exactly one line to stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"OUT": f"{tmp}/out.txt", "MISSING_DIR": f"{tmp}/missing/out.txt"}
+        argv = [paths.get(tok, tok) for tok in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {cli.MAX_WEIGHT_ENV: "40"}), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, err.getvalue())

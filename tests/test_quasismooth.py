@@ -1,14 +1,18 @@
+from math import gcd
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo.quasismooth import (
     condition_I,
     condition_II,
     condition_III,
+    hypersurface_rejection,
     is_quasismooth,
 )
-from delpezzo.weights import normalize_weights
+from delpezzo.weights import Candidate, WeightSystem, is_well_formed, normalize_weights
+from oracles import partner_oracle
 
 
 def test_condition_I_minimal_witness():
@@ -157,3 +161,38 @@ def test_condition_I_matches_linear_system(raw, d):
     assert (witness is not None) is solvable
     if witness is not None:
         assert witness.check(w, d)
+
+
+@st.composite
+def _ascending_case(draw):
+    """Ascending primitive weights up to 5,000 (the range of the benchmark's
+    random inputs), with d = |w| - I or with d = m*w3 + w_j, which gives z3
+    a partner, so that conditions II and III are reached more often."""
+    w = tuple(sorted(draw(st.lists(st.integers(1, 5000), min_size=4, max_size=4))))
+    assume(gcd(*w) == 1)
+    if draw(st.booleans()):
+        return w, sum(w) - draw(st.integers(1, 10))
+    return w, draw(st.integers(1, 3)) * w[3] + w[draw(st.integers(0, 3))]
+
+
+@settings(max_examples=300)
+@given(_ascending_case())
+@example(((1, 2, 3, 5), 10))  # z0 has four partners; the minimal one is the last found
+@example(((2, 3, 4, 5), 13))  # passes I and III, fails II
+@example(((1, 2, 2, 2), 3))  # passes I, fails III
+def test_condition_I_witness_matches_scan(case):
+    """condition_I's witness is the minimal (m, j) of a blunt scan; its None
+    means exactly that some variable has no partner; and on a well-formed
+    P(w) `is_quasismooth` agrees with `hypersurface_rejection`."""
+    w, d = case
+    ws = WeightSystem(w)
+    partners = [partner_oracle(w, d, i) for i in range(4)]
+    witness = condition_I(ws, d)
+    if None in partners:
+        assert witness is None
+        assert not is_quasismooth(ws, d)
+    else:
+        assert witness is not None
+        assert (witness.m, witness.j) == tuple(zip(*partners))
+    if is_well_formed(ws) and w[3] < d < sum(w):
+        assert is_quasismooth(ws, d) is (hypersurface_rejection(Candidate(ws, d)) is None)

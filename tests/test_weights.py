@@ -2,7 +2,7 @@ import pickle
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo.errors import NonPrimitiveWeights
@@ -138,3 +138,15 @@ def test_pair_has_monomial_matches_scan(wi, wj, d):
         (d - b * wj) >= 0 and (d - b * wj) % wi == 0 for b in range(d // wj + 1)
     )
     assert pair_has_monomial(wi, wj, d) is naive
+
+
+@settings(max_examples=300)
+@given(weights_strategy, st.integers(-5, 150))
+@example((1, 2, 3, 5), 17)  # w0 = 1: every a1 in range counts
+@example((4, 6, 7, 9), 40)  # gcd(w0, w1) = 2: the class exists only for even r2
+@example((6, 9, 10, 25), 57)  # gcd(w0, w1) = 3, and w0/g = 2
+@example((2, 3, 5, 9), -1)  # d < 0
+def test_count_monomials_matches_oracle(raw, d):
+    """The residue-class count equals the blunt count of the oracle."""
+    ws = normalize_weights(raw)
+    assert count_monomials(ws, d) == count_monomials_oracle(ws.w, d)
