@@ -66,6 +66,9 @@ MUTANTS = [
     Mutant("count-residue-off-by-one", "src/delpezzo/weights.py",
            "% q) // q + 1", "% q) // q",
            ("tests/test_weights.py::test_count_monomials_matches_oracle",)),
+    Mutant("pair-bound-exclusive", "src/delpezzo/weights.py",
+           "return b0 * wj <= d", "return b0 * wj < d",
+           ("tests/test_weights.py::test_pair_has_monomial_matches_scan",)),
     Mutant("partner-first-not-min", "src/delpezzo/quasismooth.py",
            "if best is None or m < best[0]:", "if best is None:",
            ("tests/test_quasismooth.py::test_condition_I_witness_matches_scan",)),

@@ -7,7 +7,7 @@ Runs the full enumeration once (both routes, cross-checked), then writes:
   out/theorem_a.txt                   -- the per-link tally with comparisons
   out/reconciliation.txt              -- diff against the printed tables
 
-Usage: python scripts/regenerate_tables.py [--max-weight N] [--jobs N]
+Usage: python scripts/regenerate_tables.py [--max-weight N] [--jobs N]  (N a positive integer)
 """
 
 import argparse
@@ -15,14 +15,15 @@ import pathlib
 import sys
 
 from delpezzo import catalog, serialize
+from delpezzo.cli import _positive_int
 from delpezzo.errors import RouteDisagreement
 from delpezzo.search import verified_enumeration
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-weight", type=int, default=150)
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--max-weight", type=_positive_int, default=150)
+    ap.add_argument("--jobs", type=_positive_int, default=1)
     ap.add_argument("--out", default="out")
     args = ap.parse_args()
 

@@ -10,7 +10,7 @@ against the families, and diffs or tallies computed records.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 
@@ -118,22 +118,32 @@ def _raw() -> dict:
         return json.load(fh)
 
 
+def _frozen(value):
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
+def _rows(section: str, cls, count: int | None = None, patch=lambda entry: {}) -> tuple:
+    """One `cls` per entry of the `section` list of `reference.json`.
+
+    Each field is read from the entry's key of the same name, with lists
+    turned into tuples; a field without a key keeps its default.  `patch`
+    gives keys laid over each entry first.  `count`, when given, is the
+    number of entries the section must hold.
+    """
+    names = {f.name for f in fields(cls)}
+    rows = tuple(
+        cls(**{k: _frozen(v) for k, v in {**entry, **patch(entry)}.items() if k in names})
+        for entry in _raw()[section]
+    )
+    if count is not None and len(rows) != count:
+        raise CatalogIntegrityError(f"expected {count} {section} rows, found {len(rows)}")
+    return rows
+
+
 @lru_cache(maxsize=1)
 def reference_table1() -> tuple[ReferenceRow, ...]:
     """The 73 transcribed sporadic rows, in catalog order."""
-    rows = tuple(
-        ReferenceRow(
-            source_table=r["source_table"],
-            index=r["index"],
-            weights=tuple(r["weights"]),
-            degree=r["degree"],
-            b2_printed=r["b2_printed"],
-            ke=r["ke"],
-        )
-        for r in _raw()["sporadic"]
-    )
-    if len(rows) != 73:
-        raise CatalogIntegrityError(f"expected 73 sporadic rows, found {len(rows)}")
+    rows = _rows("sporadic", ReferenceRow, 73)
     for r in rows:
         if sum(r.weights) - r.degree != r.index:
             raise CatalogIntegrityError(f"row {r}: index != |w| - d")
@@ -143,24 +153,7 @@ def reference_table1() -> tuple[ReferenceRow, ...]:
 @lru_cache(maxsize=1)
 def reference_series() -> tuple[ReferenceSeries, ...]:
     """The 12 one-parameter families (1 at I=1, 6 at I=2, 3 at I=4, 2 at I=6)."""
-    fams = tuple(
-        ReferenceSeries(
-            id=s["id"],
-            source_table=s["source_table"],
-            index=s["index"],
-            weight_forms=tuple(tuple(f) for f in s["weight_forms"]),
-            degree_form=tuple(s["degree_form"]),
-            b2_printed=s["b2_printed"],
-            ke=s["ke"],
-            klt_provenance=s["klt_provenance"],
-            klt_k_min=s["klt_k_min"],
-            k_min=s["k_min"],
-        )
-        for s in _raw()["series"]
-    )
-    if len(fams) != 12:
-        raise CatalogIntegrityError(f"expected 12 series families, found {len(fams)}")
-    return fams
+    return _rows("series", ReferenceSeries, 12)
 
 
 @lru_cache(maxsize=1)
@@ -170,79 +163,39 @@ def errata_series() -> tuple[ReferenceSeries, ...]:
     Members that the sporadic table lists explicitly remain attributed to
     it; `find_series_match` skips them for these families.
     """
-    return tuple(
-        ReferenceSeries(
-            id=s["id"],
-            source_table="errata",
-            index=s["index"],
-            weight_forms=tuple(tuple(f) for f in s["weight_forms"]),
-            degree_form=tuple(s["degree_form"]),
-            b2_printed=s["b2_computed"],
-            ke=s["ke"],
-            klt_provenance=s["klt_provenance"],
-            klt_k_min=s["klt_k_min"],
-            k_min=s["k_min"],
-        )
-        for s in _raw()["errata_series"]
-    )
+    return _rows("errata_series", ReferenceSeries, patch=lambda entry: {
+        "source_table": "errata", "b2_printed": entry["b2_computed"]})
 
 
 @lru_cache(maxsize=1)
 def reference_table2() -> tuple[ClassicalRow, ...]:
-    return tuple(
-        ClassicalRow(
-            index=r["index"],
-            weights=tuple(r["weights"]),
-            degree=r["degree"],
-            surface=r["surface"],
-        )
-        for r in _raw()["classical"]
-    )
+    return _rows("classical", ClassicalRow)
 
 
 @lru_cache(maxsize=1)
 def reference_table3() -> tuple[ModuliRow, ...]:
-    rows = tuple(
-        ModuliRow(
-            index=r["index"],
-            weights=tuple(r["weights"]) if "weights" in r else None,
-            degree=r.get("degree"),
-            series_id=r.get("series_id"),
-            m_printed=r["m_printed"],
-            n_printed=r["n_printed"],
-            l_printed=r["l_printed"],
-        )
-        for r in _raw()["table3"]
-    )
-    if len(rows) != 16:
-        raise CatalogIntegrityError(f"expected 16 moduli rows, found {len(rows)}")
-    return rows
+    return _rows("table3", ModuliRow, 16)
 
 
-def theorem_a_expected() -> dict[int, dict]:
-    """Stated tally per link parameter l: rigid count, families by n, series."""
-    raw = _raw()["theorem_a"]
+def _tally(section: str) -> dict[int, dict]:
     return {
         int(l): {
             "rigid": v["rigid"],
             "families": {int(n): c for n, c in v["families"].items()},
-            "series": v["series"],
+            "series": sorted(v["series"]) if isinstance(v["series"], list) else v["series"],
         }
-        for l, v in raw.items()
+        for l, v in _raw()[section].items()
     }
+
+
+def theorem_a_expected() -> dict[int, dict]:
+    """Stated tally per link parameter l: rigid count, families by n, series count."""
+    return _tally("theorem_a")
 
 
 def theorem_a_computed() -> dict[int, dict]:
     """Errata-adjusted tally the recomputation must reproduce exactly."""
-    raw = _raw()["theorem_a_computed"]
-    return {
-        int(l): {
-            "rigid": v["rigid"],
-            "families": {int(n): c for n, c in v["families"].items()},
-            "series": sorted(v["series"]),
-        }
-        for l, v in raw.items()
-    }
+    return _tally("theorem_a_computed")
 
 
 def known_discrepancies() -> list[dict]:
@@ -250,14 +203,38 @@ def known_discrepancies() -> list[dict]:
     return list(_raw()["known_discrepancies"])
 
 
+@lru_cache(maxsize=None)
+def errata(where: str) -> dict:
+    """The documented deviations of one table (`where`), each under the key
+    of the row it corrects: (weights, degree), or the series id for a
+    family.  Deviations that name no single row are left out."""
+    out = {}
+    for e in known_discrepancies():
+        key = (tuple(e["weights"]), e["degree"]) if "weights" in e else e.get("series_id")
+        if e["where"] != where or key is None:
+            continue
+        if key in out:
+            raise CatalogIntegrityError(f"{where}: two errata for {key}: {out[key]['id']}, {e['id']}")
+        out[key] = e
+    return out
+
+
+def b2_errata() -> dict[tuple, dict]:
+    """Sporadic rows whose printed b2 cell is a documented erratum."""
+    return {k: e for k, e in errata("table1").items() if isinstance(k, tuple)}
+
+
+def moduli_errata() -> dict[tuple, dict]:
+    """Moduli-table rows whose printed (m, n) is a documented erratum."""
+    return {k: e for k, e in errata("table3").items() if isinstance(k, tuple)}
+
+
 @lru_cache(maxsize=1)
 def _sporadic_keys() -> frozenset:
     return frozenset((r.index, r.weights, r.degree) for r in reference_table1())
 
 
-def find_series_match(
-    c: Candidate, include_errata: bool = True
-) -> tuple[ReferenceSeries, int] | None:
+def find_series_match(c: Candidate) -> tuple[ReferenceSeries, int] | None:
     """The unique (family, k) reproducing the candidate, if any.
 
     Two distinct matches would mean the family parameterizations overlap,
@@ -265,7 +242,7 @@ def find_series_match(
     Candidates listed in the sporadic table never match an errata family.
     """
     fams = reference_series()
-    if include_errata and (c.I, c.weights.w, c.d) not in _sporadic_keys():
+    if (c.I, c.weights.w, c.d) not in _sporadic_keys():
         fams = fams + errata_series()
     hits = []
     for fam in fams:
@@ -284,28 +261,6 @@ def find_series_match(
             f"{c} matches several families: {[(f.id, k) for f, k in hits]}"
         )
     return hits[0] if hits else None
-
-
-@lru_cache(maxsize=1)
-def b2_errata() -> dict[tuple, dict]:
-    """Sporadic rows whose printed b2 cell is a documented erratum."""
-    out = {}
-    for e in known_discrepancies():
-        if e["where"] == "table1" and "weights" in e:
-            key = tuple(e["weights"]), e["degree"]
-            out[key] = e
-    return out
-
-
-@lru_cache(maxsize=1)
-def moduli_errata() -> dict[tuple, dict]:
-    """Moduli-table rows whose printed (m, n) is a documented erratum."""
-    out = {}
-    for e in known_discrepancies():
-        if e["where"] == "table3" and "weights" in e:
-            key = tuple(e["weights"]), e["degree"]
-            out[key] = e
-    return out
 
 
 @dataclass

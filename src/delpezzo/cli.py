@@ -151,55 +151,41 @@ def _reproduce_table1(w_max: int, jobs: int) -> int:
 
 
 def _reproduce_table3() -> int:
-    errata = catalog.moduli_errata()
+    """Check every moduli-table row on (m, n, l): exact, covered by the
+    errata of the row (their computed values laid over the printed ones),
+    or a mismatch."""
+    families = {f.id: f for f in catalog.reference_series()}
+    rows = catalog.reference_table3()
+    mnl = "(m={}, n={}, l={})"
     ok = True
     exact = 0
     documented = []
-    for row in catalog.reference_table3():
-        if row.series_id is not None:
-            fam = next(f for f in catalog.reference_series() if f.id == row.series_id)
-            mod = moduli_report(fam.candidate_at(fam.k_min))
-            line = (
-                f"series {row.series_id}: printed (m={row.m_printed}, n={row.n_printed}), "
-                f"computed (m={mod.m}, n={mod.n})"
-            )
-            err = next((e for e in catalog.known_discrepancies()
-                        if e["where"] == "table3" and e.get("series_id") == row.series_id), None)
-            if (mod.m, mod.n) == (row.m_printed, row.n_printed):
-                exact += 1
-                print(line)
-            elif err and (mod.m, mod.n) == (err["computed"]["m"], err["computed"]["n"]):
-                documented.append(line + "  [known discrepancy: series moduli n]")
-            else:
-                print(line + "  MISMATCH")
-                ok = False
-            continue
-        c = Candidate(normalize_weights(row.weights), row.degree)
+    for row in rows:
+        if row.series_id is None:
+            key = row.weights, row.degree
+            c = Candidate(normalize_weights(row.weights), row.degree)
+            name = f"I={row.index} w={row.weights} d={row.degree}"
+        else:
+            key = row.series_id
+            fam = families[key]
+            c = fam.candidate_at(fam.k_min)
+            name = f"series {key}"
         mod = moduli_report(c)
-        m, n = mod.m, mod.n
-        link = diffeo_type(c).l
-        line = (
-            f"I={row.index} w={row.weights} d={row.degree}: printed "
-            f"(m={row.m_printed}, n={row.n_printed}, l={row.l_printed}), "
-            f"computed (m={m}, n={n}, l={link})"
-        )
-        if (m, n, link) == (row.m_printed, row.n_printed, row.l_printed):
+        got = (mod.m, mod.n, diffeo_type(c).l)
+        printed = (row.m_printed, row.n_printed, row.l_printed)
+        line = f"{name}: printed {mnl.format(*printed)}, computed {mnl.format(*got)}"
+        errata = [e for e in (catalog.errata(t).get(key) for t in ("table3", "table1")) if e]
+        fixes = {k: v for e in errata for k, v in e["computed"].items()}
+        expected = tuple(fixes.get(k, v) for k, v in zip("mnl", printed))
+        if got == printed:
             exact += 1
             print(line)
-            continue
-        err = errata.get((tuple(row.weights), row.degree))
-        b2err = catalog.b2_errata().get((tuple(row.weights), row.degree))
-        expect_m = err["computed"]["m"] if err else row.m_printed
-        expect_n = err["computed"]["n"] if err else row.n_printed
-        expect_l = b2err["computed"]["l"] if b2err else row.l_printed
-        if (m, n, link) == (expect_m, expect_n, expect_l):
-            tag = err["id"] if err else b2err["id"]
-            documented.append(line + f"  [documented erratum: {tag}]")
+        elif got == expected:
+            documented.append(line + f"  [documented erratum: {', '.join(e['id'] for e in errata)}]")
         else:
             print(line + "  MISMATCH")
             ok = False
-    print(f"{exact}/{len(catalog.reference_table3())} exact; "
-          f"{len(documented)} known discrepancies:")
+    print(f"{exact}/{len(rows)} exact; {len(documented)} known discrepancies:")
     for line in documented:
         print("  " + line)
     return EXIT_OK if ok else EXIT_MISMATCH

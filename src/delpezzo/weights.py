@@ -156,13 +156,18 @@ def is_well_formed(w: WeightSystem) -> bool:
 
 
 def pair_has_monomial(wi: int, wj: int, d: int) -> bool:
-    """Does a*wi + b*wj = d have a solution in non-negative integers?"""
+    """Does a*wi + b*wj = d have a solution in non-negative integers?
+
+    The residue-class argument of `count_monomials`: with g = gcd(wi, wj)
+    and q = wi/g there is none unless g | d, and then the b that work are
+    b = (d/g) * (wj/g)^-1 (mod q), whose smallest member b0 gives one iff
+    b0*wj <= d.
+    """
     if d < 0:
         return False
     g = gcd(wi, wj)
     if d % g:
         return False
-    for b in range(d // wj + 1):
-        if (d - b * wj) % wi == 0:
-            return True
-    return False
+    q = wi // g
+    b0 = d // g * pow(wj // g, -1, q) % q
+    return b0 * wj <= d

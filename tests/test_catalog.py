@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 
 import pytest
 
 from delpezzo import catalog
+from delpezzo.errors import CatalogIntegrityError
 from delpezzo.klt import gate_check
 from delpezzo.quasismooth import is_quasismooth
 from delpezzo.records import build_record
@@ -162,3 +164,44 @@ def test_known_discrepancy_ids_unique():
     assert len(ids) == len(set(ids))
     assert "table3-series-n" in ids
     assert "missing-series-i2" in ids
+
+
+@pytest.fixture
+def patched_reference(monkeypatch):
+    """Swap in an edited copy of `reference.json` with the loader caches cleared."""
+    cached = (catalog.reference_table1, catalog._sporadic_keys)
+
+    def patch(edit):
+        raw = copy.deepcopy(catalog._raw())
+        edit(raw)
+        monkeypatch.setattr(catalog, "_raw", lambda: raw)
+        for fn in cached:
+            fn.cache_clear()
+
+    yield patch
+    for fn in cached:
+        fn.cache_clear()
+
+
+def test_loader_rejects_a_missing_sporadic_row(patched_reference):
+    patched_reference(lambda raw: raw["sporadic"].pop())
+    with pytest.raises(CatalogIntegrityError, match="expected 73 sporadic rows, found 72"):
+        catalog.reference_table1()
+
+
+def test_loader_rejects_a_row_whose_index_is_not_weights_minus_degree(patched_reference):
+    def edit(raw):
+        raw["sporadic"][5]["degree"] += 1
+
+    patched_reference(edit)
+    with pytest.raises(CatalogIntegrityError, match=r"index != \|w\| - d"):
+        catalog.reference_table1()
+
+
+def test_errata_index_keys():
+    table3 = catalog.errata("table3")
+    assert table3["(2,2k+1,2k+1,4k+1)"]["id"] == "table3-series-n"
+    assert table3[(3, 5, 7, 14), 28]["id"] == "moduli-3-5-7-14"
+    assert catalog.errata("table1")["(3,3k+1,3k+2,6k+1)"]["id"] == "missing-series-i2"
+    assert catalog.moduli_errata() == {k: e for k, e in table3.items() if isinstance(k, tuple)}
+    assert len(catalog.moduli_errata()) == 3 and len(catalog.b2_errata()) == 4

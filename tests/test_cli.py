@@ -2,8 +2,11 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -260,8 +263,39 @@ def test_cli_reproduce_table3_checks_series_row(capsys, monkeypatch):
     assert cli.main(["reproduce", "--table", "3"]) == 2
     out, err = capsys.readouterr()
     assert err == "mismatch: table 3 differs from the reference; the report is on stdout\n"
-    assert "series (2,2k+1,2k+1,4k+1): printed (m=12, n=5), computed (m=19, n=11)  MISMATCH" in out
-    assert "known discrepancy: series moduli n" not in out
+    assert ("series (2,2k+1,2k+1,4k+1): printed (m=12, n=5, l=7), computed (m=19, n=11, l=7)"
+            "  MISMATCH") in out
+    assert "documented erratum: table3-series-n" not in out
+
+
+def test_cli_reproduce_table3_checks_series_link(capsys, monkeypatch):
+    # fault injection: the series row prints link type #8 instead of #7;
+    # the link column is checked on the series row as on every other row
+    rows = tuple(
+        dataclasses.replace(row, l_printed=8) if row.series_id else row
+        for row in catalog.reference_table3()
+    )
+    monkeypatch.setattr(catalog, "reference_table3", lambda: rows)
+    assert cli.main(["reproduce", "--table", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "mismatch: table 3 differs from the reference; the report is on stdout\n"
+    assert ("series (2,2k+1,2k+1,4k+1): printed (m=12, n=5, l=8), computed (m=12, n=4, l=7)"
+            "  MISMATCH") in out
+    assert "10/16 exact; 5 known discrepancies:" in out
+
+
+@pytest.mark.parametrize("argv", [["--max-weight", "0"], ["--jobs", "-3"]])
+def test_regenerate_tables_rejects_nonpositive_bounds(argv, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "regenerate_tables.py"), *argv, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "expected a positive integer" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_reproduce_series(capsys):

@@ -15,7 +15,7 @@ from delpezzo.weights import (
     normalize_weights,
     pair_has_monomial,
 )
-from oracles import count_monomials_oracle
+from oracles import count_monomials_oracle, pair_solvable_oracle
 
 
 def test_normalize_sorts():
@@ -132,12 +132,26 @@ def test_monomial_count_nondecreasing_past_frobenius():
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
-@given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 120))
-def test_pair_has_monomial_matches_scan(wi, wj, d):
-    naive = any(
-        (d - b * wj) >= 0 and (d - b * wj) % wi == 0 for b in range(d // wj + 1)
-    )
-    assert pair_has_monomial(wi, wj, d) is naive
+@st.composite
+def _pair_and_degree(draw):
+    """(wi, wj, d) with d drawn at random or as an exact multiple b*wj."""
+    wi, wj = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    d = draw(st.one_of(st.integers(-5, 400), st.integers(0, 30).map(lambda b: b * wj)))
+    return wi, wj, d
+
+
+@settings(max_examples=400)
+@given(_pair_and_degree())
+@example((3, 2, 4))  # b0 = 2 and b0*wj = d: the bound is inclusive
+@example((7, 5, 35))  # d = wi*wj: b0 = 0
+@example((4, 6, 10))  # gcd 2 divides d, b0 = 1
+@example((4, 6, 9))  # gcd 2 does not divide d
+@example((5, 3, 0))  # d = 0: a = b = 0
+@example((6, 1, -1))  # d < 0
+def test_pair_has_monomial_matches_scan(case):
+    """The residue-class decision equals the blunt scan of the oracle."""
+    wi, wj, d = case
+    assert pair_has_monomial(wi, wj, d) is pair_solvable_oracle(wi, wj, d)
 
 
 @settings(max_examples=300)
