@@ -8,7 +8,7 @@ targeted tests against the copy.  A mutant is killed when those tests fail
 (pytest exit 1) and survives when they pass.  Any other outcome is an
 error: the edit no longer applies, or pytest found no such test or could
 not run.  The script exits 1 if any mutant is not killed.  It is not part
-of Tier-1; all mutants take about 30 seconds.
+of Tier-1; all mutants take about a minute.
 """
 
 from __future__ import annotations
@@ -59,10 +59,23 @@ MUTANTS = [
            "mi == 1 and ji != i", "mi == 1",
            ("tests/test_search.py::test_structured_matches_unpruned_branches",
             "tests/test_search.py::test_pruned_shapes_fix_two_weights_to_index")),
+    Mutant("lines-lower-bound-floor", "src/delpezzo/search.py",
+           "-(-c // div)", "c // div",
+           ("tests/test_search.py::test_lines_match_branch_instances",)),
+    Mutant("lines-no-sign-flip", "src/delpezzo/search.py",
+           "flip = v[np.arange(len(v)), (v != 0).argmax(axis=1)] < 0",
+           "flip = np.zeros(len(v), dtype=bool)",
+           ("tests/test_search.py::test_lines_match_branch_instances",)),
+    Mutant("shape-scan-one-short", "src/delpezzo/search.py",
+           "< period[:, None])", "< period[:, None] - 1)",
+           ("tests/test_search.py::test_minors_solve_matches_smith_form",)),
     Mutant("char-mul-no-gcd", "src/delpezzo/topology.py",
            "cn * cm * g", "cn * cm",
            ("tests/test_topology.py::test_char_mul_relations",
             "tests/test_topology.py::test_integer_divisor_matches_fraction_fold")),
+    Mutant("divisor-two-term-no-gcd", "src/delpezzo/topology.py",
+           "out.get(k, 0) + cn * g", "out.get(k, 0) + cn",
+           ("tests/test_topology.py::test_integer_divisor_matches_fraction_fold",)),
     Mutant("count-residue-off-by-one", "src/delpezzo/weights.py",
            "% q) // q + 1", "% q) // q",
            ("tests/test_weights.py::test_count_monomials_matches_oracle",)),

@@ -10,12 +10,25 @@ Two independent routes produce the classification below a weight bound:
 
 * `structured_enumerate` follows the search the classification proof runs:
   for each variable i = 1, 2, 3 the quasi-smoothness witness gives an
-  equation m_i*w_i + w_{j(i)} = d and the witness exponents are bounded
-  (m_3 <= 2, m_2 <= 4, m_1 <= 10 once the gates hold), so finitely many
-  branch shapes (m, j) remain and each yields a small linear system.  Each
-  shape is diagonalized once per process, the shapes gate G1 rules out are
-  skipped (proof in `_g1_rules_out`), and each index expands every
-  distinct solution line once.
+  equation m_i*w_i + w_{j(i)} = d, and with the witness exponents bounded
+  as below, finitely many branch shapes (m, j) remain, each a system of
+  three linear equations in the four weights.  The shapes gate G1 rules
+  out are skipped (proof in `_g1_rules_out`); `_line_shapes` solves the
+  rest exactly in one numpy pass, by 3x3 minors and Cramer's rule (proof
+  in `_solve_shapes`), and each index expands every distinct solution
+  segment once (`_lines`).
+
+The witness-exponent bounds.  Let a candidate pass the gates and condition
+I, with m_i*w_i + w_j = d for some partner j:
+
+* m_3 <= M3_MAX = 2 is proved in `_scan_w0`, which also shows d >= 2*w3:
+  d = (m_3 + 1)*w3 when j = 3, and d = 2*w3 + w_j otherwise.
+* m_2 <= M2_MAX = 4.  From d >= 2*w3 and d = w0 + w1 + w2 + w3 - I,
+  w3 <= w0 + w1 + w2 - I < 3*w2.  Then
+  m_2*w2 = d - w_j <= d - w0 = w1 + w2 + w3 - I < 5*w2.
+* m_1 <= M1_MAX = 10 is asserted, not proved.  The largest minimal m_1
+  among the 1,503 records at w <= 600 is 7, and `verified_enumeration`
+  checks the bound only below the oracle's weight bound.
 
 Both routes generate their candidate points as integer arrays, and the
 shared numpy `_prefilter` drops every point that fails a necessary
@@ -87,6 +100,9 @@ def witness_branches(I: int):
 def _shape(m, j):
     """One diagonalization U*A*V = D of the branch matrix of the shape (m, j).
 
+    Only the legacy `solve_condition_system` calls it; the tests use it as
+    the independent reference for `_solve_shapes`.
+
     The right-hand side at index I is -I*(1,1,1), so with u = -U*(1,1,1) the
     system is consistent iff u_i = 0 wherever D_ii = 0 and D_ii divides
     I*u_i elsewhere, that is iff `step` divides I.  The particular solution
@@ -104,14 +120,6 @@ def _shape(m, j):
     return step, base, tuple(tuple(r[k] for r in V) for k in range(4) if k == 3 or not D[k][k])
 
 
-def _solve(shape, I: int):
-    """(particular solution, kernel basis) of a `_shape` at index I, or None."""
-    if shape is None or I % shape[0]:
-        return None
-    step, base, kernel = shape
-    return [I // step * x for x in base], kernel
-
-
 def _g1_rules_out(m, j) -> bool:
     """True for a shape whose every solution fails gate G1 at every index.
 
@@ -125,15 +133,108 @@ def _g1_rules_out(m, j) -> bool:
 
 @cache
 def _line_shapes():
-    """The distinct solved shapes `structured_enumerate` walks.
+    """The distinct solved shapes `structured_enumerate` walks, as read-only
+    arrays (step, base, kernel) with one row per shape; see `_solve_shapes`.
 
     `_g1_rules_out` leaves 2,405 of the 5,120 shapes, and it removes all 64
-    of rank two (the "plane" kind).  The rest have rank three, so each
-    solution set is a line; two of them are inconsistent at every index,
-    and 1,879 distinct (step, base, kernel) remain.
+    that give a plane.  Two of the rest have rank two: ((4,4,2), (0,0,0))
+    and ((6,3,2), (0,0,0)).  Their w0 column is zero and their 3x3 block is
+    singular, with the row relation y = (1,1,2), resp. (1,2,3), and
+    y*(1,1,1) != 0 makes them inconsistent at every index.  The other
+    2,403 have rank three, so each solution set is a line, and 1,849
+    distinct (step, base, kernel) remain.
     """
-    shapes = (_shape(b.m, b.j) for b in witness_branches(1) if not _g1_rules_out(b.m, b.j))
-    return tuple(dict.fromkeys(s for s in shapes if s is not None))
+    import numpy as np
+
+    ms = itertools.product(range(1, M1_MAX + 1), range(1, M2_MAX + 1), range(1, M3_MAX + 1))
+    js = list(itertools.product(range(4), repeat=3))
+    kept = [(m, j) for m in ms for j in js if not _g1_rules_out(m, j)]
+    step, base, kernel = _solve_shapes(*np.array(kept, dtype=np.int64).transpose(1, 0, 2))
+    table = _distinct_rows(np.column_stack([step, base, kernel])[step > 0])
+    table.setflags(write=False)
+    return table[:, 0], table[:, 1:5], table[:, 5:]
+
+
+def _solve_shapes(m, j):
+    """Arrays (step, base, kernel) for the shapes with rows m[s], j[s].
+
+    Shape s at index I is A*w = -I*(1,1,1), with row i of A equal to
+    m_i*e_i + e_{j(i)} - (1,1,1,1).  Its integer solutions are
+    (I // step)*base + Z*kernel when step divides I, and none otherwise;
+    step is 0 for a shape whose 3x3 minors all vanish.
+
+    * Kernel.  Let K_c be (-1)^c times the minor of A without column c.
+      Each A_r*K is the expansion of a 4x4 determinant with row A_r twice,
+      so A*K = 0.  When some K_c != 0, A has rank three, its rational
+      kernel is the line through K, and kernel = K/gcd(K) spans its
+      integer points.
+    * Base at a fixed I.  Take the column c with the smallest nonzero
+      |kernel_c|.  Setting w_c = t leaves a 3x3 system in the other
+      weights with determinant +-K_c != 0, solved by Cramer's rule as
+      numerators over K_c; the point is integral iff K_c divides them.
+      The integer solutions at I, if any, are p + Z*kernel, so their w_c
+      fill one class mod |kernel_c|, and exactly one t in
+      0..|kernel_c| - 1 gives a solution: scanning one period is complete.
+    * Step.  The indices with an integer solution are closed under sums
+      and negation, so they are step*Z, and step is the first I = 1, 2, ...
+      at which the scan finds one; that solution is base.  Each shape is
+      solved by I = |K_c|: every numerator at t = 0 is I times an integer
+      determinant, so t = 0 solves there.
+    * A shape whose minors all vanish has rank two at most; it is left
+      with step 0.  `_line_shapes` shows the two it keeps are inconsistent.
+    """
+    import numpy as np
+
+    n, ix, rows = len(m), np.arange(len(m)), np.arange(3)
+    A = np.full((n, 3, 4), -1, dtype=np.int64)
+    A[:, rows, rows + 1] += m
+    A[ix[:, None], rows, j] += 1
+    cols = A.transpose(0, 2, 1)  # cols[s, c] is column c of shape s
+    others = np.array([[k for k in range(4) if k != c] for c in range(4)])
+    sign = np.array([1, -1, 1, -1])
+    K = sign * np.stack([_det3(*cols[:, others[k]].transpose(1, 0, 2)) for k in range(4)], axis=1)
+    kernel = K // np.maximum(np.gcd.reduce(K, axis=1), 1)[:, None]
+    c = np.where(kernel != 0, np.abs(kernel), 1 << 62).argmin(axis=1)
+    period = np.abs(kernel[ix, c])
+    # Cramer at w_c = t: w = (I*u + t*drift) / det, with det the minor of
+    # the other columns, u the numerators for w_c = 0 at I = 1 (u_c = 0)
+    # and drift = det*K/K_c, so that w_c = t
+    rest = cols[ix[:, None], others[c]]
+    det = sign[c] * K[ix, c]
+    ones = np.ones((n, 3), dtype=np.int64)
+    u = np.zeros((n, 4), dtype=np.int64)
+    np.put_along_axis(u, others[c], -np.stack(
+        [_det3(*(ones if q == k else rest[:, q] for q in range(3))) for k in range(3)], axis=1), axis=1)
+    drift = sign[c, None] * K
+    step, base = np.zeros(n, dtype=np.int64), np.zeros((n, 4), dtype=np.int64)
+    s, t = np.nonzero(np.arange(period.max(initial=0)) < period[:, None])  # (shape, t), t < period
+    I = 0
+    while len(s):  # ends by I = max |det|, where t = 0 solves every shape left
+        I += 1
+        num = I * u[s] + t[:, None] * drift[s]
+        hit = (num % det[s, None] == 0).all(axis=1)
+        solved, first = np.unique(s[hit], return_index=True)  # the first t of each shape
+        step[solved], base[solved] = I, num[hit][first] // det[solved, None]
+        s, t = s[step[s] == 0], t[step[s] == 0]
+    return step, base, kernel
+
+
+def _distinct_rows(a):
+    """The distinct rows of a 2-D array, sorted.  `np.unique(a, axis=0)`
+    would import `numpy.ma` on first use, about 20 ms per process."""
+    import numpy as np
+
+    a = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[keep]
+
+
+def _det3(a, b, c):
+    """Exact determinants of the 3x3 matrices with columns a, b, c (int arrays)."""
+    import numpy as np
+
+    return (a * np.cross(b, c)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -184,17 +285,14 @@ class SolutionSpace:
                 yield w
 
 
-def _ordering_interval(p, v, w_max=None):
+def _ordering_interval(p, v):
     """Integer k-interval where p + k*v is positive and ascending.
 
-    Given `w_max`, also w3 <= w_max.  Returns (lo, hi) with None for an
-    unbounded side, or None if empty.
+    Returns (lo, hi) with None for an unbounded side, or None if empty.
     """
     lo, hi = None, None
     constraints = [(v[i], 1 - p[i]) for i in range(4)]  # a*k >= c as (a, c): w_i >= 1
     constraints += [(v[i + 1] - v[i], p[i] - p[i + 1]) for i in range(3)]  # w_{i+1} >= w_i
-    if w_max is not None:
-        constraints.append((-v[3], p[3] - w_max))
     for a, c in constraints:
         if a == 0:
             if c > 0:
@@ -219,10 +317,11 @@ def solve_condition_system(b: BranchAssignment) -> SolutionSpace:
     Three equations in four unknowns always leave a kernel.  Inconsistent
     systems give the empty space, not an error.
     """
-    sol = _solve(_shape(b.m, b.j), b.index)
-    if sol is None:
+    shape = _shape(b.m, b.j)
+    if shape is None or b.index % shape[0]:
         return SolutionSpace(index=b.index, kind="empty")
-    p, basis = sol
+    step, base, basis = shape
+    p = [b.index // step * x for x in base]
     if len(basis) == 2:
         return SolutionSpace(index=b.index, kind="plane", origin=tuple(p), directions=basis)
     v = basis[0]
@@ -245,45 +344,53 @@ def solve_condition_system(b: BranchAssignment) -> SolutionSpace:
 
 
 def _lines(I: int, w_max: int):
-    """The distinct segments (start, direction, length) the line shapes give at I.
+    """The distinct segments the line shapes give at index I, as int arrays
+    (start, direction, length) with one row per segment.
 
-    A segment holds the positive ascending points of one solution line with
-    w3 <= w_max, which bounds k on both sides: w3 <= w_max on one, and
-    w3 >= 1 or, if v3 = 0, order and positivity on the other.  The
-    direction is made lexicographically positive, so two shapes with the
-    same solution line give the same segment.
+    A shape whose step divides I gives the line p + k*v, with
+    p = (I // step)*base and v its kernel.  Its positive ascending points
+    with w3 <= w_max are one k-interval, cut by eight constraints a*k >= c:
+    w_i >= 1, w_{i+1} >= w_i and w3 <= w_max.  A constraint with a > 0
+    gives k >= ceil(c/a), one with a < 0 gives k <= floor(c/a), and one
+    with a = 0 and c > 0 leaves nothing.  Both sides are bounded: by
+    w3 <= w_max and w3 >= 1 when v3 != 0, and otherwise by some w_i with
+    v_i != 0, which lies between 1 and the constant w3.  So the sentinels
+    of an open side never survive.  The direction is made lexicographically
+    positive, starting at the segment's lower end, so two shapes with the
+    same solution line give the same row, and one copy is kept.
     """
-    lines = set()
-    for shape in _line_shapes():
-        sol = _solve(shape, I)
-        if sol is None:
-            continue
-        p, (v,) = sol
-        interval = _ordering_interval(p, v, w_max)
-        if interval is None:
-            continue
-        lo, hi = interval
-        if v < (0, 0, 0, 0):
-            v, lo, hi = tuple(-x for x in v), -hi, -lo
-        lines.add((tuple(p[i] + lo * v[i] for i in range(4)), v, hi - lo + 1))
-    return lines
+    import numpy as np
+
+    step, base, v = _line_shapes()
+    on = I % step == 0
+    p, v = I // step[on, None] * base[on], v[on]
+    a = np.column_stack([v, np.diff(v), -v[:, 3]])
+    c = np.column_stack([1 - p, -np.diff(p), p[:, 3] - w_max])
+    div = np.where(a == 0, 1, a)
+    lo = np.where(a > 0, -(-c // div), -(1 << 62)).max(axis=1)
+    hi = np.where(a < 0, c // div, 1 << 62).min(axis=1)
+    on = (lo <= hi) & ~((a == 0) & (c > 0)).any(axis=1)
+    p, v, lo, hi = p[on], v[on], lo[on], hi[on]
+    flip = v[np.arange(len(v)), (v != 0).argmax(axis=1)] < 0  # the first nonzero entry
+    start = p + np.where(flip, hi, lo)[:, None] * v
+    rows = _distinct_rows(np.column_stack([start, np.where(flip[:, None], -v, v), hi - lo + 1]))
+    return rows[:, :4], rows[:, 4:8], rows[:, 8]
 
 
 def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
     """Union of the filtered branch solutions, deduplicated, canonical order.
 
-    Each shape in `_line_shapes` is diagonalized once per process; at each
-    index the distinct segments of `_lines` are expanded once into point
-    arrays, which end at w3 = w_max.  `classify` decides the distinct
-    points that pass `_prefilter`.
+    `_line_shapes` solves the shapes once per process; at each index the
+    distinct segments of `_lines` are expanded once into point arrays,
+    which end at w3 = w_max.  `classify` decides the distinct points that
+    pass `_prefilter`.
     """
     import numpy as np
 
-    lines = list(_lines(I, w_max))
+    start, direction, length = _lines(I, w_max)
     # rows (w0, w1, w2, w3, d) with d = |w| - I, one column per segment
-    start = np.array([(*p, sum(p) - I) for p, _, _ in lines], dtype=np.int64).reshape(-1, 5).T
-    step = np.array([(*v, sum(v)) for _, v, _ in lines], dtype=np.int64).reshape(-1, 5).T
-    length = np.array([n for _, _, n in lines], dtype=np.int64)
+    start = np.vstack([start.T, start.sum(axis=1) - I])
+    step = np.vstack([direction.T, direction.sum(axis=1)])
     return sorted(_admit(_line_points(start, step, length)), key=CandidateRecord.key)
 
 

@@ -167,16 +167,23 @@ def characteristic_divisor(c: Candidate) -> VirtualCharacter:
     """Expand the product of (L_{u_i}/v_i - 1) over the four reduced ratios.
 
     Scaled by the product of the v_i, this is the product of (L_{u_i} - v_i),
-    which `_mul` folds in plain int dicts; the product of the v_i is then
-    divided out once, and one `VirtualCharacter` is built at the end.  The
-    result must have integral coefficients with L_1 coefficient exactly 1;
-    anything else signals an invalid candidate upstream.
+    folded in plain int dicts by the two-term case of `char_mul`'s rule:
+    c*L_n times (L_u - v) is c*gcd(n, u)*L_lcm(n, u) - v*c*L_n.  The
+    product of the v_i is then divided out once, and one `VirtualCharacter`
+    is built at the end.  The result must have integral coefficients with
+    L_1 coefficient exactly 1; anything else signals an invalid candidate
+    upstream.
     """
     scaled = {1: 1}
     scale = 1
     for u, v in reduced_ratios(c):
-        # u > 1 because d > w_i, so the factor has two distinct terms
-        scaled = _mul(scaled, {u: 1, 1: -v})
+        out = {}
+        for n, cn in scaled.items():
+            g = gcd(n, u)
+            k = n // g * u
+            out[k] = out.get(k, 0) + cn * g
+            out[n] = out.get(n, 0) - v * cn
+        scaled = out
         scale *= v
     coeffs = {}
     for n, cn in scaled.items():

@@ -18,8 +18,11 @@ from delpezzo.search import (
     BranchAssignment,
     _g1_rules_out,
     _line_points,
+    _lines,
     _oracle_points,
     _prefilter,
+    _shape,
+    _solve_shapes,
     brute_force_enumerate,
     witness_branches,
     solve_condition_system,
@@ -122,6 +125,47 @@ def test_pruned_shapes_fix_two_weights_to_index():
         for b in witness_branches(I):
             if solve_condition_system(b).kind == "plane":
                 assert _g1_rules_out(b.m, b.j)
+
+
+def _kept_shapes():
+    return [(b.m, b.j) for b in witness_branches(1) if not _g1_rules_out(b.m, b.j)]
+
+
+def test_minors_solve_matches_smith_form():
+    """On every shape the search keeps, the numpy minors solve and the
+    Smith-form `_shape` agree on consistency, the step, the kernel up to
+    sign and the base modulo Z*kernel; exactly two kept shapes, both of
+    rank two, are inconsistent."""
+    kept = _kept_shapes()
+    assert len(kept) == 2405
+    assert [s for s in kept if _shape(*s) is None] == [((4, 4, 2), (0, 0, 0)), ((6, 3, 2), (0, 0, 0))]
+    step, base, kernel = _solve_shapes(*np.array(kept, dtype=np.int64).transpose(1, 0, 2))
+    for s, st, b, k in zip(kept, step.tolist(), base.tolist(), kernel.tolist()):
+        if _shape(*s) is None:
+            assert st == 0 and k == [0, 0, 0, 0]
+            continue
+        ref_step, ref_base, (ref_kernel,) = _shape(*s)
+        assert st == ref_step
+        assert k in (list(ref_kernel), [-x for x in ref_kernel])
+        diff = [x - y for x, y in zip(b, ref_base)]
+        lam = next(dx // kx for dx, kx in zip(diff, k) if kx)
+        assert diff == [lam * kx for kx in k]
+
+
+def test_lines_match_branch_instances():
+    """The segments of `_lines` hold exactly the points the legacy
+    `solve_condition_system` gives on the kept branches, and every
+    direction is lexicographically positive, as the deduplication needs."""
+    kept = _kept_shapes()
+    for I in range(1, 13):
+        spaces = [solve_condition_system(BranchAssignment(m, j, I)) for m, j in kept]
+        for w_max in (80, 150, 600):
+            expected = {w for space in spaces for w in space.instances(w_max)}
+            start, direction, length = (a.tolist() for a in _lines(I, w_max))
+            got = {tuple(s + k * v for s, v in zip(p, d))
+                   for p, d, n in zip(start, direction, length) for k in range(n)}
+            assert got == expected
+            assert all(next(x for x in d if x) > 0 for d in direction)
 
 
 def test_brute_force_index3(enumeration_150):
