@@ -46,6 +46,12 @@ MUTANTS = [
            "(w1, w_max - T, T + w1, 1, 1),", "(w1, w_max - T + 1, T + w1, 1, 1),", ORACLE_TESTS),
     Mutant("no-parity", "src/delpezzo/search.py",
            "half = w1 + (T + w1) % 2", "half = w1", ORACLE_TESTS),
+    Mutant("z2-no-fallback", "src/delpezzo/search.py",
+           "    yield from _line_points(start[:, whole], step[:, whole], length[whole])\n", "",
+           ("tests/test_search.py::test_oracle_points_keep_every_z2_point",)),
+    Mutant("z2-q-one-short", "src/delpezzo/search.py",
+           "cj // f[s]  # w2", "cj // f[s] - 1  # w2",
+           ("tests/test_search.py::test_oracle_points_keep_every_z2_point",)),
     Mutant("prefilter-r-gt-wi", "src/delpezzo/search.py",
            "((r >= wi) & (r % wi == 0))", "((r > wi) & (r % wi == 0))",
            ("tests/test_search.py::test_prefilter_drops_only_what_classify_rejects",
@@ -56,7 +62,7 @@ MUTANTS = [
            ("tests/test_search.py::test_prefilter_drops_only_what_classify_rejects",
             "tests/test_search.py::test_oracle_matches_unpruned_scan")),
     Mutant("g1-prune-ignores-partner", "src/delpezzo/search.py",
-           "mi == 1 and ji != i", "mi == 1",
+           "(np.asarray(m) == 1) & (np.asarray(j) != (1, 2, 3))", "(np.asarray(m) == 1)",
            ("tests/test_search.py::test_structured_matches_unpruned_branches",
             "tests/test_search.py::test_pruned_shapes_fix_two_weights_to_index")),
     Mutant("lines-lower-bound-floor", "src/delpezzo/search.py",

@@ -15,7 +15,9 @@ from functools import lru_cache
 from importlib import resources
 
 from .errors import CatalogIntegrityError
-from .weights import Candidate, WeightSystem
+from .moduli import moduli_report
+from .topology import diffeo_type
+from .weights import Candidate, WeightSystem, normalize_weights
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,45 @@ def b2_errata() -> dict[tuple, dict]:
 def moduli_errata() -> dict[tuple, dict]:
     """Moduli-table rows whose printed (m, n) is a documented erratum."""
     return {k: e for k, e in errata("table3").items() if isinstance(k, tuple)}
+
+
+@dataclass(frozen=True)
+class Table3Check:
+    """One moduli-table row checked on (m, n, l).  `expected` is `printed`
+    with the computed values of the row's errata laid over it; a series row
+    is checked at its family's first member.  The verdict is exact,
+    documented (the errata account for the difference) or mismatch."""
+
+    row: ModuliRow
+    name: str
+    candidate: Candidate
+    printed: tuple[int, int, int]
+    computed: tuple[int, int, int]
+    expected: tuple[int, int, int]
+    errata: tuple[str, ...]
+    verdict: str
+
+
+def table3_checks() -> list[Table3Check]:
+    """Every moduli-table row, in table order, checked on (m, n, l) against
+    the errata of both tables that name it."""
+    families = {f.id: f for f in reference_series()}
+    checks = []
+    for row in reference_table3():
+        if row.series_id is None:
+            key, name = (row.weights, row.degree), f"I={row.index} w={row.weights} d={row.degree}"
+            c = Candidate(normalize_weights(row.weights), row.degree)
+        else:
+            key, name, fam = row.series_id, f"series {row.series_id}", families[row.series_id]
+            c = fam.candidate_at(fam.k_min)
+        mod = moduli_report(c)
+        got, printed = (mod.m, mod.n, diffeo_type(c).l), (row.m_printed, row.n_printed, row.l_printed)
+        found = [e for e in (errata(t).get(key) for t in ("table3", "table1")) if e]
+        fixes = {k: v for e in found for k, v in e["computed"].items()}
+        expected = tuple(fixes.get(k, v) for k, v in zip("mnl", printed))
+        verdict = "exact" if got == printed else "documented" if got == expected else "mismatch"
+        checks.append(Table3Check(row, name, c, printed, got, expected, tuple(e["id"] for e in found), verdict))
+    return checks
 
 
 @lru_cache(maxsize=1)

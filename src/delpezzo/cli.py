@@ -14,7 +14,6 @@ import sys
 from . import catalog, serialize
 from .errors import InvariantViolation, RouteDisagreement
 from .klt import certify_KE
-from .moduli import moduli_report
 from .quasismooth import hypersurface_rejection
 from .search import brute_force_enumerate, structured_enumerate, verified_enumeration
 from .topology import diffeo_type, orbifold_b2
@@ -151,44 +150,24 @@ def _reproduce_table1(w_max: int, jobs: int) -> int:
 
 
 def _reproduce_table3() -> int:
-    """Check every moduli-table row on (m, n, l): exact, covered by the
-    errata of the row (their computed values laid over the printed ones),
-    or a mismatch."""
-    families = {f.id: f for f in catalog.reference_series()}
-    rows = catalog.reference_table3()
+    """Print every moduli-table row's check on (m, n, l) (`catalog.table3_checks`):
+    exact, covered by the row's errata, or a mismatch."""
+    checks = catalog.table3_checks()
     mnl = "(m={}, n={}, l={})"
-    ok = True
-    exact = 0
     documented = []
-    for row in rows:
-        if row.series_id is None:
-            key = row.weights, row.degree
-            c = Candidate(normalize_weights(row.weights), row.degree)
-            name = f"I={row.index} w={row.weights} d={row.degree}"
-        else:
-            key = row.series_id
-            fam = families[key]
-            c = fam.candidate_at(fam.k_min)
-            name = f"series {key}"
-        mod = moduli_report(c)
-        got = (mod.m, mod.n, diffeo_type(c).l)
-        printed = (row.m_printed, row.n_printed, row.l_printed)
-        line = f"{name}: printed {mnl.format(*printed)}, computed {mnl.format(*got)}"
-        errata = [e for e in (catalog.errata(t).get(key) for t in ("table3", "table1")) if e]
-        fixes = {k: v for e in errata for k, v in e["computed"].items()}
-        expected = tuple(fixes.get(k, v) for k, v in zip("mnl", printed))
-        if got == printed:
-            exact += 1
+    for ch in checks:
+        line = f"{ch.name}: printed {mnl.format(*ch.printed)}, computed {mnl.format(*ch.computed)}"
+        if ch.verdict == "exact":
             print(line)
-        elif got == expected:
-            documented.append(line + f"  [documented erratum: {', '.join(e['id'] for e in errata)}]")
+        elif ch.verdict == "documented":
+            documented.append(line + f"  [documented erratum: {', '.join(ch.errata)}]")
         else:
             print(line + "  MISMATCH")
-            ok = False
-    print(f"{exact}/{len(rows)} exact; {len(documented)} known discrepancies:")
+    exact = sum(ch.verdict == "exact" for ch in checks)
+    print(f"{exact}/{len(checks)} exact; {len(documented)} known discrepancies:")
     for line in documented:
         print("  " + line)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return EXIT_MISMATCH if any(ch.verdict == "mismatch" for ch in checks) else EXIT_OK
 
 
 def _reproduce_series() -> int:

@@ -120,15 +120,18 @@ def _shape(m, j):
     return step, base, tuple(tuple(r[k] for r in V) for k in range(4) if k == 3 or not D[k][k])
 
 
-def _g1_rules_out(m, j) -> bool:
-    """True for a shape whose every solution fails gate G1 at every index.
+def _g1_rules_out(m, j):
+    """True for a shape whose every solution fails gate G1 at every index;
+    m and j are (..., 3) arrays or tuples, one answer per shape.
 
     That is a shape with some m_i = 1 and j(i) != i.  Its row i reads
     w_i + w_{j(i)} - sum(w) = -I, that is w_a + w_b = I for the two other
     variables a, b.  Then w0 <= min(w_a, w_b) <= I/2, so 3*w0 < 2I and G1
     rejects the solution.
     """
-    return any(mi == 1 and ji != i for i, (mi, ji) in enumerate(zip(m, j), start=1))
+    import numpy as np
+
+    return ((np.asarray(m) == 1) & (np.asarray(j) != (1, 2, 3))).any(axis=-1)
 
 
 @cache
@@ -146,10 +149,10 @@ def _line_shapes():
     """
     import numpy as np
 
-    ms = itertools.product(range(1, M1_MAX + 1), range(1, M2_MAX + 1), range(1, M3_MAX + 1))
-    js = list(itertools.product(range(4), repeat=3))
-    kept = [(m, j) for m in ms for j in js if not _g1_rules_out(m, j)]
-    step, base, kernel = _solve_shapes(*np.array(kept, dtype=np.int64).transpose(1, 0, 2))
+    grid = np.indices((M1_MAX, M2_MAX, M3_MAX, 4, 4, 4)).reshape(6, -1).T  # every (m - 1, j)
+    m, j = grid[:, :3] + 1, grid[:, 3:]
+    kept = ~_g1_rules_out(m, j)
+    step, base, kernel = _solve_shapes(m[kept], j[kept])
     table = _distinct_rows(np.column_stack([step, base, kernel])[step > 0])
     table.setflags(write=False)
     return table[:, 0], table[:, 1:5], table[:, 5:]
@@ -466,14 +469,16 @@ def _admit(passes) -> list[CandidateRecord]:
 def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
     """All admissible (I, w) with smallest weight w0 and I_min <= I <= I_max.
 
-    `_oracle_points` generates every (I, w) the conditions below allow;
-    w3 is never scanned.  Each condition is necessary for admission,
-    `_prefilter` drops what fails condition I for z0..z2 or the rest of its
-    list, and `classify` decides every survivor and builds its record.
+    `_oracle_points` generates every (I, w) the conditions below allow
+    that can pass gate G2 and condition I for z2; w3 is never scanned.
+    Each condition is necessary for admission, `_prefilter` drops what
+    fails condition I for z0..z2 or the rest of its list, and `classify`
+    decides every survivor and builds its record.
     Write S = w0 + w1 + w2, so that d = S + w3 - I.
 
     * 3*w0 > 2I: otherwise `gate_check` fails (G1).  The intervals below
-      need it; gate G2 is only pruning, and `_prefilter` applies it.
+      need it; gate G2 is only pruning, applied per segment below and
+      again by `_prefilter`.
     * w3 in {S - I, (S - I)/2, S - w0 - I, S - w1 - I, S - w2 - I}.
       Condition I for z3 asks for d - w_j = m*w3 with m >= 1 and some j.
       - j = 3: d - w3 = S - I <= 3*w3 - I < 3*w3, so m <= 2 and w3 is
@@ -494,21 +499,38 @@ def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int) -> list[CandidateRecor
     - w3 = w0 + w2 - I: w3 >= w2 iff w0 >= I; then w2 <= w_max - w0 + I.
     - w3 = T: w3 >= w2 iff w2 <= T, and w3 <= w_max iff T <= w_max.
     On each interval w2 and w3 are linear in the step count, so every
-    (w1, I, case) is one segment for `_line_points`, which caps each numpy
-    pass at `PASS_CAP` points whatever w_max is; the table of segments
-    holds 5*(w_max - w0 + 1) per index.  Two cases can give the same w3;
-    the set in `_admit` keeps one copy.
+    (w1, I, case) is one segment (`_oracle_segments`, which keeps the
+    nonempty ones); the table holds at most 5*(w_max - w0 + 1) per index.
+    Two cases can give the same w3; the set in `_admit` keeps one copy.
+
+    `_z2_candidates` then expands only the points that can pass gate G2
+    and condition I for z2, which asks for w2 | r_j = d - w_j, r_j >= w2,
+    for some j:
+    - G2 (w0 + w1 != 2I) is constant on a segment; a failing segment is
+      dropped whole.
+    - On a segment w2 = f + a2*k and r_j = r_j0 + rho_j*k for k >= 0, so
+      c_j = a2*r_j - rho_j*w2 = a2*r_j0 - rho_j*f does not depend on k,
+      and w2 | r_j gives w2 | c_j.  When c_j != 0, w2 = |c_j|/q for an
+      integer q, and f <= w2 <= last (the segment's last w2) bounds it:
+      |c_j|/last <= q <= |c_j| // f.  At w <= 150, q <= 5.
+    - A segment with some c_j = 0 gives no such bound and is expanded
+      whole.  This happens: on w3 = w0 + w2 - I with w0 = I, d = w1 + 2*w2
+      and r_1 = 2*w2, so every point passes.
+    Candidates are emitted like the segments, at most `PASS_CAP` points a
+    pass.  `_prefilter` tests z2 exactly, so a candidate that fails costs
+    time, never a record.
     """
     return _admit(_oracle_points(w0, I_min, I_max, w_max))
 
 
-def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
-    """The passes of points (w0, w1, w2, w3, d) that `_scan_w0` hands to the
-    prefilter; the intervals are proved there."""
+def _oracle_segments(w0: int, I_min: int, I_max: int, w_max: int):
+    """The segment table (start, step, length) of the points (w0, w1, w2,
+    w3, d) that `_scan_w0` allows, one column per nonempty (w1, I, case);
+    the intervals are proved there."""
     import numpy as np
 
     Is = np.arange(I_min, min(I_max, (3 * w0 - 1) // 2) + 1)  # G1
-    w1, I = (a.ravel() for a in np.meshgrid(np.arange(w0, w_max + 1), Is))
+    w1, I = np.tile(np.arange(w0, w_max + 1), len(Is)), np.repeat(Is, w_max - w0 + 1)
     T = w0 + w1 - I
     half = w1 + (T + w1) % 2  # the first w2 with T + w2 even
     # per case: first w2, last w2 (0 < w1 when the case is empty), w3 at the
@@ -520,13 +542,56 @@ def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
         (w1, np.where(w0 >= I, w_max - w0 + I, 0), T, 1, 1),  # w3 = w0 + w2 - I
         (w1, np.where(T <= w_max, T, 0), T, 1, 0),  # w3 = T
     ]
-    first, last, w3, a2, a3 = (
-        np.concatenate([np.broadcast_to(c[k], w1.shape) for c in cases]) for k in range(5)
-    )
-    w1, I = np.tile(w1, 5), np.tile(I, 5)
-    start = np.stack([np.full_like(w1, w0), w1, first, w3, w0 + w1 + first + w3 - I])
-    step = np.stack([0 * w1, 0 * w1, a2, a3, a2 + a3])
-    return _line_points(start, step, np.maximum((last - first) // a2 + 1, 0))
+    z = 0 * w1  # broadcasts the constant entries
+    # rows w1, I and the five values above, one column per (case, w1, I)
+    table = np.array([[x + z for x in (w1, I, *c)] for c in cases]).transpose(1, 0, 2).reshape(7, -1)
+    w1, I, first, last, w3, a2, a3 = table[:, table[3] >= table[2]]  # last >= first: nonempty
+    start = np.array([np.full_like(w1, w0), w1, first, w3, w0 + w1 + first + w3 - I])
+    step = np.array([0 * w1, 0 * w1, a2, a3, a2 + a3])
+    return start, step, (last - first) // a2 + 1
+
+
+def _z2_candidates(start, step, length):
+    """The points of the segments that can pass gate G2 and condition I for
+    z2, as (whole, seg, k): the mask of the segments expanded whole, and
+    each other candidate as its segment and its step count on it.  The
+    proof is in `_scan_w0`.  seg and k are int32: they live through every
+    pass of the w0, and this keeps its working set within that of
+    expanding every segment."""
+    import numpy as np
+
+    f, a2 = start[2], step[2]
+    c = np.abs(a2 * (start[4] - start[:4]) - (step[4] - step[:4]) * f)  # |c_j|, a row per j
+    g2 = start[0] + start[1] != 2 * (start[:4].sum(axis=0) - start[4])
+    whole = g2 & (c == 0).any(axis=0)
+    pairs, last = g2 & ~whole & (c >= f), f + (length - 1) * a2  # the (j, s) with some q
+    hits = [np.zeros((2, 0), dtype=np.int64)]
+    for b in range(0, len(f), PASS_CAP // 8):  # at most PASS_CAP // 2 pairs, to bound its arrays
+        j, s = np.nonzero(pairs[:, b:b + PASS_CAP // 8])
+        s += b
+        cj = c[j, s]
+        q_lo, q_hi = -(-cj // last[s]), cj // f[s]  # w2 = c_j/q lies in [f, last]
+        # the (s, c_j, q) with q_lo <= q <= q_hi, as the points of segments in q
+        for s, cj, q in _line_points(np.stack([s, cj, q_lo]), np.broadcast_to([[0], [0], [1]], (3, len(s))),
+                                     np.maximum(q_hi - q_lo + 1, 0)):
+            w2, rem = np.divmod(cj, q)
+            k, odd = np.divmod(w2 - f[s], a2[s])
+            hits.append(np.stack([s, k])[:, (rem == 0) & (odd == 0)])
+    seg, k = np.concatenate(hits, axis=1, dtype=np.int32)
+    return whole, seg, k
+
+
+def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
+    """The passes of points (w0, w1, w2, w3, d) that `_scan_w0` hands to the
+    prefilter, at most `PASS_CAP` columns each."""
+    start, step, length = _oracle_segments(w0, I_min, I_max, w_max)
+    whole, seg, k = _z2_candidates(start, step, length)
+    yield from _line_points(start[:, whole], step[:, whole], length[whole])
+    for a in range(0, len(seg), PASS_CAP):
+        s = seg[a:a + PASS_CAP]
+        P = step[:, s] * k[a:a + PASS_CAP]
+        P += start[:, s]
+        yield P
 
 
 def brute_force_enumerate(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> list[CandidateRecord]:

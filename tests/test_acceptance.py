@@ -111,24 +111,16 @@ def test_criterion_3_topology_reproduction(enumeration_150):
         for k in range(fam.k_min, fam.k_min + 5):
             c = fam.candidate_at(k)
             assert diffeo_type(c).b2_link + 1 == fam.b2_printed, (fam.id, k)
-    # link-type column of the moduli table
+    # link-type column of the moduli table, by the catalog's one rule
     t3_exact = 0
     t3_documented = 0
-    for row in catalog.reference_table3():
-        if row.series_id:
-            fam = next(f for f in catalog.reference_series() if f.id == row.series_id)
-            c = fam.candidate_at(fam.k_min)
-            assert diffeo_type(c).l == row.l_printed
-            t3_exact += 1
-            continue
-        c = Candidate(normalize_weights(row.weights), row.degree)
-        err = errata.get((tuple(row.weights), row.degree))
-        link = diffeo_type(c).l
-        if err is None:
-            assert link == row.l_printed, row
+    for check in catalog.table3_checks():
+        link = diffeo_type(check.candidate).l
+        assert link == check.computed[2] == check.expected[2], check
+        if link == check.printed[2]:
             t3_exact += 1
         else:
-            assert link == err["computed"]["l"], row
+            assert check.errata, check
             t3_documented += 1
     assert (t3_exact, t3_documented) == (14, 2)
     print(
@@ -166,30 +158,23 @@ def test_criterion_4_milnor_orlik_cross_checks(enumeration_150):
 
 
 def test_criterion_5_moduli_reproduction():
-    errata = catalog.moduli_errata()
+    families = {f.id: f for f in catalog.reference_series()}
     exact = 0
     documented = []
-    for row in catalog.reference_table3():
-        if row.series_id:
-            fam = next(f for f in catalog.reference_series() if f.id == row.series_id)
-            values = set()
-            for k in range(fam.k_min, fam.k_min + 5):
-                c = fam.candidate_at(k)
-                m = monomial_dimension(c)
-                values.add((m, m - aut_dimension(c.weights)))
-            assert values == {(12, 4)}  # printed n = 5: documented discrepancy
-            documented.append("series row: computed (m=12, n=4) vs printed n=5")
-            continue
-        c = Candidate(normalize_weights(row.weights), row.degree)
-        m = monomial_dimension(c)
-        n = m - aut_dimension(c.weights)
-        err = errata.get((tuple(row.weights), row.degree))
-        if err is None:
-            assert (m, n) == (row.m_printed, row.n_printed), row
+    for check in catalog.table3_checks():
+        fam = families.get(check.row.series_id)
+        # a series row holds for the first five members of its family
+        members = [fam.candidate_at(k) for k in range(fam.k_min, fam.k_min + 5)] if fam else [check.candidate]
+        values = set()
+        for c in members:
+            m = monomial_dimension(c)
+            values.add((m, m - aut_dimension(c.weights)))
+        assert values == {check.computed[:2]} == {check.expected[:2]}, check
+        if check.computed[:2] == check.printed[:2]:
             exact += 1
         else:
-            assert (m, n) == (err["computed"]["m"], err["computed"]["n"]), row
-            documented.append(err["id"])
+            assert check.errata, check
+            documented.append(check.name)
     assert exact == 12 and len(documented) == 4
     # the worked classical anchors
     anchors = [

@@ -20,6 +20,7 @@ from delpezzo.search import (
     _line_points,
     _lines,
     _oracle_points,
+    _oracle_segments,
     _prefilter,
     _shape,
     _solve_shapes,
@@ -233,19 +234,58 @@ def _docstring_scan(w_max):
     return out
 
 
-@pytest.mark.parametrize("w_max", [40, 61])
-def test_oracle_intervals_match_docstring_scan(w_max):
+@pytest.fixture(scope="module", params=[40, 61])
+def oracle_expansion(request):
+    """(w_max, {w0: (segments, passes)}): the segment table
+    `_oracle_segments` gives for I = 1..10 and its points expanded in full
+    by `_line_points`, shared by the two tests below."""
+    w_max = request.param
+    tables = {w0: _oracle_segments(w0, 1, 10, w_max) for w0 in range(1, w_max + 1)}
+    return w_max, {w0: (t, list(_line_points(*t))) for w0, t in tables.items()}
+
+
+def test_oracle_intervals_match_docstring_scan(oracle_expansion):
     """The interval generator emits exactly the points, with the repeats,
     that a plain loop over the conditions of `_scan_w0` gives, in passes of
     at most `PASS_CAP` points.  An odd bound reaches w3 = (S - I)/2 at
     the edge 2*w_max - T."""
+    w_max, expansion = oracle_expansion
     got = Counter()
-    for w0 in range(1, w_max + 1):
-        for P in _oracle_points(w0, 1, 10, w_max):
+    for _, passes in expansion.values():
+        for P in passes:
             assert P.shape[1] <= PASS_CAP
             *w, d = P.tolist()
             got.update((sum(x) - dd, x) for x, dd in zip(zip(*w), d))
     assert got == _docstring_scan(w_max)
+
+
+def _point_keys(P):
+    """One integer per column (w0, w1, w2, w3, d) of P, all entries < 256."""
+    return 256 ** np.arange(4, -1, -1) @ P
+
+
+def test_oracle_points_keep_every_z2_point(oracle_expansion):
+    """Against the full expansion of each w0's segments, `_oracle_points`
+    yields only points of the segments, every point that passes condition I
+    for z2 and gate G2, and the same `_prefilter` survivors; some segment
+    with a c_j = 0 holds points that pass, so its whole expansion is
+    exercised."""
+    w_max, expansion = oracle_expansion
+    whole_passing = 0
+    for w0, ((start, step, length), passes) in expansion.items():
+        got = list(_oracle_points(w0, 1, 10, w_max))
+        assert all(P.shape[1] <= PASS_CAP for P in got)
+        full, got = (np.concatenate([np.zeros((5, 0), dtype=np.int64), *x], axis=1) for x in (passes, got))
+        assert np.isin(_point_keys(got), _point_keys(full)).all()
+        r = full[4] - full[:4]
+        z2 = ((r >= full[2]) & (r % full[2] == 0)).any(axis=0)
+        g2 = full[0] + full[1] != 2 * (full[:4].sum(axis=0) - full[4])
+        assert np.isin(_point_keys(full[:, z2 & g2]), _point_keys(got)).all()
+        assert set(_point_keys(_prefilter(got)).tolist()) == set(_point_keys(_prefilter(full)).tolist())
+        c = step[2] * (start[4] - start[:4]) - (step[4] - step[:4]) * start[2]
+        zero = np.repeat((c == 0).any(axis=0), length)  # per point of the full expansion
+        whole_passing += (zero & z2 & g2).sum()
+    assert whole_passing > 0
 
 
 @pytest.mark.parametrize("cap", [1, 3, 7])
