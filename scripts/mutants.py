@@ -94,6 +94,16 @@ MUTANTS = [
     Mutant("divisor-no-remainder-check", "src/delpezzo/topology.py",
            "        if rem:\n            rational", "        if False:\n            rational",
            ("tests/test_topology.py::test_integer_divisor_checks_match_fraction_fold",)),
+    Mutant("ke-certified-unknown", "src/delpezzo/records.py",
+           'return "Y"\n    if isinstance(verdict, NotKltGate):',
+           'return "?"\n    if isinstance(verdict, NotKltGate):',
+           ("tests/test_acceptance.py::test_criterion_2_ke_column",)),
+    Mutant("place-moduli-top-level", "src/delpezzo/serialize.py",
+           '_GROUPS = ("klt", "moduli", "series")', '_GROUPS = ("klt", "series")',
+           ("tests/test_cli.py::test_json_schema_fields",)),
+    Mutant("load-no-index-check", "src/delpezzo/serialize.py",
+           '("index", I, "|w| - d", c.I), ', "",
+           ("tests/test_cli.py::test_loaders_reject_contradicting_rows[index]",)),
 ]
 
 

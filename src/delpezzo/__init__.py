@@ -27,7 +27,6 @@ from .moduli import (
     ModuliReport,
     aut_dimension,
     is_minimal_torus,
-    moduli_dimension,
     moduli_report,
     monomial_dimension,
 )
@@ -35,8 +34,6 @@ from .quasismooth import (
     ConditionIWitness,
     Rejection,
     condition_I,
-    condition_II,
-    condition_III,
     is_quasismooth,
 )
 from .records import CandidateRecord, build_record, classify

@@ -41,11 +41,6 @@ def aut_dimension(w: WeightSystem) -> int:
     return sum(count_monomials(w, wi) for wi in w)
 
 
-def moduli_dimension(c: Candidate) -> int:
-    """n = m - dim G(w); a negative value means the candidate was misapplied."""
-    return moduli_report(c).n
-
-
 def moduli_report(c: Candidate) -> ModuliReport:
     """m, dim G(w) and n; requires `require_hypersurface` to pass."""
     return _moduli_report(c, monomial_dimension(c))

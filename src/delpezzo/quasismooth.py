@@ -12,8 +12,8 @@ to be quasi-smooth, i.e. to have an affine cone smooth away from the
 origin (Iano-Fletcher, "Working with weighted complete intersections",
 LMS LN 281, 2000, Thm 8.1).  II is not part of it: it says that X is
 well-formed, i.e. contains no singular line of P(w) (ibid. section 6).
-III is the two-witness form; `condition_III` proves that the one-witness
-reading follows from I.
+III is the two-witness form; `_failing_pair_III` proves that the
+one-witness reading follows from I.
 
 `hypersurface_rejection` is the one precondition check of every invariant:
 P(w) well-formed, then I, III and II, each failure reported as a
@@ -90,13 +90,12 @@ def _partner(w: tuple[int, ...], d: int, i: int) -> tuple[int, int] | None:
     return best
 
 
-def condition_II(w: WeightSystem, d: int) -> bool:
-    """Every pair with non-coprime weights must support a pure pair monomial."""
-    return _failing_pair_II(w.w, d) is None
-
-
 def _failing_pair_II(w: tuple[int, ...], d: int) -> tuple[int, int] | None:
-    """The first pair (i, j) that condition II rejects, or None."""
+    """The first pair (i, j) that condition II rejects, or None.
+
+    Condition II asks every pair with non-coprime weights to support a pure
+    pair monomial z_i^a z_j^b of degree d.
+    """
     for i, j in _PAIRS:
         if gcd(w[i], w[j]) > 1 and not pair_has_monomial(w[i], w[j], d):
             return i, j
@@ -114,23 +113,20 @@ def _pair_witness_extras(w: tuple[int, ...], d: int, i: int, j: int) -> set[int]
     return extras
 
 
-def condition_III(w: WeightSystem, d: int) -> bool:
-    """Every pair without a pure monomial has witnesses for two other variables.
-
-    The one-witness reading ({k, l} != {i, j} with k = l allowed) follows
-    from condition I, so it never rejects anything I accepts.  Let the
-    pair (i, j) have no monomial z_i^a z_j^b of degree d.  Condition I
-    gives z_i^{m_i} z_{j(i)} of degree d; j(i) in {i, j} would make it a
-    pure pair monomial, so j(i) = k lies outside {i, j}, and the same
-    monomial is the witness z_i^{m_i} z_j^0 z_k.  Hence j(i) and j(j) are
-    both in `_pair_witness_extras`, and a single witness always exists.
-    What III checks is that the extras hold two distinct variables.
-    """
-    return _failing_pair_III(w.w, d) is None
-
-
 def _failing_pair_III(w: tuple[int, ...], d: int) -> tuple[int, int] | None:
-    """The first pair (i, j) that condition III rejects, or None."""
+    """The first pair (i, j) that condition III rejects, or None.
+
+    Condition III asks every pair without a pure monomial to have witnesses
+    for two other variables.  The one-witness reading ({k, l} != {i, j}
+    with k = l allowed) follows from condition I, so it never rejects
+    anything I accepts.  Let the pair (i, j) have no monomial z_i^a z_j^b
+    of degree d.  Condition I gives z_i^{m_i} z_{j(i)} of degree d; j(i)
+    in {i, j} would make it a pure pair monomial, so j(i) = k lies outside
+    {i, j}, and the same monomial is the witness z_i^{m_i} z_j^0 z_k.
+    Hence j(i) and j(j) are both in `_pair_witness_extras`, and a single
+    witness always exists.  What III checks is that the extras hold two
+    distinct variables.
+    """
     for i, j in _PAIRS:
         if not pair_has_monomial(w[i], w[j], d) and len(_pair_witness_extras(w, d, i, j)) < 2:
             return i, j
@@ -156,8 +152,8 @@ def hypersurface_rejection(c: Candidate) -> Rejection | None:
     In order: P(w) well-formed (no triple of weights shares a factor),
     condition I, condition III, and condition II, reported as "X not
     well-formed".  Each condition runs once, as the search for its failing
-    variable or pair that the `condition_*` functions also use; the
-    failing triple is looked up only when P(w) is not well-formed.
+    variable or pair that `is_quasismooth` also uses; the failing triple
+    is looked up only when P(w) is not well-formed.
     """
     w, d = c.weights.w, c.d
     if not is_well_formed(c.weights):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import catalog
-from .klt import GATE_RULES, Certified, KltVerdict, NotKltGate, _cascade, gate_check
+from .klt import GATE_RULES, Certified, KltVerdict, NotKltGate, Unknown, _cascade, gate_check
 from .moduli import _moduli_report
 from .quasismooth import Rejection, hypersurface_rejection, require_hypersurface
 from .topology import _link_report
@@ -76,6 +76,20 @@ def build_record(c: Candidate) -> CandidateRecord:
     return _record(c)
 
 
+def _ke_flag(verdict: KltVerdict, provenance: str) -> str:
+    """The K-E flag: "Y" for a certificate or a proven family member, "N" when gated.
+
+    An `Unknown` verdict is "Y" exactly when its provenance names a proof
+    (the family's: cascade, case-analysis or prior-work) and "?" when the
+    provenance is "unknown".
+    """
+    if isinstance(verdict, Certified):
+        return "Y"
+    if isinstance(verdict, NotKltGate):
+        return "N"
+    return "?" if provenance == "unknown" else "Y"
+
+
 def _record(c: Candidate) -> CandidateRecord:
     link = _link_report(c)
     mod = _moduli_report(c, count_monomials(c.weights, c.d))
@@ -84,13 +98,11 @@ def _record(c: Candidate) -> CandidateRecord:
     series_id, series_k = (match[0].id, match[1]) if match else (None, None)
 
     if isinstance(verdict, Certified):
-        provenance, ke = "cascade", "Y"
-    elif isinstance(verdict, NotKltGate):
-        provenance, ke = "unknown", "N"
-    elif match is not None and match[0].ke_at(match[1]) == "Y":
-        provenance, ke = match[0].klt_provenance, "Y"
+        provenance = "cascade"
+    elif isinstance(verdict, Unknown) and match is not None and match[0].ke_at(match[1]) == "Y":
+        provenance = match[0].klt_provenance
     else:
-        provenance, ke = "unknown", "?"
+        provenance = "unknown"
 
     return CandidateRecord(
         candidate=c,
@@ -100,7 +112,7 @@ def _record(c: Candidate) -> CandidateRecord:
         l=link.l,
         klt=verdict,
         klt_provenance=provenance,
-        ke=ke,
+        ke=_ke_flag(verdict, provenance),
         moduli_m=mod.m,
         moduli_dim_aut=mod.dim_aut,
         moduli_n=mod.n,

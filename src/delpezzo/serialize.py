@@ -1,7 +1,28 @@
 """Lossless record serialization: JSON, CSV, and presentation markdown.
 
-JSON and CSV carry identical data and round-trip exactly; markdown is for
-reading.  No record field is rational: every number is an exact integer.
+One ordered column table, `CSV_COLUMNS`, is the serialized form of a
+record.  `_row` reads a record into a tuple in column order, with None for
+an absent value, and `_from_row` builds the record back from one; JSON and
+CSV are thin maps over the pair.  CSV writes the columns in order and an
+absent value as "", and reads every cell as an int except in the text
+columns.  JSON places each column by one rule: w0..w3 make up the
+`weights` list, a `klt_`, `moduli_` or `series_` column goes into that
+nested object under the rest of its name, and every other column stays at
+the top level.  An absent value is omitted, and so is an object left
+empty (the `series` of a record without one), so the JSON key order is
+the column order.  Both loaders read one list of values per column and
+build the records a row at a time.  Markdown is for reading.  No record
+field is rational: every number is an exact integer.
+
+Loading rejects a row that contradicts itself, with a ValueError naming
+the record's position and the field: index != |w| - d, l != b2_link,
+b2_orbifold != b2_link + 1, or a provenance that `records` never gives
+the verdict (certified takes cascade, not_klt takes unknown, unknown any
+of cascade, case-analysis, prior-work or unknown; any other verdict takes
+none).  It also rejects a missing value outside the certificate, gate and
+series columns, and JSON weights that are not four numbers.  `from_csv`
+rejects a header other than `CSV_COLUMNS` and a line whose cell count
+differs from the header's.
 """
 
 from __future__ import annotations
@@ -10,85 +31,9 @@ import csv
 import io
 import json
 
-from .klt import Certified, KltVerdict, NotKltGate, Unknown
-from .records import CandidateRecord
+from .klt import Certified, NotKltGate, Unknown
+from .records import CandidateRecord, _ke_flag
 from .weights import Candidate, WeightSystem
-
-
-def _klt_dict(v: KltVerdict, provenance: str) -> dict:
-    if isinstance(v, Certified):
-        return {
-            "verdict": "certified",
-            "rule": v.rule,
-            "lhs": v.lhs,
-            "rhs": v.rhs,
-            "provenance": provenance,
-        }
-    if isinstance(v, NotKltGate):
-        return {"verdict": "not_klt", "gate": v.gate, "provenance": provenance}
-    return {"verdict": "unknown", "provenance": provenance}
-
-
-def _klt_from_dict(d: dict) -> KltVerdict:
-    if d["verdict"] == "certified":
-        return Certified(rule=d["rule"], lhs=d["lhs"], rhs=d["rhs"])
-    if d["verdict"] == "not_klt":
-        return NotKltGate(gate=d["gate"])
-    return Unknown()
-
-
-def record_to_dict(r: CandidateRecord) -> dict:
-    out = {
-        "index": r.candidate.I,
-        "weights": list(r.candidate.weights.w),
-        "degree": r.candidate.d,
-        "b2_orbifold": r.b2_orbifold,
-        "b2_link": r.b2_link,
-        "l": r.l,
-        "mu": r.mu,
-        "klt": _klt_dict(r.klt, r.klt_provenance),
-        "moduli": {"m": r.moduli_m, "dimG": r.moduli_dim_aut, "n": r.moduli_n},
-    }
-    if r.series_id is not None:
-        out["series"] = {"id": r.series_id, "k": r.series_k}
-    return out
-
-
-def record_from_dict(d: dict) -> CandidateRecord:
-    cand = Candidate(WeightSystem(tuple(d["weights"])), d["degree"])
-    verdict = _klt_from_dict(d["klt"])
-    provenance = d["klt"]["provenance"]
-    if isinstance(verdict, Certified):
-        ke = "Y"
-    elif isinstance(verdict, NotKltGate):
-        ke = "N"
-    else:
-        ke = "Y" if provenance != "unknown" else "?"
-    series = d.get("series")
-    return CandidateRecord(
-        candidate=cand,
-        mu=d["mu"],
-        b2_link=d["b2_link"],
-        b2_orbifold=d["b2_orbifold"],
-        l=d["l"],
-        klt=verdict,
-        klt_provenance=provenance,
-        ke=ke,
-        moduli_m=d["moduli"]["m"],
-        moduli_dim_aut=d["moduli"]["dimG"],
-        moduli_n=d["moduli"]["n"],
-        series_id=series["id"] if series else None,
-        series_k=series["k"] if series else None,
-    )
-
-
-def to_json(records: list[CandidateRecord]) -> str:
-    return json.dumps([record_to_dict(r) for r in records], indent=1) + "\n"
-
-
-def from_json(text: str) -> list[CandidateRecord]:
-    return [record_from_dict(d) for d in json.loads(text)]
-
 
 CSV_COLUMNS = [
     "index", "w0", "w1", "w2", "w3", "degree", "b2_orbifold", "b2_link", "l",
@@ -96,61 +41,112 @@ CSV_COLUMNS = [
     "klt_provenance", "moduli_m", "moduli_dimG", "moduli_n", "series_id",
     "series_k",
 ]
+_TEXT = ("klt_verdict", "klt_rule", "klt_gate", "klt_provenance", "series_id")
+_GROUPS = ("klt", "moduli", "series")
+_OPTIONAL = ("klt_rule", "klt_gate", "klt_lhs", "klt_rhs", "series_id", "series_k")
+
+
+def _place(column: str) -> tuple[str | None, str | int]:
+    """Where a column sits in JSON: (object, key), object None at the top level."""
+    if column in ("w0", "w1", "w2", "w3"):
+        return "weights", int(column[1])
+    group, _, key = column.partition("_")
+    return (group, key) if group in _GROUPS else (None, column)
+
+
+_PLACES = tuple(map(_place, CSV_COLUMNS))
+_VERDICTS = {Certified: "certified", NotKltGate: "not_klt", Unknown: "unknown"}
+# The provenances `records._record` gives each verdict.
+_PROVENANCES = {"certified": ("cascade",), "not_klt": ("unknown",),
+                "unknown": ("cascade", "case-analysis", "prior-work", "unknown")}
+
+
+def _row(r: CandidateRecord) -> tuple:
+    c, v = r.candidate, r.klt
+    return (c.I, *c.weights.w, c.d, r.b2_orbifold, r.b2_link, r.l, r.mu, _VERDICTS[type(v)],
+            getattr(v, "rule", None), getattr(v, "gate", None), getattr(v, "lhs", None),
+            getattr(v, "rhs", None), r.klt_provenance, r.moduli_m, r.moduli_dim_aut,
+            r.moduli_n, r.series_id, r.series_k)
+
+
+def _from_row(row: tuple) -> CandidateRecord:
+    (I, w0, w1, w2, w3, d, b2_orbifold, b2_link, l, mu, verdict, rule, gate, lhs, rhs,
+     provenance, m, dim_aut, n, series_id, series_k) = row
+    c = Candidate(WeightSystem((w0, w1, w2, w3)), d)
+    for field, value, source, want in (("index", I, "|w| - d", c.I), ("l", l, "b2_link", b2_link),
+                                       ("b2_orbifold", b2_orbifold, "b2_link + 1", b2_link + 1)):
+        if value != want:
+            raise ValueError(f"{field} = {value}, but {source} = {want}")
+    if provenance not in _PROVENANCES.get(verdict, ()):
+        raise ValueError(f"klt_verdict {verdict!r} never has klt_provenance {provenance!r}")
+    klt = (Certified(rule, lhs, rhs) if verdict == "certified"
+           else NotKltGate(gate) if verdict == "not_klt" else Unknown())
+    return CandidateRecord(c, mu, b2_link, b2_orbifold, l, klt, provenance,
+                           _ke_flag(klt, provenance), m, dim_aut, n, series_id, series_k)
+
+
+def _load(columns) -> list[CandidateRecord]:
+    """Records from one list of values per column; a ValueError names the record's position."""
+    for column, values in zip(CSV_COLUMNS, columns):
+        if column not in _OPTIONAL and None in values:
+            raise ValueError(f"record {values.index(None) + 1}: {column} is missing")
+    out = []
+    for pos, row in enumerate(zip(*columns), 1):
+        try:
+            out.append(_from_row(row))
+        except ValueError as exc:
+            raise ValueError(f"record {pos}: {exc}") from None
+    return out
+
+
+def record_to_dict(r: CandidateRecord) -> dict:
+    out: dict = {}
+    for (group, key), value in zip(_PLACES, _row(r)):
+        if value is not None:
+            (out if group is None else out.setdefault(group, {}))[key] = value
+    out["weights"] = list(out["weights"].values())  # keyed 0..3 until here
+    return out
+
+
+def _json_columns(entries: list[dict]) -> list[list]:
+    """One list of values per column, each read from its place in every entry."""
+    objects = {None: entries, "weights": [e.get("weights") or () for e in entries]}
+    objects.update((group, [e.get(group) or {} for e in entries]) for group in _GROUPS)
+    for pos, w in enumerate(objects["weights"], 1):
+        if len(w) != 4:
+            raise ValueError(f"record {pos}: weights {w!r} are not four numbers")
+    return [[w[key] for w in objects[group]] if group == "weights" else
+            [obj.get(key) for obj in objects[group]] for group, key in _PLACES]
+
+
+def record_from_dict(d: dict) -> CandidateRecord:
+    return _load(_json_columns([d]))[0]
+
+
+def to_json(records: list[CandidateRecord]) -> str:
+    return json.dumps([record_to_dict(r) for r in records], indent=1) + "\n"
+
+
+def from_json(text: str) -> list[CandidateRecord]:
+    return _load(_json_columns(json.loads(text)))
 
 
 def to_csv(records: list[CandidateRecord]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        d = record_to_dict(r)
-        klt = d["klt"]
-        series = d.get("series", {})
-        writer.writerow(
-            [
-                d["index"], *d["weights"], d["degree"], d["b2_orbifold"],
-                d["b2_link"], d["l"], d["mu"], klt["verdict"],
-                klt.get("rule", ""), klt.get("gate", ""), klt.get("lhs", ""),
-                klt.get("rhs", ""), klt["provenance"], d["moduli"]["m"],
-                d["moduli"]["dimG"], d["moduli"]["n"],
-                series.get("id", ""), series.get("k", ""),
-            ]
-        )
+    rows = (["" if v is None else v for v in _row(r)] for r in records)
+    csv.writer(buf, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
     return buf.getvalue()
 
 
 def from_csv(text: str) -> list[CandidateRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == CSV_COLUMNS, "unexpected CSV header"
-    out = []
-    for row in rows[1:]:
-        rec = dict(zip(CSV_COLUMNS, row))
-        klt: dict = {"verdict": rec["klt_verdict"], "provenance": rec["klt_provenance"]}
-        if rec["klt_rule"]:
-            klt.update(
-                rule=rec["klt_rule"], lhs=int(rec["klt_lhs"]), rhs=int(rec["klt_rhs"])
-            )
-        if rec["klt_gate"]:
-            klt["gate"] = rec["klt_gate"]
-        d = {
-            "index": int(rec["index"]),
-            "weights": [int(rec[f"w{i}"]) for i in range(4)],
-            "degree": int(rec["degree"]),
-            "b2_orbifold": int(rec["b2_orbifold"]),
-            "b2_link": int(rec["b2_link"]),
-            "l": int(rec["l"]),
-            "mu": int(rec["mu"]),
-            "klt": klt,
-            "moduli": {
-                "m": int(rec["moduli_m"]),
-                "dimG": int(rec["moduli_dimG"]),
-                "n": int(rec["moduli_n"]),
-            },
-        }
-        if rec["series_id"]:
-            d["series"] = {"id": rec["series_id"], "k": int(rec["series_k"])}
-        out.append(record_from_dict(d))
-    return out
+    header, *rows = list(csv.reader(io.StringIO(text))) or [[]]
+    if header != CSV_COLUMNS:
+        raise ValueError(f"CSV header is not {','.join(CSV_COLUMNS)}")
+    for line, cells in enumerate(rows, 2):
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(f"CSV line {line} has {len(cells)} cells, the header {len(CSV_COLUMNS)}")
+    return _load([[None if s == "" else s if text else int(s) for s in column]
+                  for column, text in zip(zip(*rows), [c in _TEXT for c in CSV_COLUMNS])])
 
 
 def to_markdown(records: list[CandidateRecord]) -> str:

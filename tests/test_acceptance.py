@@ -28,7 +28,7 @@ from delpezzo.topology import (
     milnor_number,
     reduced_ratios,
 )
-from delpezzo.quasismooth import condition_I, condition_II, condition_III, is_quasismooth
+from delpezzo.quasismooth import condition_I, hypersurface_rejection, is_quasismooth
 from delpezzo.records import classify
 from delpezzo.weights import Candidate, WeightSystem, is_well_formed, normalize_weights
 from oracles import (
@@ -314,11 +314,13 @@ def test_criterion_9_jacobian_quasismoothness(enumeration_150):
                 continue
             cases += 1
             passes_I = condition_I(ws, d) is not None
-            criterion = passes_I and condition_III(ws, d)
+            rejection = hypersurface_rejection(Candidate(ws, d))
+            fails_II = rejection is not None and rejection.reason == "X not well-formed"
+            criterion = rejection is None or fails_II  # I and III
             assert _jacobian_verdict(w, d) is criterion, (w, d)
-            assert is_quasismooth(ws, d) is (criterion and condition_II(ws, d)), (w, d)
+            assert is_quasismooth(ws, d) is (rejection is None), (w, d)
             fail_III += passes_I and not criterion
-            if criterion and not condition_II(ws, d):
+            if fails_II:
                 fail_II += 1
                 assert classify(w, d).reason == "X not well-formed", (w, d)
     assert (cases, fail_III) == (935, 49)

@@ -60,6 +60,10 @@ def test_series_flags():
     assert fams["(2,2k+1,2k+1,4k+1)"].klt_provenance == "prior-work"
     assert fams["(2,2k+1,2k+1,4k+1)"].ke == "Y"
     assert fams["(4,2k+1,4k+2,6k+1)"].ke == "?"
+    # `records._ke_flag` reads "Y" off a provenance that names a proof, so a
+    # family flagged Y must name one and a family flagged ? must not
+    for fam in catalog.reference_series() + catalog.errata_series():
+        assert (fam.ke == "Y") == (fam.klt_provenance != "unknown"), fam.id
 
 
 def test_curated_series_instances_pass_filters():

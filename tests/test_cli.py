@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,19 +17,36 @@ from hypothesis import strategies as st
 
 import delpezzo.cli as cli
 from delpezzo import catalog, moduli, search, serialize
+from delpezzo.klt import Certified, NotKltGate, Unknown
+from delpezzo.records import build_record
 from delpezzo.search import brute_force_enumerate
 from delpezzo.serialize import (
+    CSV_COLUMNS,
     from_csv,
     from_json,
     to_csv,
     to_json,
     to_markdown,
 )
+from delpezzo.weights import Candidate, WeightSystem
+
+
+def record_of(w, d):
+    return build_record(Candidate(WeightSystem(w), d))
 
 
 @pytest.fixture(scope="module")
 def sample_records():
-    return brute_force_enumerate(1, 1, 60) + brute_force_enumerate(2, 2, 40)
+    """Every verdict: the oracle's certified and unknown records, then gates G1 and G2."""
+    gated = [record_of((1, 1, 4, 4), 8), record_of((1, 1, 1, 1), 3)]
+    return brute_force_enumerate(1, 1, 60) + brute_force_enumerate(2, 2, 40) + gated
+
+
+def test_sample_records_cover_every_verdict(sample_records):
+    assert {type(r.klt) for r in sample_records} == {Certified, NotKltGate, Unknown}
+    assert [r.klt for r in sample_records[-2:]] == [NotKltGate("G1"), NotKltGate("G2")]
+    entry = json.loads(to_json(sample_records))[-2]
+    assert entry["klt"] == {"verdict": "not_klt", "gate": "G1", "provenance": "unknown"}
 
 
 def test_json_round_trip(sample_records):
@@ -57,6 +76,105 @@ def test_json_schema_fields(sample_records):
         }
         assert set(entry["moduli"]) == {"m", "dimG", "n"}
         assert entry["klt"]["verdict"] in {"certified", "not_klt", "unknown"}
+
+
+def test_json_key_order_is_csv_column_order(sample_records):
+    """w0..w3 form `weights`, klt_/moduli_/series_ columns nest, absent values drop."""
+    for entry in json.loads(to_json(sample_records)):
+        keys = []
+        for key, value in entry.items():
+            if key == "weights":
+                keys += [f"w{i}" for i in range(len(value))]
+            elif isinstance(value, dict):
+                keys += [f"{key}_{k}" for k in value]
+            else:
+                keys.append(key)
+        assert keys == [c for c in CSV_COLUMNS if c in keys]
+
+
+def _edited(records, pos, column, json_path, value):
+    """JSON and CSV text of `records` with one value of record `pos` replaced.
+
+    None removes the value: the JSON key is dropped and the CSV cell left empty.
+    """
+    rows = json.loads(to_json(records))
+    *outer, key = json_path
+    target = rows[pos]
+    for part in outer:
+        target = target[part]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    table = list(csv.reader(io.StringIO(to_csv(records))))
+    table[pos + 1][CSV_COLUMNS.index(column)] = "" if value is None else str(value)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    return json.dumps(rows, indent=1), buf.getvalue()
+
+
+# (weights, degree) of a certified, a gated and an unknown record
+CERTIFIED, GATED, UNKNOWN = ((2, 3, 5, 9), 18), ((1, 1, 4, 4), 8), ((2, 3, 4, 5), 12)
+
+
+@pytest.mark.parametrize(
+    "case,column,json_path,value,message",
+    [
+        (UNKNOWN, "index", ("index",), 7, "index = 7, but |w| - d = 2"),
+        (UNKNOWN, "b2_orbifold", ("b2_orbifold",), 99, "b2_orbifold = 99, but b2_link + 1"),
+        (UNKNOWN, "l", ("l",), 0, "l = 0, but b2_link"),
+        (CERTIFIED, "klt_provenance", ("klt", "provenance"), "unknown",
+         "klt_verdict 'certified' never has klt_provenance 'unknown'"),
+        (GATED, "klt_provenance", ("klt", "provenance"), "cascade",
+         "klt_verdict 'not_klt' never has klt_provenance 'cascade'"),
+        (UNKNOWN, "klt_provenance", ("klt", "provenance"), "folklore",
+         "klt_verdict 'unknown' never has klt_provenance 'folklore'"),
+        (UNKNOWN, "klt_verdict", ("klt", "verdict"), "maybe", "klt_verdict 'maybe' never has"),
+        (UNKNOWN, "mu", ("mu",), None, "mu is missing"),
+    ],
+    ids=["index", "b2_orbifold", "l", "certified-provenance", "not_klt-provenance",
+         "unknown-provenance", "verdict", "mu-missing"],
+)
+def test_loaders_reject_contradicting_rows(case, column, json_path, value, message):
+    records = [record_of(*CERTIFIED), record_of(*case)]
+    json_text, csv_text = _edited(records, 1, column, json_path, value)
+    for load, text in ((from_json, json_text), (from_csv, csv_text)):
+        with pytest.raises(ValueError, match="^record 2: " + re.escape(message)):
+            load(text)
+
+
+def test_from_json_rejects_weights_that_are_not_four_numbers():
+    entry = json.loads(to_json([record_of(*UNKNOWN)]))[0]
+    entry["weights"].append(7)
+    with pytest.raises(ValueError, match=r"^record 1: weights \[2, 3, 4, 5, 7\] are not four"):
+        from_json(json.dumps([entry]))
+
+
+def test_loaders_accept_unknown_verdict_with_cascade_provenance():
+    """A cascade family member the cascade does not certify keeps the family's provenance."""
+    r = dataclasses.replace(record_of(*UNKNOWN), klt_provenance="cascade", ke="Y")
+    assert from_json(to_json([r])) == [r]
+    assert from_csv(to_csv([r])) == [r]
+
+
+def test_from_csv_rejects_reordered_header(sample_records):
+    header, rest = to_csv(sample_records).split("\n", 1)
+    names = header.split(",")
+    names[1], names[2] = names[2], names[1]
+    with pytest.raises(ValueError, match="CSV header"):
+        from_csv(",".join(names) + "\n" + rest)
+
+
+@pytest.mark.parametrize("edit,cells", [(lambda line: line + ",1,2", 23),
+                                        (lambda line: line[:-1], 20)],
+                         ids=["two-extra-cells", "no-empty-last-cell"])
+def test_from_csv_rejects_a_line_of_the_wrong_length(sample_records, edit, cells):
+    """Two extra cells, or a line without its empty last cell (a record without series)."""
+    lines = to_csv(sample_records).splitlines()
+    n = next(i for i, line in enumerate(lines) if line.endswith(",,"))
+    lines[n] = edit(lines[n])
+    with pytest.raises(ValueError, match=f"CSV line {n + 1} has {cells} cells"):
+        from_csv("\n".join(lines) + "\n")
 
 
 def test_cli_enumerate_index3(capsys):

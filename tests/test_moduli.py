@@ -8,7 +8,6 @@ from delpezzo.errors import PreconditionError
 from delpezzo.moduli import (
     aut_dimension,
     is_minimal_torus,
-    moduli_dimension,
     moduli_report,
     monomial_dimension,
 )
@@ -61,7 +60,7 @@ def test_aut_dimension(w, dim):
     ],
 )
 def test_moduli_dimension(w, d, n):
-    assert moduli_dimension(cand(w, d)) == n
+    assert moduli_report(cand(w, d)).n == n
 
 
 def test_classical_triple():

@@ -5,9 +5,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo.quasismooth import (
+    _failing_pair_III,
+    _pair_witness_extras,
     condition_I,
-    condition_II,
-    condition_III,
     hypersurface_rejection,
     is_quasismooth,
 )
@@ -57,7 +57,12 @@ def test_condition_I_unit_weight_always_solvable():
     ],
 )
 def test_condition_II(w, d, expected):
-    assert condition_II(normalize_weights(w), d) is expected
+    rejection = hypersurface_rejection(Candidate(normalize_weights(w), d))
+    if expected:
+        assert rejection is None
+    else:
+        assert rejection.reason == "X not well-formed"
+        assert rejection.detail.startswith("gcd(w0, w2) = 2 does not divide 13")
 
 
 @pytest.mark.parametrize(
@@ -69,32 +74,30 @@ def test_condition_II(w, d, expected):
     ],
 )
 def test_condition_III_examples(w, d):
-    assert condition_III(normalize_weights(w), d) is True
+    assert _failing_pair_III(normalize_weights(w).w, d) is None
 
 
 def test_condition_III_witness_pair():
     # the (12, 17)-pair of (9,11,12,17) at degree 45 has no pure monomial;
     # z_2^3 z_0 and z_3^2 z_1 supply both extra directions
     w = normalize_weights((9, 11, 12, 17))
-    from delpezzo.quasismooth import _pair_witness_extras
     from delpezzo.weights import pair_has_monomial
 
     assert not pair_has_monomial(12, 17, 45)
     assert _pair_witness_extras(w, 45, 2, 3) == {0, 1}
-    assert condition_III(w, 45)
+    assert _failing_pair_III(w.w, 45) is None
 
 
 def test_condition_III_one_witness_pair_fails():
     # the (2,2)-pair has no pure monomial and only z_0 as a witness, so
     # the two-witness rule rejects it
-    from delpezzo.quasismooth import _pair_witness_extras
     from delpezzo.weights import pair_has_monomial
 
     w = normalize_weights((1, 2, 2, 2))
     d = 3
     assert not pair_has_monomial(w[1], w[2], d)
     assert _pair_witness_extras(w, d, 1, 2) == {0}
-    assert condition_III(w, d) is False
+    assert _failing_pair_III(w.w, d) == (1, 2)
 
 
 @st.composite
@@ -113,7 +116,6 @@ def test_condition_I_partners_witness_every_pair(case):
     witness variables, so one witness always exists."""
     from math import gcd
 
-    from delpezzo.quasismooth import _pair_witness_extras
     from delpezzo.weights import pair_has_monomial
 
     raw, d = case
