@@ -102,8 +102,22 @@ MUTANTS = [
            '_GROUPS = ("klt", "moduli", "series")', '_GROUPS = ("klt", "series")',
            ("tests/test_cli.py::test_json_schema_fields",)),
     Mutant("load-no-index-check", "src/delpezzo/serialize.py",
-           '("index", I, "|w| - d", c.I), ', "",
+           "(I, l, b2_orbifold) != (c.I, b2_link, b2_link + 1)",
+           "(l, b2_orbifold) != (b2_link, b2_link + 1)",
            ("tests/test_cli.py::test_loaders_reject_contradicting_rows[index]",)),
+    Mutant("load-no-certificate-check", "src/delpezzo/serialize.py",
+           "if (rule is None, gate is None, lhs is None, rhs is None) != _ABSENT[cls]:",
+           "if False:",
+           ("tests/test_cli.py::test_loaders_reject_contradicting_rows[certified-rule-missing]",)),
+    Mutant("load-series-id-alone", "src/delpezzo/serialize.py",
+           "if (series_id is None) != (series_k is None):", "if False:",
+           ("tests/test_cli.py::test_loaders_reject_contradicting_rows[series-k-missing]",)),
+    Mutant("provenance-gated-cascade", "src/delpezzo/records.py",
+           'NotKltGate: ("unknown",)', 'NotKltGate: ("unknown", "cascade")',
+           ("tests/test_cli.py::test_loaders_reject_contradicting_rows[not_klt-provenance]",)),
+    Mutant("csv-int-unchecked", "src/delpezzo/serialize.py",
+           'if s and not s.removeprefix("-").isdecimal():', "if False:",
+           ("tests/test_cli.py::test_from_csv_rejects_a_number_cell_that_is_not_an_integer",)),
 ]
 
 

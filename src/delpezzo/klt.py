@@ -30,6 +30,10 @@ GATE_RULES = {GATE_INDEX_VS_SMALLEST: "2I >= 3w0", GATE_INDEX_PAIR_SUM: "2I = w0
 class NotKltGate:
     gate: str  # "G1" or "G2"
 
+    def __post_init__(self):
+        if self.gate not in GATE_RULES:
+            raise ValueError(f"no gate {self.gate!r}: the gates are {', '.join(GATE_RULES)}")
+
     def __str__(self) -> str:
         return f"NotKlt (gate {self.gate}: {GATE_RULES[self.gate]})"
 

@@ -90,6 +90,12 @@ def _ke_flag(verdict: KltVerdict, provenance: str) -> str:
     return "?" if provenance == "unknown" else "Y"
 
 
+# The provenances `_record` gives each verdict, and so the only ones a loaded
+# record may have: a family's, for an uncertified member of a proven family.
+_PROVENANCES = {Certified: ("cascade",), NotKltGate: ("unknown",),
+                Unknown: ("cascade", "case-analysis", "prior-work", "unknown")}
+
+
 def _record(c: Candidate) -> CandidateRecord:
     link = _link_report(c)
     mod = _moduli_report(c, count_monomials(c.weights, c.d))

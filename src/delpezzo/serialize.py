@@ -16,13 +16,16 @@ field is rational: every number is an exact integer.
 
 Loading rejects a row that contradicts itself, with a ValueError naming
 the record's position and the field: index != |w| - d, l != b2_link,
-b2_orbifold != b2_link + 1, or a provenance that `records` never gives
-the verdict (certified takes cascade, not_klt takes unknown, unknown any
-of cascade, case-analysis, prior-work or unknown; any other verdict takes
-none).  It also rejects a missing value outside the certificate, gate and
-series columns, and JSON weights that are not four numbers.  `from_csv`
-rejects a header other than `CSV_COLUMNS` and a line whose cell count
-differs from the header's.
+b2_orbifold != b2_link + 1, or a provenance that `records._PROVENANCES`
+never gives the verdict (certified takes cascade, not_klt takes unknown,
+unknown any of cascade, case-analysis, prior-work or unknown; any other
+verdict takes none).  A verdict has exactly the certificate columns that
+are fields of its class: certified has rule, lhs and rhs, not_klt has
+gate (G1 or G2), unknown has none.  `series_id` and `series_k` are both
+present or both absent, and every other column is always present.  JSON
+weights must be four numbers.  `from_csv` rejects a header other than
+`CSV_COLUMNS`, a line whose cell count differs from the header's, and a
+cell that is not an integer outside the text columns.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import fields
 
 from .klt import Certified, NotKltGate, Unknown
-from .records import CandidateRecord, _ke_flag
+from .records import _PROVENANCES, CandidateRecord, _ke_flag
 from .weights import Candidate, WeightSystem
 
 CSV_COLUMNS = [
@@ -56,9 +60,11 @@ def _place(column: str) -> tuple[str | None, str | int]:
 
 _PLACES = tuple(map(_place, CSV_COLUMNS))
 _VERDICTS = {Certified: "certified", NotKltGate: "not_klt", Unknown: "unknown"}
-# The provenances `records._record` gives each verdict.
-_PROVENANCES = {"certified": ("cascade",), "not_klt": ("unknown",),
-                "unknown": ("cascade", "case-analysis", "prior-work", "unknown")}
+_CLASSES = {name: cls for cls, name in _VERDICTS.items()}
+_CERTIFICATE = ("klt_rule", "klt_gate", "klt_lhs", "klt_rhs")
+# Which certificate columns each verdict leaves absent: those that are not fields of its class.
+_ABSENT = {cls: tuple(c[4:] not in {f.name for f in fields(cls)} for c in _CERTIFICATE)
+           for cls in _VERDICTS}
 
 
 def _row(r: CandidateRecord) -> tuple:
@@ -73,14 +79,23 @@ def _from_row(row: tuple) -> CandidateRecord:
     (I, w0, w1, w2, w3, d, b2_orbifold, b2_link, l, mu, verdict, rule, gate, lhs, rhs,
      provenance, m, dim_aut, n, series_id, series_k) = row
     c = Candidate(WeightSystem((w0, w1, w2, w3)), d)
-    for field, value, source, want in (("index", I, "|w| - d", c.I), ("l", l, "b2_link", b2_link),
-                                       ("b2_orbifold", b2_orbifold, "b2_link + 1", b2_link + 1)):
-        if value != want:
-            raise ValueError(f"{field} = {value}, but {source} = {want}")
-    if provenance not in _PROVENANCES.get(verdict, ()):
+    if (I, l, b2_orbifold) != (c.I, b2_link, b2_link + 1):
+        field, value, source, want = next(check for check in (
+            ("index", I, "|w| - d", c.I), ("l", l, "b2_link", b2_link),
+            ("b2_orbifold", b2_orbifold, "b2_link + 1", b2_link + 1)) if check[1] != check[3])
+        raise ValueError(f"{field} = {value}, but {source} = {want}")
+    cls = _CLASSES.get(verdict)
+    if provenance not in _PROVENANCES.get(cls, ()):
         raise ValueError(f"klt_verdict {verdict!r} never has klt_provenance {provenance!r}")
-    klt = (Certified(rule, lhs, rhs) if verdict == "certified"
-           else NotKltGate(gate) if verdict == "not_klt" else Unknown())
+    if (rule is None, gate is None, lhs is None, rhs is None) != _ABSENT[cls]:
+        column, value = next((column, value) for column, value, absent in zip(
+            _CERTIFICATE, (rule, gate, lhs, rhs), _ABSENT[cls]) if (value is None) != absent)
+        raise ValueError(f"{column} is missing" if value is None
+                         else f"klt_verdict {verdict!r} has no {column}")
+    if (series_id is None) != (series_k is None):
+        raise ValueError(f"{'series_id' if series_id is None else 'series_k'} is missing")
+    klt = (Certified(rule, lhs, rhs) if cls is Certified
+           else NotKltGate(gate) if cls is NotKltGate else Unknown())
     return CandidateRecord(c, mu, b2_link, b2_orbifold, l, klt, provenance,
                            _ke_flag(klt, provenance), m, dim_aut, n, series_id, series_k)
 
@@ -145,8 +160,17 @@ def from_csv(text: str) -> list[CandidateRecord]:
     for line, cells in enumerate(rows, 2):
         if len(cells) != len(CSV_COLUMNS):
             raise ValueError(f"CSV line {line} has {len(cells)} cells, the header {len(CSV_COLUMNS)}")
-    return _load([[None if s == "" else s if text else int(s) for s in column]
-                  for column, text in zip(zip(*rows), [c in _TEXT for c in CSV_COLUMNS])])
+    return _load([_csv_column(column, cells) for column, cells in zip(CSV_COLUMNS, zip(*rows))])
+
+
+def _csv_column(column: str, cells) -> list:
+    """A column's CSV cells as values: "" is None, and a cell outside the text columns an int."""
+    if column in _TEXT:
+        return [s or None for s in cells]
+    for pos, s in enumerate(cells, 1):
+        if s and not s.removeprefix("-").isdecimal():
+            raise ValueError(f"record {pos}: {column} = {s!r} is not an integer")
+    return [int(s) if s else None for s in cells]
 
 
 def to_markdown(records: list[CandidateRecord]) -> str:

@@ -113,8 +113,9 @@ def _edited(records, pos, column, json_path, value):
     return json.dumps(rows, indent=1), buf.getvalue()
 
 
-# (weights, degree) of a certified, a gated and an unknown record
+# (weights, degree) of a certified, a gated and an unknown record, and of a series member
 CERTIFIED, GATED, UNKNOWN = ((2, 3, 5, 9), 18), ((1, 1, 4, 4), 8), ((2, 3, 4, 5), 12)
+SERIES = ((2, 3, 3, 5), 12)
 
 
 @pytest.mark.parametrize(
@@ -131,9 +132,19 @@ CERTIFIED, GATED, UNKNOWN = ((2, 3, 5, 9), 18), ((1, 1, 4, 4), 8), ((2, 3, 4, 5)
          "klt_verdict 'unknown' never has klt_provenance 'folklore'"),
         (UNKNOWN, "klt_verdict", ("klt", "verdict"), "maybe", "klt_verdict 'maybe' never has"),
         (UNKNOWN, "mu", ("mu",), None, "mu is missing"),
+        (CERTIFIED, "klt_rule", ("klt", "rule"), None, "klt_rule is missing"),
+        (CERTIFIED, "klt_lhs", ("klt", "lhs"), None, "klt_lhs is missing"),
+        (GATED, "klt_gate", ("klt", "gate"), None, "klt_gate is missing"),
+        (GATED, "klt_gate", ("klt", "gate"), "G9", "no gate 'G9'"),
+        (UNKNOWN, "klt_gate", ("klt", "gate"), "G1", "klt_verdict 'unknown' has no klt_gate"),
+        (CERTIFIED, "klt_gate", ("klt", "gate"), "G1", "klt_verdict 'certified' has no klt_gate"),
+        (SERIES, "series_k", ("series", "k"), None, "series_k is missing"),
+        (SERIES, "series_id", ("series", "id"), None, "series_id is missing"),
     ],
     ids=["index", "b2_orbifold", "l", "certified-provenance", "not_klt-provenance",
-         "unknown-provenance", "verdict", "mu-missing"],
+         "unknown-provenance", "verdict", "mu-missing", "certified-rule-missing",
+         "certified-lhs-missing", "not_klt-gate-missing", "not_klt-gate-unknown",
+         "unknown-with-gate", "certified-with-gate", "series-k-missing", "series-id-missing"],
 )
 def test_loaders_reject_contradicting_rows(case, column, json_path, value, message):
     records = [record_of(*CERTIFIED), record_of(*case)]
@@ -141,6 +152,13 @@ def test_loaders_reject_contradicting_rows(case, column, json_path, value, messa
     for load, text in ((from_json, json_text), (from_csv, csv_text)):
         with pytest.raises(ValueError, match="^record 2: " + re.escape(message)):
             load(text)
+
+
+def test_from_csv_rejects_a_number_cell_that_is_not_an_integer():
+    _, csv_text = _edited([record_of(*CERTIFIED), record_of(*UNKNOWN)], 1, "degree",
+                          ("degree",), "x")
+    with pytest.raises(ValueError, match="^record 2: degree = 'x' is not an integer$"):
+        from_csv(csv_text)
 
 
 def test_from_json_rejects_weights_that_are_not_four_numbers():
