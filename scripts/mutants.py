@@ -91,6 +91,16 @@ MUTANTS = [
     Mutant("partner-first-not-min", "src/delpezzo/quasismooth.py",
            "if best is None or m < best[0]:", "if best is None:",
            ("tests/test_quasismooth.py::test_condition_I_witness_matches_scan",)),
+    Mutant("iii-no-fourth-variable", "src/delpezzo/quasismooth.py",
+           "if k == partner[j] and not pair_has_monomial(w[i], w[j], d - w[6 - i - j - k]):",
+           "if k == partner[j]:",
+           ("tests/test_quasismooth.py::test_failure_matches_literal_rule_small_weights",)),
+    Mutant("ii-before-iii", "src/delpezzo/quasismooth.py",
+           "if not pair_has_monomial(w[i], w[j], d)]\n",
+           "if not pair_has_monomial(w[i], w[j], d)]\n    for i, j in bare:\n"
+           "        if gcd(w[i], w[j]) > 1:\n            return \"II\", (i, j)\n",
+           ("tests/test_quasismooth.py::test_condition_III_one_witness_pair_fails",
+            "tests/test_quasismooth.py::test_failure_matches_literal_rule")),
     Mutant("divisor-no-remainder-check", "src/delpezzo/topology.py",
            "        if rem:\n            rational", "        if False:\n            rational",
            ("tests/test_topology.py::test_integer_divisor_checks_match_fraction_fold",)),
@@ -102,9 +112,13 @@ MUTANTS = [
            '_GROUPS = ("klt", "moduli", "series")', '_GROUPS = ("klt", "series")',
            ("tests/test_cli.py::test_json_schema_fields",)),
     Mutant("load-no-index-check", "src/delpezzo/serialize.py",
-           "(I, l, b2_orbifold) != (c.I, b2_link, b2_link + 1)",
-           "(l, b2_orbifold) != (b2_link, b2_link + 1)",
+           "(I, l, b2_orbifold, n) != (c.I, b2_link, b2_link + 1, m - dim_aut)",
+           "(l, b2_orbifold, n) != (b2_link, b2_link + 1, m - dim_aut)",
            ("tests/test_cli.py::test_loaders_reject_contradicting_rows[index]",)),
+    Mutant("load-no-moduli-n-check", "src/delpezzo/serialize.py",
+           "(I, l, b2_orbifold, n) != (c.I, b2_link, b2_link + 1, m - dim_aut)",
+           "(I, l, b2_orbifold) != (c.I, b2_link, b2_link + 1)",
+           ("tests/test_cli.py::test_loaders_reject_contradicting_rows[moduli_n]",)),
     Mutant("load-no-certificate-check", "src/delpezzo/serialize.py",
            "if (rule is None, gate is None, lhs is None, rhs is None) != _ABSENT[cls]:",
            "if False:",

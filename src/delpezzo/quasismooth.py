@@ -12,17 +12,22 @@ to be quasi-smooth, i.e. to have an affine cone smooth away from the
 origin (Iano-Fletcher, "Working with weighted complete intersections",
 LMS LN 281, 2000, Thm 8.1).  II is not part of it: it says that X is
 well-formed, i.e. contains no singular line of P(w) (ibid. section 6).
-III is the two-witness form; `_failing_pair_III` proves that the
-one-witness reading follows from I.
+
+One private pass, `_failure`, decides the three conditions in the order
+I, III, II and names where the first one fails.  It finds each variable's
+minimal partner j(i) once and lists the "bare" pairs, those without a
+monomial z_i^a z_j^b, once; III reads the partners of a bare pair, and II
+is a bare pair with non-coprime weights.  Its docstring proves that the
+partners are III's witnesses.  `is_quasismooth` and
+`hypersurface_rejection` are the two readings of that pass.
 
 `hypersurface_rejection` is the one precondition check of every invariant:
 P(w) well-formed, then I, III and II, each failure reported as a
 `Rejection` that names its variable, pair or triple.
 
-The predicates unpack the plain int tuple `w.w` once and the private scans
-index it directly.  Condition I short-circuits: it stops at the first
-variable without a partner, so `is_quasismooth` rejects most inputs
-before it scans a single pair.
+The pass indexes the plain int tuple `w.w` directly.  Condition I
+short-circuits: it stops at the first variable without a partner, so most
+inputs are rejected before a single pair is tested.
 """
 
 from __future__ import annotations
@@ -66,13 +71,9 @@ def condition_I(w: WeightSystem, d: int) -> ConditionIWitness | None:
     For each i the witness takes the smallest m_i >= 1 with
     m_i*w_i + w_j = d for some j, ties broken by the smallest j.
     """
-    t = w.w
-    partners = []
-    for i in range(4):
-        p = _partner(t, d, i)
-        if p is None:
-            return None
-        partners.append(p)
+    partners = [_partner(w.w, d, i) for i in range(4)]
+    if None in partners:
+        return None
     m, j = zip(*partners)
     return ConditionIWitness(m, j)
 
@@ -90,46 +91,42 @@ def _partner(w: tuple[int, ...], d: int, i: int) -> tuple[int, int] | None:
     return best
 
 
-def _failing_pair_II(w: tuple[int, ...], d: int) -> tuple[int, int] | None:
-    """The first pair (i, j) that condition II rejects, or None.
+def _failure(w: tuple[int, ...], d: int) -> tuple[str, int | tuple[int, ...]] | None:
+    """The first condition that fails, in the order I, III, II, and where.
 
-    Condition II asks every pair with non-coprime weights to support a pure
-    pair monomial z_i^a z_j^b of degree d.
+    Returns ("I", i) for a variable without a partner, ("III", (i, j, k))
+    for a pair whose only witness is z_k, ("II", (i, j)) for a pair that
+    condition II rejects, or None if all three hold.
+
+    Condition I gives each z_i its minimal partner, z_i^{m_i} z_{j(i)} of
+    degree d.  Call a pair (i, j) bare if no z_i^a z_j^b has degree d.
+    On a bare pair j(i) lies outside {i, j}, since otherwise the partner
+    monomial would be a pure pair monomial; so z_i^{m_i} z_j^0 z_{j(i)} is
+    a witness z_i^a z_j^b z_k of condition III with k = j(i), and likewise
+    for j(j).  Hence a bare pair with j(i) != j(j) has two distinct
+    witnesses and passes III.  If j(i) = j(j) = k, the only other variable
+    outside the pair is the fourth one, l = 6 - i - j - k, and the pair
+    passes exactly when some z_i^a z_j^b z_l has degree d; when it fails,
+    z_k is its only witness.  (So the one-witness reading of III follows
+    from I and never rejects anything.)  Condition II asks every pair with
+    gcd(w_i, w_j) > 1 to support a pure pair monomial: it fails exactly on
+    a bare pair with non-coprime weights.  Each pair's monomials are tested
+    at most twice: once to decide whether it is bare, and once for z_l.
     """
-    for i, j in _PAIRS:
-        if gcd(w[i], w[j]) > 1 and not pair_has_monomial(w[i], w[j], d):
-            return i, j
-    return None
-
-
-def _pair_witness_extras(w: tuple[int, ...], d: int, i: int, j: int) -> set[int]:
-    """Indices k outside {i,j} with a monomial z_i^a z_j^b z_k of degree d."""
-    extras = set()
-    for k in range(4):
-        if k == i or k == j:
-            continue
-        if pair_has_monomial(w[i], w[j], d - w[k]):
-            extras.add(k)
-    return extras
-
-
-def _failing_pair_III(w: tuple[int, ...], d: int) -> tuple[int, int] | None:
-    """The first pair (i, j) that condition III rejects, or None.
-
-    Condition III asks every pair without a pure monomial to have witnesses
-    for two other variables.  The one-witness reading ({k, l} != {i, j}
-    with k = l allowed) follows from condition I, so it never rejects
-    anything I accepts.  Let the pair (i, j) have no monomial z_i^a z_j^b
-    of degree d.  Condition I gives z_i^{m_i} z_{j(i)} of degree d; j(i)
-    in {i, j} would make it a pure pair monomial, so j(i) = k lies outside
-    {i, j}, and the same monomial is the witness z_i^{m_i} z_j^0 z_k.
-    Hence j(i) and j(j) are both in `_pair_witness_extras`, and a single
-    witness always exists.  What III checks is that the extras hold two
-    distinct variables.
-    """
-    for i, j in _PAIRS:
-        if not pair_has_monomial(w[i], w[j], d) and len(_pair_witness_extras(w, d, i, j)) < 2:
-            return i, j
+    partner = []
+    for i in range(4):
+        p = _partner(w, d, i)
+        if p is None:
+            return "I", i
+        partner.append(p[1])
+    bare = [(i, j) for i, j in _PAIRS if not pair_has_monomial(w[i], w[j], d)]
+    for i, j in bare:
+        k = partner[i]
+        if k == partner[j] and not pair_has_monomial(w[i], w[j], d - w[6 - i - j - k]):
+            return "III", (i, j, k)
+    for i, j in bare:
+        if gcd(w[i], w[j]) > 1:
+            return "II", (i, j)
     return None
 
 
@@ -139,11 +136,7 @@ def is_quasismooth(w: WeightSystem, d: int) -> bool:
     The enumeration admits exactly this conjunction on well-formed P(w);
     `hypersurface_rejection` tells the three apart.
     """
-    t = w.w
-    for i in range(4):
-        if _partner(t, d, i) is None:
-            return False
-    return _failing_pair_II(t, d) is None and _failing_pair_III(t, d) is None
+    return _failure(w.w, d) is None
 
 
 def hypersurface_rejection(c: Candidate) -> Rejection | None:
@@ -151,9 +144,9 @@ def hypersurface_rejection(c: Candidate) -> Rejection | None:
 
     In order: P(w) well-formed (no triple of weights shares a factor),
     condition I, condition III, and condition II, reported as "X not
-    well-formed".  Each condition runs once, as the search for its failing
-    variable or pair that `is_quasismooth` also uses; the failing triple
-    is looked up only when P(w) is not well-formed.
+    well-formed".  The three conditions are one `_failure` pass, the one
+    `is_quasismooth` also reads; the failing triple is looked up only when
+    P(w) is not well-formed.
     """
     w, d = c.weights.w, c.d
     if not is_well_formed(c.weights):
@@ -161,24 +154,21 @@ def hypersurface_rejection(c: Candidate) -> Rejection | None:
             g = gcd(w[a], w[b], w[e])
             if g > 1:
                 return Rejection("P(w) not well-formed", f"gcd(w{a}, w{b}, w{e}) = {g}")
-    for i in range(4):
-        if _partner(w, d, i) is None:
-            return Rejection("condition I fails", f"no monomial z{i}^m z_j has degree {d}")
-    pair = _failing_pair_III(w, d)
-    if pair is not None:
-        i, j = pair
-        found = ", ".join(f"z{k}" for k in sorted(_pair_witness_extras(w, d, i, j)))
+    failure = _failure(w, d)
+    if failure is None:
+        return None
+    condition, at = failure
+    if condition == "I":
+        return Rejection("condition I fails", f"no monomial z{at}^m z_j has degree {d}")
+    i, j = at[:2]
+    if condition == "III":
         return Rejection("condition III fails", f"no z{i}^a z{j}^b has degree {d}, and "
-                         f"z{i}^a z{j}^b z_k does only for z_k in {{{found}}}; two are needed")
-    pair = _failing_pair_II(w, d)
-    if pair is not None:
-        i, j = pair
-        k, l = (x for x in range(4) if x not in pair)
-        g = gcd(w[i], w[j])
-        why = f"does not divide {d}" if d % g else f"> 1 and no z{i}^a z{j}^b has degree {d}"
-        return Rejection("X not well-formed", f"gcd(w{i}, w{j}) = {g} {why}, so X contains "
-                         f"the line z{k} = z{l} = 0")
-    return None
+                         f"z{i}^a z{j}^b z_k does only for z_k in {{z{at[2]}}}; two are needed")
+    k, l = (x for x in range(4) if x not in at)
+    g = gcd(w[i], w[j])
+    why = f"does not divide {d}" if d % g else f"> 1 and no z{i}^a z{j}^b has degree {d}"
+    return Rejection("X not well-formed", f"gcd(w{i}, w{j}) = {g} {why}, so X contains "
+                     f"the line z{k} = z{l} = 0")
 
 
 def require_hypersurface(c: Candidate) -> None:

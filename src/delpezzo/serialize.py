@@ -16,16 +16,17 @@ field is rational: every number is an exact integer.
 
 Loading rejects a row that contradicts itself, with a ValueError naming
 the record's position and the field: index != |w| - d, l != b2_link,
-b2_orbifold != b2_link + 1, or a provenance that `records._PROVENANCES`
-never gives the verdict (certified takes cascade, not_klt takes unknown,
-unknown any of cascade, case-analysis, prior-work or unknown; any other
-verdict takes none).  A verdict has exactly the certificate columns that
-are fields of its class: certified has rule, lhs and rhs, not_klt has
-gate (G1 or G2), unknown has none.  `series_id` and `series_k` are both
-present or both absent, and every other column is always present.  JSON
-weights must be four numbers.  `from_csv` rejects a header other than
-`CSV_COLUMNS`, a line whose cell count differs from the header's, and a
-cell that is not an integer outside the text columns.
+b2_orbifold != b2_link + 1, moduli_n != moduli_m - moduli_dimG, or a
+provenance that `records._PROVENANCES` never gives the verdict (certified
+takes cascade, not_klt takes unknown, unknown any of cascade,
+case-analysis, prior-work or unknown; any other verdict takes none).  A
+verdict has exactly the certificate columns that are fields of its class:
+certified has rule, lhs and rhs, not_klt has gate (G1 or G2), unknown has
+none.  `series_id` and `series_k` are both present or both absent, and
+every other column is always present.  JSON weights must be four
+numbers.  `from_csv` rejects a header other than `CSV_COLUMNS`, a line
+whose cell count differs from the header's, and a cell that is not an
+integer outside the text columns.
 """
 
 from __future__ import annotations
@@ -79,10 +80,11 @@ def _from_row(row: tuple) -> CandidateRecord:
     (I, w0, w1, w2, w3, d, b2_orbifold, b2_link, l, mu, verdict, rule, gate, lhs, rhs,
      provenance, m, dim_aut, n, series_id, series_k) = row
     c = Candidate(WeightSystem((w0, w1, w2, w3)), d)
-    if (I, l, b2_orbifold) != (c.I, b2_link, b2_link + 1):
+    if (I, l, b2_orbifold, n) != (c.I, b2_link, b2_link + 1, m - dim_aut):
         field, value, source, want = next(check for check in (
             ("index", I, "|w| - d", c.I), ("l", l, "b2_link", b2_link),
-            ("b2_orbifold", b2_orbifold, "b2_link + 1", b2_link + 1)) if check[1] != check[3])
+            ("b2_orbifold", b2_orbifold, "b2_link + 1", b2_link + 1),
+            ("moduli_n", n, "moduli_m - moduli_dimG", m - dim_aut)) if check[1] != check[3])
         raise ValueError(f"{field} = {value}, but {source} = {want}")
     cls = _CLASSES.get(verdict)
     if provenance not in _PROVENANCES.get(cls, ()):
@@ -132,10 +134,6 @@ def _json_columns(entries: list[dict]) -> list[list]:
             raise ValueError(f"record {pos}: weights {w!r} are not four numbers")
     return [[w[key] for w in objects[group]] if group == "weights" else
             [obj.get(key) for obj in objects[group]] for group, key in _PLACES]
-
-
-def record_from_dict(d: dict) -> CandidateRecord:
-    return _load(_json_columns([d]))[0]
 
 
 def to_json(records: list[CandidateRecord]) -> str:

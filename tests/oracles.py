@@ -119,6 +119,36 @@ def pair_solvable_oracle(wi: int, wj: int, d: int) -> bool:
     return any((d - b * wj) % wi == 0 for b in range(d // wj + 1))
 
 
+def pair_witness_extras(weights, d: int, i: int, j: int) -> set[int]:
+    """Indices k outside {i, j} with a monomial z_i^a z_j^b z_k of degree d."""
+    return {k for k in range(4) if k not in (i, j)
+            and pair_solvable_oracle(weights[i], weights[j], d - weights[k])}
+
+
+def quasismooth_failure_oracle(weights, d: int):
+    """The first of conditions I, III and II that fails, read literally.
+
+    I: a variable with no partner (`partner_oracle`) gives ("I", i).  III:
+    the first pair (i, j) with no z_i^a z_j^b and fewer than two witness
+    variables gives ("III", (i, j, *witnesses)).  II: the first pair with
+    gcd(w_i, w_j) > 1 and no z_i^a z_j^b gives ("II", (i, j)).  None if
+    all three hold.
+    """
+    for i in range(4):
+        if partner_oracle(weights, d, i) is None:
+            return "I", i
+    bare = [(i, j) for i in range(4) for j in range(i + 1, 4)
+            if not pair_solvable_oracle(weights[i], weights[j], d)]
+    for i, j in bare:
+        extras = pair_witness_extras(weights, d, i, j)
+        if len(extras) < 2:
+            return "III", (i, j, *sorted(extras))
+    for i, j in bare:
+        if gcd(weights[i], weights[j]) > 1:
+            return "II", (i, j)
+    return None
+
+
 def order_dividing(n: int, L: int) -> bool:
     return L % n == 0
 

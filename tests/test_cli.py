@@ -124,6 +124,7 @@ SERIES = ((2, 3, 3, 5), 12)
         (UNKNOWN, "index", ("index",), 7, "index = 7, but |w| - d = 2"),
         (UNKNOWN, "b2_orbifold", ("b2_orbifold",), 99, "b2_orbifold = 99, but b2_link + 1"),
         (UNKNOWN, "l", ("l",), 0, "l = 0, but b2_link"),
+        (UNKNOWN, "moduli_n", ("moduli", "n"), 9, "moduli_n = 9, but moduli_m - moduli_dimG = 4"),
         (CERTIFIED, "klt_provenance", ("klt", "provenance"), "unknown",
          "klt_verdict 'certified' never has klt_provenance 'unknown'"),
         (GATED, "klt_provenance", ("klt", "provenance"), "cascade",
@@ -141,7 +142,7 @@ SERIES = ((2, 3, 3, 5), 12)
         (SERIES, "series_k", ("series", "k"), None, "series_k is missing"),
         (SERIES, "series_id", ("series", "id"), None, "series_id is missing"),
     ],
-    ids=["index", "b2_orbifold", "l", "certified-provenance", "not_klt-provenance",
+    ids=["index", "b2_orbifold", "l", "moduli_n", "certified-provenance", "not_klt-provenance",
          "unknown-provenance", "verdict", "mu-missing", "certified-rule-missing",
          "certified-lhs-missing", "not_klt-gate-missing", "not_klt-gate-unknown",
          "unknown-with-gate", "certified-with-gate", "series-k-missing", "series-id-missing"],

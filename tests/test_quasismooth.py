@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -5,14 +6,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo.quasismooth import (
-    _failing_pair_III,
-    _pair_witness_extras,
+    _failure,
+    _partner,
     condition_I,
     hypersurface_rejection,
     is_quasismooth,
 )
-from delpezzo.weights import Candidate, WeightSystem, is_well_formed, normalize_weights
-from oracles import partner_oracle
+from delpezzo.weights import (
+    Candidate,
+    WeightSystem,
+    is_well_formed,
+    normalize_weights,
+    pair_has_monomial,
+)
+from oracles import pair_witness_extras, partner_oracle, quasismooth_failure_oracle
 
 
 def test_condition_I_minimal_witness():
@@ -37,15 +44,11 @@ def test_condition_I_quadric():
 
 
 def test_condition_I_unit_weight_always_solvable():
-    # w0 = 1 gives z_0^{d-1} z_0 whenever d >= 2
+    # w0 = 1 gives z_0^{d-1} z_0 whenever d >= 2, even if another variable fails
     for d in range(2, 60):
         for rest in [(2, 3, 7), (5, 5, 6), (11, 13, 29)]:
             w = normalize_weights((1, *rest))
-            witness = condition_I(w, d)
-            if witness is not None:
-                continue
-            # even if some other variable fails, variable 0 must be solvable
-            assert any((d - w[j]) >= 1 and (d - w[j]) % 1 == 0 for j in range(4))
+            assert _partner(w.w, d, 0) is not None
 
 
 @pytest.mark.parametrize(
@@ -74,30 +77,26 @@ def test_condition_II(w, d, expected):
     ],
 )
 def test_condition_III_examples(w, d):
-    assert _failing_pair_III(normalize_weights(w).w, d) is None
+    assert _failure(normalize_weights(w).w, d) is None
 
 
 def test_condition_III_witness_pair():
     # the (12, 17)-pair of (9,11,12,17) at degree 45 has no pure monomial;
     # z_2^3 z_0 and z_3^2 z_1 supply both extra directions
     w = normalize_weights((9, 11, 12, 17))
-    from delpezzo.weights import pair_has_monomial
-
     assert not pair_has_monomial(12, 17, 45)
-    assert _pair_witness_extras(w, 45, 2, 3) == {0, 1}
-    assert _failing_pair_III(w.w, 45) is None
+    assert pair_witness_extras(w.w, 45, 2, 3) == {0, 1}
+    assert _failure(w.w, 45) is None
 
 
 def test_condition_III_one_witness_pair_fails():
     # the (2,2)-pair has no pure monomial and only z_0 as a witness, so
-    # the two-witness rule rejects it
-    from delpezzo.weights import pair_has_monomial
-
+    # the two-witness rule rejects it, ahead of condition II on the same pair
     w = normalize_weights((1, 2, 2, 2))
     d = 3
     assert not pair_has_monomial(w[1], w[2], d)
-    assert _pair_witness_extras(w, d, 1, 2) == {0}
-    assert _failing_pair_III(w.w, d) == (1, 2)
+    assert pair_witness_extras(w.w, d, 1, 2) == {0}
+    assert _failure(w.w, d) == ("III", (1, 2, 0))
 
 
 @st.composite
@@ -114,10 +113,6 @@ def test_condition_I_partners_witness_every_pair(case):
     """Lemma behind the single condition III: under condition I, a pair
     without a pure monomial has both partners j(i) and j(j) among its
     witness variables, so one witness always exists."""
-    from math import gcd
-
-    from delpezzo.weights import pair_has_monomial
-
     raw, d = case
     if gcd(*raw) != 1:
         return
@@ -128,7 +123,7 @@ def test_condition_I_partners_witness_every_pair(case):
     for i in range(4):
         for j in range(i + 1, 4):
             if not pair_has_monomial(w[i], w[j], d):
-                assert {witness.j[i], witness.j[j]} <= _pair_witness_extras(w, d, i, j)
+                assert {witness.j[i], witness.j[j]} <= pair_witness_extras(w.w, d, i, j)
 
 
 @pytest.mark.parametrize(
@@ -150,8 +145,6 @@ def test_is_quasismooth(w, d, expected):
 )
 def test_condition_I_matches_linear_system(raw, d):
     # witness existence is exactly solvability of m_i w_i + w_j = d, m_i >= 1
-    from math import gcd
-
     if gcd(*raw) != 1:
         return
     w = normalize_weights(raw)
@@ -198,3 +191,25 @@ def test_condition_I_witness_matches_scan(case):
         assert (witness.m, witness.j) == tuple(zip(*partners))
     if is_well_formed(ws) and w[3] < d < sum(w):
         assert is_quasismooth(ws, d) is (hypersurface_rejection(Candidate(ws, d)) is None)
+
+
+@settings(max_examples=300)
+@given(_ascending_case())
+@example(((2, 3, 4, 5), 13))  # passes I and III, fails II
+@example(((1, 2, 2, 2), 3))  # fails III and II on the same pair; III comes first
+def test_failure_matches_literal_rule(case):
+    """`_failure` reads III off the condition-I partners and II off the bare
+    pairs; the oracle scans every pair's witnesses literally."""
+    w, d = case
+    assert _failure(w, d) == quasismooth_failure_oracle(w, d)
+
+
+def test_failure_matches_literal_rule_small_weights():
+    """Every ascending w with w3 <= 12 and every degree w3 < d < |w| + w3."""
+    seen = set()
+    for w in combinations_with_replacement(range(1, 13), 4):
+        for d in range(w[3] + 1, sum(w) + w[3]):
+            failure = _failure(w, d)
+            assert failure == quasismooth_failure_oracle(w, d), (w, d)
+            seen.add(failure and failure[0])
+    assert seen == {None, "I", "III", "II"}
