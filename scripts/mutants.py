@@ -132,6 +132,13 @@ MUTANTS = [
     Mutant("csv-int-unchecked", "src/delpezzo/serialize.py",
            'if s and not s.removeprefix("-").isdecimal():', "if False:",
            ("tests/test_cli.py::test_from_csv_rejects_a_number_cell_that_is_not_an_integer",)),
+    Mutant("series-b2-unchecked", "src/delpezzo/cli.py",
+           "elif rec.b2_orbifold != fam.b2_printed:", "elif False:",
+           ("tests/test_cli.py::test_cli_reproduce_series_reports_b2_mismatch",)),
+    Mutant("tally-ignores-ke", "src/delpezzo/catalog.py",
+           '        elif rec.ke == "Y":\n', "        else:\n",
+           ("tests/test_catalog.py::test_theorem_a_tally_counts_only_ke_records",
+            "tests/test_acceptance.py::test_criterion_6_theorem_a_tally")),
 ]
 
 

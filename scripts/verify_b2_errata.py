@@ -19,7 +19,7 @@ import sys
 import sympy as sp
 
 from delpezzo import catalog
-from delpezzo.topology import second_betti_link
+from delpezzo.topology import diffeo_type
 from delpezzo.weights import Candidate, normalize_weights
 
 z0, z1, z2, z3 = sp.symbols("z0 z1 z2 z3")
@@ -74,7 +74,7 @@ def main() -> int:
             assert deg == d, (label, term)
         mu, b2_spectrum = spectrum(f, weights, d)
         c = Candidate(normalize_weights(weights), d)
-        b2_pkg = second_betti_link(c)
+        b2_pkg = diffeo_type(c).b2_link
         err = errata.get((tuple(weights), d))
         expected = err["computed"]["b2"] - 1 if err else b2_pkg
         ok = b2_spectrum == b2_pkg == expected

@@ -13,22 +13,18 @@ from .errors import (
 )
 from .klt import (
     Certified,
-    KltLocalQuery,
     KltVerdict,
     NotKltGate,
     Unknown,
     certify_KE,
     gate_check,
-    klt_local_bound,
     line_23_free,
     vertex_3_free,
 )
 from .moduli import (
     ModuliReport,
     aut_dimension,
-    is_minimal_torus,
     moduli_report,
-    monomial_dimension,
 )
 from .quasismooth import (
     ConditionIWitness,
@@ -52,8 +48,6 @@ from .topology import (
     characteristic_divisor,
     diffeo_type,
     milnor_number,
-    orbifold_b2,
-    second_betti_link,
 )
 from .weights import (
     Candidate,

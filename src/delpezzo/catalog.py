@@ -10,6 +10,7 @@ against the families, and diffs or tallies computed records.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
@@ -180,6 +181,11 @@ def reference_table3() -> tuple[ModuliRow, ...]:
 
 
 def _tally(section: str) -> dict[int, dict]:
+    """A Theorem-A tally of `reference.json`, per link parameter l: the rigid
+    count, the families by moduli dimension n, and the series.  The stated
+    tally (`theorem_a`) counts the series; the errata-adjusted one
+    (`theorem_a_computed`), which the recomputation must reproduce exactly,
+    lists their ids."""
     return {
         int(l): {
             "rigid": v["rigid"],
@@ -188,16 +194,6 @@ def _tally(section: str) -> dict[int, dict]:
         }
         for l, v in _raw()[section].items()
     }
-
-
-def theorem_a_expected() -> dict[int, dict]:
-    """Stated tally per link parameter l: rigid count, families by n, series count."""
-    return _tally("theorem_a")
-
-
-def theorem_a_computed() -> dict[int, dict]:
-    """Errata-adjusted tally the recomputation must reproduce exactly."""
-    return _tally("theorem_a_computed")
 
 
 def known_discrepancies() -> list[dict]:
@@ -384,47 +380,33 @@ def diff_against_reference(computed) -> ReconciliationReport:
     return report
 
 
-@dataclass
-class TallyBucket:
-    """Computed KE-certified content of one link type #l(S2 x S3)."""
+def theorem_a_tally(computed) -> dict[int, dict]:
+    """The KE-certified records per link parameter l, in the shape of the
+    `theorem_a_computed` section: {l: {"rigid", "families", "series"}}.
 
-    rigid: int = 0
-    families: dict[int, int] = field(default_factory=dict)  # n -> count, n >= 1
-    series: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
-
-
-def theorem_a_tally(computed) -> dict[int, TallyBucket]:
-    """Group KE-certified records by link parameter l.
-
-    Sporadic records contribute their moduli dimension; each curated-Y or
-    cascade-certified family contributes once, with the set of moduli
-    dimensions observed across its enumerated members.
+    A sporadic record with K-E flag Y is rigid when its moduli dimension n
+    is 0 and counts under `families[n]` otherwise; each curated-Y family
+    counts once, by id, at its members' l.
     """
-    buckets: dict[int, TallyBucket] = {}
-    series_ns: dict[str, set[int]] = {}
+    tally = defaultdict(lambda: {"rigid": 0, "families": {}, "series": []})
     series_l: dict[str, int] = {}
     families = {f.id: f for f in reference_series() + errata_series()}
     for rec in computed:
         if rec.series_id is not None:
-            fam = families[rec.series_id]
-            if fam.ke == "Y":
-                series_ns.setdefault(fam.id, set()).add(rec.moduli_n)
-                series_l[fam.id] = rec.l
-            continue
-        if rec.ke != "Y":
-            continue
-        bucket = buckets.setdefault(rec.l, TallyBucket())
-        if rec.moduli_n == 0:
-            bucket.rigid += 1
-        else:
-            bucket.families[rec.moduli_n] = bucket.families.get(rec.moduli_n, 0) + 1
-    for sid, ns in sorted(series_ns.items()):
-        bucket = buckets.setdefault(series_l[sid], TallyBucket())
-        bucket.series.append((sid, tuple(sorted(ns))))
-    return dict(sorted(buckets.items()))
+            if families[rec.series_id].ke == "Y":
+                series_l[rec.series_id] = rec.l
+        elif rec.ke == "Y":
+            bucket = tally[rec.l]
+            if rec.moduli_n == 0:
+                bucket["rigid"] += 1
+            else:
+                bucket["families"][rec.moduli_n] = bucket["families"].get(rec.moduli_n, 0) + 1
+    for sid, l in sorted(series_l.items()):
+        tally[l]["series"].append(sid)
+    return dict(sorted(tally.items()))
 
 
-def compare_theorem_a(tally: dict[int, TallyBucket]) -> tuple[bool, list[str]]:
+def compare_theorem_a(tally: dict[int, dict]) -> tuple[bool, list[str]]:
     """Check a computed tally against both the stated and recomputed counts.
 
     Returns (ok, lines): ok means the tally equals the errata-adjusted
@@ -432,38 +414,22 @@ def compare_theorem_a(tally: dict[int, TallyBucket]) -> tuple[bool, list[str]]:
     from the stated counts as documented when the adjusted expectation
     covers them and as regressions otherwise.
     """
-    stated = theorem_a_expected()
-    adjusted = theorem_a_computed()
+    stated = _tally("theorem_a")
+    adjusted = _tally("theorem_a_computed")
+    empty = {"rigid": 0, "families": {}, "series": []}
     ok = True
     lines = []
     for l in sorted(set(stated) | set(adjusted) | set(tally)):
-        bucket = tally.get(l, TallyBucket())
-        got = {
-            "rigid": bucket.rigid,
-            "families": dict(bucket.families),
-            "series": sorted(sid for sid, _ in bucket.series),
-        }
-        want = adjusted.get(l, {"rigid": 0, "families": {}, "series": []})
-        match_adj = got == want
-        ok = ok and match_adj
-        say = (
-            f"l={l}: rigid={got['rigid']} families={got['families']} "
-            f"series={len(got['series'])}"
-        )
-        st = stated.get(l)
+        got, want, st = tally.get(l, empty), adjusted.get(l, empty), stated.get(l)
+        ok = ok and got == want
+        say = f"l={l}: rigid={got['rigid']} families={got['families']} series={len(got['series'])}"
         if st is None:
             say += "  [bucket absent from the stated tally; documented]"
-        else:
-            stated_match = (
-                got["rigid"] == st["rigid"]
-                and got["families"] == st["families"]
-                and len(got["series"]) == st["series"]
-            )
-            if stated_match:
-                say += "  [matches stated tally]"
-            elif match_adj:
-                say += "  [deviates from stated tally; documented errata]"
-        if not match_adj:
+        elif (got["rigid"], got["families"], len(got["series"])) == (st["rigid"], st["families"], st["series"]):
+            say += "  [matches stated tally]"
+        elif got == want:
+            say += "  [deviates from stated tally; documented errata]"
+        if got != want:
             say += f"  MISMATCH vs verified expectation {want}"
         lines.append(say)
     return ok, lines

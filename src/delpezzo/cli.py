@@ -1,8 +1,9 @@
 """Command-line driver: enumeration, certification, topology, reproduction.
 
-Exit codes: 0 success/match, 1 usage or output-file error, 2 verification
-mismatch, 3 internal invariant violation or any other internal error.  Every
-nonzero exit prints one line to stderr, never a traceback.
+Exit codes: 0 success/match, 1 usage error or an output file or stdout that
+cannot be written (e.g. a closed pipe), 2 verification mismatch, 3 internal
+invariant violation or any other internal error.  Every nonzero exit prints
+one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import sys
 from . import catalog, serialize
 from .errors import InvariantViolation, RouteDisagreement
 from .klt import certify_KE
-from .quasismooth import hypersurface_rejection
+from .quasismooth import Rejection
+from .records import classify
 from .search import brute_force_enumerate, structured_enumerate, verified_enumeration
-from .topology import diffeo_type, orbifold_b2
+from .topology import diffeo_type
 from .weights import Candidate, normalize_weights
 
 EXIT_OK = 0
@@ -176,13 +178,11 @@ def _reproduce_series() -> int:
         status = []
         for k in range(fam.k_min, fam.k_min + 5):
             c = fam.candidate_at(k)
-            rejection = hypersurface_rejection(c)
-            if rejection is not None:
-                status.append(f"k={k}: {rejection}")
-                continue
-            b2 = orbifold_b2(c)
-            if b2 != fam.b2_printed:
-                status.append(f"k={k}: b2 {b2} != {fam.b2_printed}")
+            rec = classify(c.weights.w, c.d)
+            if isinstance(rec, Rejection):
+                status.append(f"k={k}: {rec}")
+            elif rec.b2_orbifold != fam.b2_printed:
+                status.append(f"k={k}: b2 {rec.b2_orbifold} != {fam.b2_printed}")
         origin = "errata" if fam.source_table == "errata" else "printed"
         if status:
             ok = False
@@ -234,9 +234,16 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        return _run(_build_parser().parse_args(argv))
+        code = _run(_build_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         message, code = f"usage error: {exc}", EXIT_USAGE
+    except BrokenPipeError as exc:
+        # stdout's reader has gone; point fd 1 at /dev/null so that the
+        # interpreter's own flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        message, code = f"error: {exc}", EXIT_USAGE
     except RouteDisagreement as exc:
         message, code = f"method disagreement: {exc}", EXIT_MISMATCH
     except InvariantViolation as exc:

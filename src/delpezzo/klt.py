@@ -1,4 +1,4 @@
-"""Kähler-Einstein sufficiency: exclusion gates, certificate cascade, local bound.
+"""Kähler-Einstein sufficiency: exclusion gates and the certificate cascade.
 
 Two arithmetic gates (2I >= 3*w0, 2I = w0+w1) mark candidates for which the
 log-terminality needed for the Kähler-Einstein construction provably fails.
@@ -15,7 +15,6 @@ first-class verdict, never collapsed to "not klt".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from .quasismooth import require_hypersurface
@@ -106,27 +105,3 @@ def _cascade(c: Candidate) -> KltVerdict:
     if vertex_3_free(w, d) and lhs < 3 * w[0] * w[3]:
         return Certified("R3", lhs, 3 * w[0] * w[3])
     return Unknown()
-
-
-@dataclass(frozen=True)
-class KltLocalQuery:
-    """Inputs of the local klt bound: alpha*ell*d*I < product of a weight triple."""
-
-    alpha: Fraction
-    ell: int
-    d: int
-    index: int
-    triple: tuple[int, int, int]
-
-    def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.ell < 1:
-            raise ValueError(f"local order must be positive, got {self.ell}")
-
-
-def klt_local_bound(q: KltLocalQuery) -> bool:
-    """Exact rational comparison alpha*ell*d*I < t0*t1*t2 (strict)."""
-    lhs = q.alpha * q.ell * q.d * q.index
-    rhs = q.triple[0] * q.triple[1] * q.triple[2]
-    return lhs < rhs

@@ -37,7 +37,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import PreconditionError
-from .weights import Candidate, WeightSystem, is_well_formed, pair_has_monomial
+from .weights import Candidate, WeightSystem, pair_has_monomial
 
 _PAIRS = tuple(combinations(range(4), 2))
 _TRIPLES = tuple(combinations(range(4), 3))
@@ -144,16 +144,15 @@ def hypersurface_rejection(c: Candidate) -> Rejection | None:
 
     In order: P(w) well-formed (no triple of weights shares a factor),
     condition I, condition III, and condition II, reported as "X not
-    well-formed".  The three conditions are one `_failure` pass, the one
-    `is_quasismooth` also reads; the failing triple is looked up only when
-    P(w) is not well-formed.
+    well-formed".  One scan over the triples names the first one that
+    shares a factor; the three conditions are one `_failure` pass, the one
+    `is_quasismooth` also reads.
     """
     w, d = c.weights.w, c.d
-    if not is_well_formed(c.weights):
-        for a, b, e in _TRIPLES:
-            g = gcd(w[a], w[b], w[e])
-            if g > 1:
-                return Rejection("P(w) not well-formed", f"gcd(w{a}, w{b}, w{e}) = {g}")
+    for a, b, e in _TRIPLES:
+        g = gcd(w[a], w[b], w[e])
+        if g > 1:
+            return Rejection("P(w) not well-formed", f"gcd(w{a}, w{b}, w{e}) = {g}")
     failure = _failure(w, d)
     if failure is None:
         return None

@@ -10,7 +10,7 @@ from .klt import GATE_RULES, Certified, KltVerdict, NotKltGate, Unknown, _cascad
 from .moduli import _moduli_report
 from .quasismooth import Rejection, hypersurface_rejection, require_hypersurface
 from .topology import _link_report
-from .weights import Candidate, WeightSystem, count_monomials
+from .weights import Candidate, WeightSystem
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ _PROVENANCES = {Certified: ("cascade",), NotKltGate: ("unknown",),
 
 def _record(c: Candidate) -> CandidateRecord:
     link = _link_report(c)
-    mod = _moduli_report(c, count_monomials(c.weights, c.d))
+    mod = _moduli_report(c)
     verdict = _cascade(c)
     match = catalog.find_series_match(c)
     series_id, series_k = (match[0].id, match[1]) if match else (None, None)

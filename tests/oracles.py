@@ -103,6 +103,27 @@ def count_monomials_oracle(weights, d: int) -> int:
     return count
 
 
+def is_minimal_torus(weights) -> bool:
+    """True iff the graded automorphism group of P(w) is only the diagonal torus.
+
+    Holds exactly when no w_i (i >= 1) is a non-negative integer combination
+    of the earlier weights, i.e. no degree-w_i monomial in z_0..z_{i-1}
+    exists, which is `moduli.aut_dimension(w) == 4`.  The `_representable`
+    recursion does not go through `count_monomials`, so the two cannot
+    share a bug.
+    """
+    return not any(_representable(weights[:i], weights[i]) for i in range(1, 4))
+
+
+def _representable(weights: tuple[int, ...], target: int) -> bool:
+    if not weights:
+        return target == 0
+    head, tail = weights[0], weights[1:]
+    return any(
+        _representable(tail, target - a * head) for a in range(target // head + 1)
+    )
+
+
 def partner_oracle(weights, d: int, i: int) -> tuple[int, int] | None:
     """Minimal (m, j) with m >= 1 and m*w_i + w_j = d, by scanning m upward
     and, for each m, j upward; None if there is none."""

@@ -8,7 +8,7 @@ from delpezzo.errors import CatalogIntegrityError
 from delpezzo.klt import gate_check
 from delpezzo.quasismooth import is_quasismooth
 from delpezzo.records import build_record
-from delpezzo.topology import orbifold_b2
+from delpezzo.topology import diffeo_type
 from delpezzo.weights import is_well_formed
 
 
@@ -80,7 +80,7 @@ def test_printed_b2_matches_computed_modulo_errata():
     errata = catalog.b2_errata()
     wrong = []
     for row in catalog.reference_table1():
-        computed = orbifold_b2(row.candidate())
+        computed = diffeo_type(row.candidate()).b2_link + 1
         expected = row.b2_printed
         err = errata.get((row.weights, row.degree))
         if err is not None:
@@ -94,7 +94,7 @@ def test_printed_b2_matches_computed_modulo_errata():
 def test_series_printed_b2_matches_computed():
     for fam in catalog.reference_series() + catalog.errata_series():
         for k in range(fam.k_min, fam.k_min + 5):
-            assert orbifold_b2(fam.candidate_at(k)) == fam.b2_printed, (fam.id, k)
+            assert diffeo_type(fam.candidate_at(k)).b2_link + 1 == fam.b2_printed, (fam.id, k)
 
 
 def test_table2_rows():
@@ -155,12 +155,27 @@ def test_find_series_match_skips_sporadic_members():
 
 
 def test_theorem_a_expected_shape():
-    stated = catalog.theorem_a_expected()
+    stated = catalog._tally("theorem_a")
     assert stated[1] == {"rigid": 14, "families": {}, "series": 0}
     assert stated[3] == {"rigid": 0, "families": {1: 4, 2: 2}, "series": 1}
-    computed = catalog.theorem_a_computed()
+    computed = catalog._tally("theorem_a_computed")
     assert computed[1] == {"rigid": 14, "families": {}, "series": []}
     assert set(computed) == set(range(1, 9))
+
+
+def test_theorem_a_tally_counts_only_ke_records():
+    # the 73 sporadic rows and the families carry both flags; only the Y
+    # rows are tallied, each once, and only the Y families, each by id
+    families = catalog.reference_series() + catalog.errata_series()
+    records = [build_record(row.candidate()) for row in catalog.reference_table1()]
+    members = [build_record(fam.candidate_at(k)) for fam in families
+               for k in (fam.k_min + 2, fam.k_min + 3)]
+    assert {r.ke for r in records} == {f.ke for f in families} == {"Y", "?"}
+    tally = catalog.theorem_a_tally(records + members)
+    counted = sum(b["rigid"] + sum(b["families"].values()) for b in tally.values())
+    assert counted == sum(r.ke == "Y" for r in records)
+    ids = [sid for b in tally.values() for sid in b["series"]]
+    assert sorted(ids) == sorted(f.id for f in families if f.ke == "Y")
 
 
 def test_known_discrepancy_ids_unique():

@@ -381,6 +381,30 @@ def test_cli_unwritable_output_exit1(capsys, tmp_path):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_cli_closed_stdout_exit1(unbuffered):
+    # stdout is a pipe whose read end is closed before the command writes,
+    # as in `delpezzo certify ... | true`; with PYTHONUNBUFFERED the write
+    # itself fails, without it the flush does
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "delpezzo.cli", "certify", "2", "3", "5", "9", "--degree", "18"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Broken pipe" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_cli_reproduce_table3(capsys):
     assert cli.main(["reproduce", "--table", "3"]) == 0
     out = capsys.readouterr().out
@@ -458,6 +482,20 @@ def test_cli_reproduce_series_reports_non_quasismooth_member(capsys, monkeypatch
         "so X contains the line z1 = z3 = 0; k=2: " in captured.out
     )
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_reproduce_series_reports_b2_mismatch(capsys, monkeypatch):
+    # fault injection: one family prints a b2 one higher than its members have
+    fams = catalog.reference_series()
+    fam = dataclasses.replace(fams[2], b2_printed=fams[2].b2_printed + 1)
+    monkeypatch.setattr(catalog, "reference_series", lambda: fams[:2] + (fam,) + fams[3:])
+    assert cli.main(["reproduce", "--table", "series"]) == 2
+    out, err = capsys.readouterr()
+    b2 = fam.b2_printed
+    status = "; ".join(f"k={k}: b2 {b2 - 1} != {b2}" for k in range(fam.k_min, fam.k_min + 5))
+    assert f"{fam.id} (I={fam.index}, printed): {status}\n" in out
+    assert out.count("check out") == 12
+    assert err == "mismatch: table series differs from the reference; the report is on stdout\n"
 
 
 _BAD_INTS = ["", "0", "-1", "-40", "x", "1.5", "2..", "5..2", "1..0", "--1"]

@@ -5,12 +5,10 @@ import pytest
 from delpezzo.errors import PreconditionError
 from delpezzo.klt import (
     Certified,
-    KltLocalQuery,
     NotKltGate,
     Unknown,
     certify_KE,
     gate_check,
-    klt_local_bound,
     line_23_free,
     vertex_3_free,
 )
@@ -145,47 +143,29 @@ def test_rule_order_does_not_change_outcome():
 
 
 def test_scaling_monotonicity_vs_local_bound():
-    # a cascade certificate implies the local bound with alpha=2/3, ell=1
-    # and the rule's weight triple: R1 folds in the generic bound (w0,w1,w3),
-    # R2 the line-free bound (w0,w2,w3), R3 the vertex-free bound (w1,w2,w3)
+    # a cascade certificate implies the local bound alpha*ell*d*I < t0*t1*t2
+    # with alpha=2/3, ell=1 and the rule's weight triple: R1 folds in the
+    # generic bound (w0,w1,w3), R2 the line-free bound (w0,w2,w3), R3 the
+    # vertex-free bound (w1,w2,w3)
     rule_triples = {"R1": (0, 1, 3), "R2": (0, 2, 3), "R3": (1, 2, 3)}
     for w, d in [((2, 3, 5, 9), 18), ((5, 13, 19, 35), 70), ((9, 15, 17, 20), 60)]:
         c = cand(w, d)
         verdict = certify_KE(c)
         assert isinstance(verdict, Certified)
-        triple = tuple(c.weights[i] for i in rule_triples[verdict.rule])
-        q = KltLocalQuery(
-            alpha=Fraction(2, 3), ell=1, d=c.d, index=c.I, triple=triple
-        )
-        assert klt_local_bound(q)
+        t0, t1, t2 = (c.weights[i] for i in rule_triples[verdict.rule])
+        assert Fraction(2, 3) * 1 * c.d * c.I < t0 * t1 * t2
 
 
 def test_local_bound_examples():
-    # the (3,3k+1,6k+1,9k+3) singular-point computation at k=1
-    q = KltLocalQuery(
-        alpha=Fraction(5, 7), ell=7, d=24, index=2, triple=(3, 7, 12)
-    )
-    assert klt_local_bound(q) is True
-    assert klt_local_bound(
-        KltLocalQuery(alpha=Fraction(1), ell=1, d=1, index=1, triple=(1, 1, 1))
-    ) is False
-    assert klt_local_bound(
-        KltLocalQuery(alpha=Fraction(2, 3), ell=1, d=3, index=1, triple=(1, 1, 1))
-    ) is False
+    # alpha*ell*d*I < t0*t1*t2, strict: the (3,3k+1,6k+1,9k+3) singular-point
+    # computation at k=1 (alpha=5/7, ell=7, d=24, I=2, triple (3,7,12)) holds;
+    # it fails on equality (alpha=1, all ones) and at alpha=2/3, d=3 (2 > 1)
+    assert Fraction(5, 7) * 7 * 24 * 2 < 3 * 7 * 12
+    assert not Fraction(1) * 1 * 1 * 1 < 1 * 1 * 1
+    assert not Fraction(2, 3) * 1 * 3 * 1 < 1 * 1 * 1
 
 
 def test_local_bound_series_family():
+    # alpha=5/7, ell=6k+1, d=18k+6, I=2, triple (3, 6k+1, 9k+3)
     for k in range(1, 51):
-        q = KltLocalQuery(
-            alpha=Fraction(5, 7),
-            ell=6 * k + 1,
-            d=18 * k + 6,
-            index=2,
-            triple=(3, 6 * k + 1, 9 * k + 3),
-        )
-        assert klt_local_bound(q) is True
-
-
-def test_local_query_validates_alpha():
-    with pytest.raises(ValueError):
-        KltLocalQuery(alpha=Fraction(3, 2), ell=1, d=1, index=1, triple=(1, 1, 1))
+        assert Fraction(5, 7) * (6 * k + 1) * (18 * k + 6) * 2 < 3 * (6 * k + 1) * (9 * k + 3)

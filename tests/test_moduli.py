@@ -5,13 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delpezzo.errors import PreconditionError
-from delpezzo.moduli import (
-    aut_dimension,
-    is_minimal_torus,
-    moduli_report,
-    monomial_dimension,
-)
+from delpezzo.moduli import aut_dimension, moduli_report
 from delpezzo.weights import Candidate, normalize_weights
+from oracles import is_minimal_torus
 
 
 def cand(w, d):
@@ -28,12 +24,12 @@ def cand(w, d):
     ],
 )
 def test_monomial_dimension(w, d, m):
-    assert monomial_dimension(cand(w, d)) == m
+    assert moduli_report(cand(w, d)).m == m
 
 
 def test_monomial_dimension_requires_quasismooth():
     with pytest.raises(PreconditionError):
-        monomial_dimension(cand((2, 3, 4, 5), 13))
+        moduli_report(cand((2, 3, 4, 5), 13))
 
 
 @pytest.mark.parametrize(
