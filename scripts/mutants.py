@@ -38,6 +38,11 @@ ORACLE_TESTS = (
     "tests/test_search.py::test_oracle_matches_unpruned_scan",
 )
 
+ADMISSION_TESTS = (
+    "tests/test_search.py::test_numpy_admission_is_classify",
+    "tests/test_search.py::test_oracle_matches_unpruned_scan",
+)
+
 MUTANTS = [
     Mutant("drop-w3-case", "src/delpezzo/search.py",
            "np.where(T <= w_max, T, 0), T, 1, 0),  # w3 = T",
@@ -54,13 +59,18 @@ MUTANTS = [
            ("tests/test_search.py::test_oracle_points_keep_every_z2_point",)),
     Mutant("prefilter-r-gt-wi", "src/delpezzo/search.py",
            "((r >= wi) & (r % wi == 0))", "((r > wi) & (r % wi == 0))",
-           ("tests/test_search.py::test_prefilter_drops_only_what_classify_rejects",
-            "tests/test_search.py::test_oracle_matches_unpruned_scan")),
+           ADMISSION_TESTS),
     Mutant("prefilter-partner-not-self", "src/delpezzo/search.py",
            "r = P[4] - P[:4]  # d - w_j, a row per j",
            "r = np.delete(P[4] - P[:4], i, axis=0)",
-           ("tests/test_search.py::test_prefilter_drops_only_what_classify_rejects",
-            "tests/test_search.py::test_oracle_matches_unpruned_scan")),
+           ADMISSION_TESTS),
+    Mutant("prefilter-no-pair-gcd", "src/delpezzo/search.py",
+           "        keep &= d % g[a, b] == 0\n", "", ADMISSION_TESTS),
+    Mutant("prefilter-pairs-without-z3", "src/delpezzo/search.py",
+           "for a, b in itertools.combinations(range(4), 2):",
+           "for a, b in itertools.combinations(range(3), 2):", ADMISSION_TESTS),
+    Mutant("prefilter-pairs-coprime", "src/delpezzo/search.py",
+           "keep &= d % g[a, b] == 0", "keep &= g[a, b] == 1", ADMISSION_TESTS),
     Mutant("g1-prune-ignores-partner", "src/delpezzo/search.py",
            "(np.asarray(m) == 1) & (np.asarray(j) != (1, 2, 3))", "(np.asarray(m) == 1)",
            ("tests/test_search.py::test_structured_matches_unpruned_branches",

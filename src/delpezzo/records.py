@@ -43,12 +43,14 @@ class CandidateRecord:
 def classify(w, d: int) -> CandidateRecord | Rejection:
     """The record of (w, d), or the `Rejection` that keeps it out.
 
-    The checks run in order: w is primitive (tested first and without an
-    exception, since a third of the points the searches walk are not); w
-    is an ascending positive 4-tuple with 1 <= I and d > w3, as
+    The checks run in order: w is primitive (tested first, so that a
+    non-primitive tuple is rejected as such before a `WeightSystem` is built);
+    w is an ascending positive 4-tuple with 1 <= I and d > w3, as
     `WeightSystem` and `Candidate` check; gates G1 and G2; then
     `hypersurface_rejection`.  A candidate that passes them all is built
-    into its record without checking anything twice.
+    into its record without checking anything twice.  The enumeration
+    routes call this only on points their numpy prefilter has already
+    admitted, so there every call builds a record.
     """
     g = gcd(*w)
     if g != 1:

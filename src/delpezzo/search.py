@@ -31,8 +31,10 @@ I, with m_i*w_i + w_j = d for some partner j:
   checks the bound only below the oracle's weight bound.
 
 Both routes generate their candidate points as integer arrays, and the
-shared numpy `_prefilter` drops every point that fails a necessary
-condition `classify` checks again; `classify` decides the rest.
+shared numpy `_prefilter` keeps exactly the points `classify` admits:
+condition I, the gates, P(w) well-formed, and conditions III and II in
+the form of one gcd test per pair (proof in `_prefilter`).  So `classify`
+only builds records, though it still checks every condition itself.
 
 The two must agree: `verified_enumeration` runs both and returns the
 records only when they do.
@@ -385,11 +387,15 @@ def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
 
     `_line_shapes` solves the shapes once per process; at each index the
     distinct segments of `_lines` are expanded once into point arrays,
-    which end at w3 = w_max.  `classify` decides the distinct points that
-    pass `_prefilter`.
+    which end at w3 = w_max.  `classify` builds the record of each
+    distinct point that passes `_prefilter`.
     """
     import numpy as np
 
+    if I < 1:
+        raise ValueError(f"bad index {I}")
+    if w_max < 1:
+        raise ValueError(f"bad weight bound {w_max}")
     start, direction, length = _lines(I, w_max)
     # rows (w0, w1, w2, w3, d) with d = |w| - I, one column per segment
     start = np.vstack([start.T, start.sum(axis=1) - I])
@@ -424,7 +430,7 @@ def _line_points(start, step, length):
 
 
 def _prefilter(P):
-    """The columns of P that pass the necessary conditions below.
+    """The columns of P that `classify` admits.
 
     P has rows (w0, w1, w2, w3, d) with ascending positive weights and
     I = |w| - d >= 1.  `classify` checks every condition again, so a
@@ -432,7 +438,7 @@ def _prefilter(P):
     drops is lost to both routes alike, and `verified_enumeration` cannot
     see it; the tests that compare each route with an unpruned scan at
     small bounds, and the property test against `classify`, guard that.
-    The conditions:
+    The conditions, all exact integer tests:
 
     * condition I for each z_i: m*w_i + w_j = d for some m >= 1 and j, as
       `quasismooth._partner` tests it; z2 first, which drops the most
@@ -440,7 +446,27 @@ def _prefilter(P):
     * d > w3;
     * gates G1 (3*w0 > 2I) and G2 (w0 + w1 != 2I);
     * P(w) well-formed: no triple of weights shares a factor, which also
-      makes the weights primitive.
+      makes the weights primitive;
+    * X well-formed: gcd(w_i, w_j) divides d for every pair.
+
+    Given condition I and P(w) well-formed, the last test holds exactly
+    when conditions III and II do.  `quasismooth._failure` decides those
+    from the bare pairs, the pairs without a monomial z_i^a z_j^b of
+    degree d: III fails only on a bare pair with j(i) = j(j) = k, and II
+    exactly on a bare pair with g = gcd(w_i, w_j) > 1.  So III or II fails
+    iff some bare pair has g > 1, that is iff some g does not divide d:
+
+    * A bare pair that fails III has g > 1.  Its partner monomials give
+      m_i*w_i = d - w_k = m_j*w_j.  If g = 1, then w_j divides m_i, so
+      d >= m_i*w_i >= w_i*w_j > (w_i - 1)*(w_j - 1), and every integer
+      from (w_i - 1)*(w_j - 1) on is some a*w_i + b*w_j (Sylvester): the
+      pair would not be bare.
+    * A bare pair's g does not divide d.  Its partner j(i) lies outside
+      {i, j}, or z_i^{m_i} z_{j(i)} would be a pair monomial, so g | d
+      and m_i*w_i + w_{j(i)} = d would give g | w_{j(i)}: a triple
+      sharing g.
+    * A pair whose g does not divide d has g > 1 and no monomial
+      z_i^a z_j^b of degree d: it is bare.
     """
     import numpy as np
 
@@ -451,13 +477,18 @@ def _prefilter(P):
     w0, w1, w2, w3, d = P
     I2 = 2 * (w0 + w1 + w2 + w3 - d)
     keep = (d > w3) & (3 * w0 > I2) & (I2 != w0 + w1)
-    for a, b, c in itertools.combinations(P[:4], 3):
-        keep &= np.gcd(np.gcd(a, b), c) == 1
+    g = {}
+    for a, b in itertools.combinations(range(4), 2):
+        g[a, b] = np.gcd(P[a], P[b])
+        keep &= d % g[a, b] == 0
+    for a, b, c in itertools.combinations(range(4), 3):
+        keep &= np.gcd(g[a, b], P[c]) == 1
     return P.compress(keep, axis=1)
 
 
 def _admit(passes) -> list[CandidateRecord]:
-    """The records `classify` builds from the distinct survivors of `_prefilter`."""
+    """The records `classify` builds from the distinct survivors of `_prefilter`,
+    one per survivor, since the prefilter keeps exactly what it admits."""
     found = set()
     for P in passes:
         P = _prefilter(P)
@@ -473,7 +504,7 @@ def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int) -> list[CandidateRecor
     that can pass gate G2 and condition I for z2; w3 is never scanned.
     Each condition is necessary for admission, `_prefilter` drops what
     fails condition I for z0..z2 or the rest of its list, and `classify`
-    decides every survivor and builds its record.
+    builds the record of every survivor.
     Write S = w0 + w1 + w2, so that d = S + w3 - I.
 
     * 3*w0 > 2I: otherwise `gate_check` fails (G1).  The intervals below
@@ -606,6 +637,8 @@ def brute_force_enumerate(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> 
         raise ValueError(f"bad index range [{I_min}, {I_max}]")
     if w_max < 1:
         raise ValueError(f"bad weight bound {w_max}")
+    if jobs < 1:
+        raise ValueError(f"bad job count {jobs}")
     w0_min = (2 * I_min) // 3 + 1  # gate G1 at the smallest index
     args = [(w0, I_min, I_max, w_max) for w0 in range(w0_min, w_max + 1)]
     if jobs > 1 and len(args) > 1:
@@ -623,8 +656,8 @@ def verified_enumeration(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> l
 
     Raises `RouteDisagreement` naming each (I, w, d) that one route finds
     and the other lacks.  Both routes drop points through the same
-    `_prefilter`, so a point it wrongly drops goes missing from both and
-    this check cannot see it.
+    `_prefilter`, conditions III and II included, so a point it wrongly
+    drops goes missing from both and this check cannot see it.
     """
     oracle = brute_force_enumerate(I_min, I_max, w_max, jobs=jobs)
     found = {r.key() for r in oracle}

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import delpezzo
 from delpezzo import catalog, search
+from delpezzo.quasismooth import _failure
 from delpezzo.records import CandidateRecord, classify
 from delpezzo.search import (
     PASS_CAP,
@@ -302,11 +304,6 @@ def test_line_points_cut_segments_anywhere(monkeypatch, cap):
     assert [tuple(x) for P in passes for x in P.T.tolist()] == expected
 
 
-# reasons `classify` gives that the prefilter also tests
-PREFILTER_REASONS = {"not primitive", "not a candidate", "gate G1", "gate G2",
-                     "P(w) not well-formed", "condition I fails"}
-
-
 @st.composite
 def _points(draw):
     w = tuple(sorted(draw(st.tuples(*[st.integers(1, 60)] * 4))))
@@ -327,22 +324,78 @@ _admitted_cases = st.sampled_from(sorted(
 
 
 @given(st.one_of(_points(), _admitted_cases))
-@example(((2, 3, 4, 5), 13))  # X not well-formed
+@example(((2, 3, 4, 5), 13))  # condition II: gcd(w0, w2) = 2 does not divide d
+@example(((1, 2, 2, 3), 7))  # bare (z1, z2), j(1) = j(2) = 3, passes III through z0, fails II
 @example(((1, 2, 3, 3), 8))  # condition III fails
+@example(((3, 4, 5, 7), 17))  # admitted, with the bare pair (z1, z3) and j(1) != j(3)
 @example(((2, 4, 6, 8), 18))  # not primitive
-@example(((2, 2, 2, 3), 8))  # P(w) not well-formed
+@example(((2, 2, 2, 3), 8))  # P(w) not well-formed, though every pair's gcd divides d
 @settings(max_examples=400, deadline=None)
-def test_prefilter_drops_only_what_classify_rejects(case):
-    """The prefilter keeps a point iff `classify` does not reject it for a
-    reason the prefilter tests, so it never drops an admitted point."""
+def test_numpy_admission_is_classify(case):
+    """The prefilter keeps a point iff `classify` admits it."""
     w, d = case
     kept = _prefilter(np.array([[*w, d]], dtype=np.int64).T).shape[1] == 1
-    got = classify(w, d)
-    if kept:
-        assert isinstance(got, CandidateRecord) or got.reason in {"condition III fails",
-                                                                 "X not well-formed"}
-    else:
-        assert not isinstance(got, CandidateRecord) and got.reason in PREFILTER_REASONS
+    assert kept == isinstance(classify(w, d), CandidateRecord)
+
+
+def test_pair_gcds_decide_conditions_iii_and_ii():
+    """On every point that passes condition I and has P(w) well-formed,
+    conditions III and II hold iff gcd(w_i, w_j) divides d for every pair,
+    as `_prefilter` proves; here for every ascending w <= 24 and every
+    degree w3 < d < |w|, with no gate, so that large indices count too."""
+    P = np.array([(*w, d) for w in itertools.combinations_with_replacement(range(1, 25), 4)
+                  for d in range(w[3] + 1, sum(w))], dtype=np.int64).T
+    for i in range(4):
+        r = P[4] - P[:4]
+        P = P[:, ((r >= P[i]) & (r % P[i] == 0)).any(axis=0)]
+    for a, b, c in itertools.combinations(range(4), 3):
+        P = P[:, np.gcd(np.gcd(P[a], P[b]), P[c]) == 1]
+    outcomes = Counter()
+    for *w, d in P.T.tolist():
+        pairs = all(d % math.gcd(w[i], w[j]) == 0 for i, j in itertools.combinations(range(4), 2))
+        failure = _failure(tuple(w), d)
+        assert pairs == (failure is None), (w, d, failure)
+        outcomes[failure and failure[0]] += 1
+    assert outcomes[None] > 0 and outcomes["III"] > 0 and outcomes["II"] > 0
+
+
+def _counting_classify(monkeypatch):
+    """Patch `search.classify` to count its calls; returns the counter."""
+    calls = Counter()
+
+    def counted(w, d):
+        calls["classify"] += 1
+        return classify(w, d)
+
+    monkeypatch.setattr(search, "classify", counted)
+    return calls
+
+
+def test_oracle_classifies_only_records(monkeypatch):
+    calls = _counting_classify(monkeypatch)
+    records = brute_force_enumerate(1, 10, 60, jobs=1)
+    assert calls["classify"] == len(records) > 0
+
+
+def test_structured_classifies_only_records(monkeypatch):
+    calls = _counting_classify(monkeypatch)
+    for I in range(1, 11):
+        calls.clear()
+        records = structured_enumerate(I, 150)
+        assert calls["classify"] == len(records)
+
+
+@pytest.mark.parametrize("args", [(0, 150), (-1, 150), (1, 0)])
+def test_structured_rejects_bad_arguments(args):
+    with pytest.raises(ValueError, match="bad"):
+        structured_enumerate(*args)
+
+
+@pytest.mark.parametrize("args,jobs", [((0, 3, 40), 1), ((2, 1, 40), 1), ((1, 3, 0), 1),
+                                       ((1, 3, 40), 0), ((1, 3, 40), -1)])
+def test_brute_force_rejects_bad_arguments(args, jobs):
+    with pytest.raises(ValueError, match="bad"):
+        brute_force_enumerate(*args, jobs=jobs)
 
 
 def test_import_leaves_numpy_out():
