@@ -17,7 +17,7 @@ from .errors import InvariantViolation, RouteDisagreement
 from .klt import certify_KE
 from .quasismooth import Rejection
 from .records import classify
-from .search import brute_force_enumerate, structured_enumerate, verified_enumeration
+from .search import ORACLE_W_MAX, brute_force_enumerate, structured_enumerate, verified_enumeration
 from .topology import diffeo_type
 from .weights import Candidate, normalize_weights
 
@@ -48,6 +48,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _weight_bound(text: str) -> int:
+    if _positive_int(text) > ORACLE_W_MAX:
+        raise argparse.ArgumentTypeError(f"expected at most {ORACLE_W_MAX}, got {text!r}")
+    return int(text)
+
+
 def _index_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     try:
@@ -70,7 +76,7 @@ def _build_parser() -> _Parser:
     pe = sub.add_parser("enumerate", help="enumerate candidates per index")
     pe.add_argument("--index", type=_index_range, default="1..10", help="index or range, e.g. 3 or 1..10")
     w_max_help = f"weight bound (default: ${MAX_WEIGHT_ENV}, else 150)"
-    pe.add_argument("--max-weight", type=_positive_int, default=w_max_default, help=w_max_help)
+    pe.add_argument("--max-weight", type=_weight_bound, default=w_max_default, help=w_max_help)
     pe.add_argument("--method", choices=["brute", "structured", "both"], default="both")
     pe.add_argument("--format", choices=["json", "csv", "markdown"], default="markdown")
     pe.add_argument("--jobs", type=_positive_int, default=1)
@@ -90,7 +96,7 @@ def _build_parser() -> _Parser:
 
     pr = sub.add_parser("reproduce", help="regenerate and diff a published table")
     pr.add_argument("--table", choices=["1", "3", "series", "theorem-a"], required=True)
-    pr.add_argument("--max-weight", type=_positive_int, default=w_max_default, help=w_max_help)
+    pr.add_argument("--max-weight", type=_weight_bound, default=w_max_default, help=w_max_help)
     pr.add_argument("--jobs", type=_positive_int, default=1)
     return p
 

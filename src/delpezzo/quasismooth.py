@@ -164,10 +164,8 @@ def hypersurface_rejection(c: Candidate) -> Rejection | None:
         return Rejection("condition III fails", f"no z{i}^a z{j}^b has degree {d}, and "
                          f"z{i}^a z{j}^b z_k does only for z_k in {{z{at[2]}}}; two are needed")
     k, l = (x for x in range(4) if x not in at)
-    g = gcd(w[i], w[j])
-    why = f"does not divide {d}" if d % g else f"> 1 and no z{i}^a z{j}^b has degree {d}"
-    return Rejection("X not well-formed", f"gcd(w{i}, w{j}) = {g} {why}, so X contains "
-                     f"the line z{k} = z{l} = 0")
+    return Rejection("X not well-formed", f"gcd(w{i}, w{j}) = {gcd(w[i], w[j])} does not divide {d}, "
+                     f"so X contains the line z{k} = z{l} = 0")
 
 
 def require_hypersurface(c: Candidate) -> None:

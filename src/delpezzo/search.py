@@ -151,7 +151,7 @@ def _line_shapes():
     """
     import numpy as np
 
-    grid = np.indices((M1_MAX, M2_MAX, M3_MAX, 4, 4, 4)).reshape(6, -1).T  # every (m - 1, j)
+    grid = np.indices((M1_MAX, M2_MAX, M3_MAX, 4, 4, 4), dtype=np.int8).reshape(6, -1).T  # every (m - 1, j)
     m, j = grid[:, :3] + 1, grid[:, 3:]
     kept = ~_g1_rules_out(m, j)
     step, base, kernel = _solve_shapes(m[kept], j[kept])
@@ -404,6 +404,7 @@ def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
 
 
 PASS_CAP = 1 << 13  # points per numpy pass, so that no pass grows with w_max
+ORACLE_W_MAX = (1 << 28) - 1  # the oracle's int32 arrays are exact below it (`_scan_w0`)
 
 
 def _line_points(start, step, length):
@@ -441,13 +442,21 @@ def _prefilter(P):
     The conditions, all exact integer tests:
 
     * condition I for each z_i: m*w_i + w_j = d for some m >= 1 and j, as
-      `quasismooth._partner` tests it; z2 first, which drops the most
-      points of the oracle, and each test on the points still kept;
+      `quasismooth._partner` tests it, each test on the points still kept.
+      The order z1, z0, z2, z3 tests first what drops the most: z3 holds
+      on every oracle point (w3 is solved from it) and z2 on nearly every
+      one (`_z2_candidates`), and z1, z2 and z3 hold on every structured
+      point (its witness equations).  The oracle's 636,754 points at
+      w <= 150 fall to 62,973, 28,937, 28,728 and 28,728; the structured
+      route's 178,979 at w <= 600 fall to 67,611 at z0 alone;
     * d > w3;
     * gates G1 (3*w0 > 2I) and G2 (w0 + w1 != 2I);
     * P(w) well-formed: no triple of weights shares a factor, which also
       makes the weights primitive;
     * X well-formed: gcd(w_i, w_j) divides d for every pair.
+
+    Every value it forms is below 4*w_max, so it runs in P's dtype: int32
+    for the oracle (bound in `_scan_w0`), int64 for the structured route.
 
     Given condition I and P(w) well-formed, the last test holds exactly
     when conditions III and II do.  `quasismooth._failure` decides those
@@ -470,7 +479,7 @@ def _prefilter(P):
     """
     import numpy as np
 
-    for i in (2, 1, 0, 3):
+    for i in (1, 0, 2, 3):
         r = P[4] - P[:4]  # d - w_j, a row per j
         wi = P[i]
         P = P.compress(((r >= wi) & (r % wi == 0)).any(axis=0), axis=1)
@@ -550,18 +559,27 @@ def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int) -> list[CandidateRecor
     Candidates are emitted like the segments, at most `PASS_CAP` points a
     pass.  `_prefilter` tests z2 exactly, so a candidate that fails costs
     time, never a record.
+
+    The oracle's segment table and point arrays are int32: every value
+    they form is below 8*w_max, and `brute_force_enumerate` keeps
+    w_max <= ORACLE_W_MAX = 2^28 - 1, so 8*w_max < 2^31.  G1 gives
+    I < 3*w0/2, so T, the interval ends and the w3 at a first w2 stay
+    below 3*w_max + 1, empty cases included.  On a kept segment every
+    weight lies in 1..w_max, so d < 4*w_max.  The largest value is in c_j:
+    a2*r_j0 <= 2*d < 8*w_max, and rho_j*f <= 3*w_max.  q <= |c_j|, and
+    w2 = |c_j|/q lies on the segment.
     """
     return _admit(_oracle_points(w0, I_min, I_max, w_max))
 
 
 def _oracle_segments(w0: int, I_min: int, I_max: int, w_max: int):
-    """The segment table (start, step, length) of the points (w0, w1, w2,
-    w3, d) that `_scan_w0` allows, one column per nonempty (w1, I, case);
-    the intervals are proved there."""
+    """The int32 segment table (start, step, length) of the points (w0, w1,
+    w2, w3, d) that `_scan_w0` allows, one column per nonempty (w1, I,
+    case); the intervals and the int32 bound are proved there."""
     import numpy as np
 
-    Is = np.arange(I_min, min(I_max, (3 * w0 - 1) // 2) + 1)  # G1
-    w1, I = np.tile(np.arange(w0, w_max + 1), len(Is)), np.repeat(Is, w_max - w0 + 1)
+    Is = np.arange(I_min, min(I_max, (3 * w0 - 1) // 2) + 1, dtype=np.int32)  # G1
+    w1, I = np.tile(np.arange(w0, w_max + 1, dtype=np.int32), len(Is)), np.repeat(Is, w_max - w0 + 1)
     T = w0 + w1 - I
     half = w1 + (T + w1) % 2  # the first w2 with T + w2 even
     # per case: first w2, last w2 (0 < w1 when the case is empty), w3 at the
@@ -576,7 +594,7 @@ def _oracle_segments(w0: int, I_min: int, I_max: int, w_max: int):
     z = 0 * w1  # broadcasts the constant entries
     # rows w1, I and the five values above, one column per (case, w1, I)
     table = np.array([[x + z for x in (w1, I, *c)] for c in cases]).transpose(1, 0, 2).reshape(7, -1)
-    w1, I, first, last, w3, a2, a3 = table[:, table[3] >= table[2]]  # last >= first: nonempty
+    w1, I, first, last, w3, a2, a3 = table.compress(table[3] >= table[2], axis=1)  # last >= first: nonempty
     start = np.array([np.full_like(w1, w0), w1, first, w3, w0 + w1 + first + w3 - I])
     step = np.array([0 * w1, 0 * w1, a2, a3, a2 + a3])
     return start, step, (last - first) // a2 + 1
@@ -586,28 +604,27 @@ def _z2_candidates(start, step, length):
     """The points of the segments that can pass gate G2 and condition I for
     z2, as (whole, seg, k): the mask of the segments expanded whole, and
     each other candidate as its segment and its step count on it.  The
-    proof is in `_scan_w0`.  seg and k are int32: they live through every
-    pass of the w0, and this keeps its working set within that of
-    expanding every segment."""
+    proof is in `_scan_w0`.  One round per q serves every (j, s) pair at
+    once: q rises from its pair's q_lo, and a pair leaves once q passes its
+    q_hi, so there are max(q_hi) rounds (5 at w <= 150) and the arrays are
+    O(pairs), at most four per segment of the table."""
     import numpy as np
 
     f, a2 = start[2], step[2]
     c = np.abs(a2 * (start[4] - start[:4]) - (step[4] - step[:4]) * f)  # |c_j|, a row per j
-    g2 = start[0] + start[1] != 2 * (start[:4].sum(axis=0) - start[4])
+    g2 = start[0] + start[1] != 2 * (start[0] + start[1] + start[2] + start[3] - start[4])
     whole = g2 & (c == 0).any(axis=0)
-    pairs, last = g2 & ~whole & (c >= f), f + (length - 1) * a2  # the (j, s) with some q
-    hits = [np.zeros((2, 0), dtype=np.int64)]
-    for b in range(0, len(f), PASS_CAP // 8):  # at most PASS_CAP // 2 pairs, to bound its arrays
-        j, s = np.nonzero(pairs[:, b:b + PASS_CAP // 8])
-        s += b
-        cj = c[j, s]
-        q_lo, q_hi = -(-cj // last[s]), cj // f[s]  # w2 = c_j/q lies in [f, last]
-        # the (s, c_j, q) with q_lo <= q <= q_hi, as the points of segments in q
-        for s, cj, q in _line_points(np.stack([s, cj, q_lo]), np.broadcast_to([[0], [0], [1]], (3, len(s))),
-                                     np.maximum(q_hi - q_lo + 1, 0)):
-            w2, rem = np.divmod(cj, q)
-            k, odd = np.divmod(w2 - f[s], a2[s])
-            hits.append(np.stack([s, k])[:, (rem == 0) & (odd == 0)])
+    pairs = g2 & ~whole & (c >= f)  # the (j, s) that may have some q
+    s, cj = np.nonzero(pairs)[1], c[pairs]
+    q, q_hi = -(-cj // (f + (length - 1) * a2)[s]), cj // f[s]  # w2 = c_j/q lies in [f, last]
+    hits = [np.zeros((2, 0), dtype=np.int32)]
+    while len(s):  # the round of q for every pair that has not passed its q_hi
+        on = q <= q_hi
+        s, cj, q, q_hi = s[on], cj[on], q[on], q_hi[on]
+        w2, rem = np.divmod(cj, q)
+        k, odd = np.divmod(w2 - f[s], a2[s])
+        hits.append(np.stack([s, k]).compress((rem == 0) & (odd == 0), axis=1))
+        q += 1
     seg, k = np.concatenate(hits, axis=1, dtype=np.int32)
     return whole, seg, k
 
@@ -620,9 +637,8 @@ def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
     yield from _line_points(start[:, whole], step[:, whole], length[whole])
     for a in range(0, len(seg), PASS_CAP):
         s = seg[a:a + PASS_CAP]
-        P = step[:, s] * k[a:a + PASS_CAP]
-        P += start[:, s]
-        yield P
+        # take gathers columns about twice as fast as [:, s]
+        yield start.take(s, axis=1) + step.take(s, axis=1) * k[a:a + PASS_CAP]
 
 
 def brute_force_enumerate(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> list[CandidateRecord]:
@@ -635,7 +651,7 @@ def brute_force_enumerate(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> 
     """
     if not (1 <= I_min <= I_max):
         raise ValueError(f"bad index range [{I_min}, {I_max}]")
-    if w_max < 1:
+    if not 1 <= w_max <= ORACLE_W_MAX:
         raise ValueError(f"bad weight bound {w_max}")
     if jobs < 1:
         raise ValueError(f"bad job count {jobs}")

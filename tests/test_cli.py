@@ -293,6 +293,31 @@ def test_cli_rejects_nonpositive_max_weight(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--max-weight", "268435456", "--method", "brute"],
+        ["enumerate", "--max-weight", "10000000000", "--method", "structured"],
+        ["reproduce", "--table", "1", "--max-weight", "268435456"],
+    ],
+)
+def test_cli_rejects_max_weight_past_oracle_bound(capsys, argv):
+    """A bound past `search.ORACLE_W_MAX` is a usage error, not an internal one."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: argument --max-weight: expected at most 268435455, got " \
+        f"'{argv[argv.index('--max-weight') + 1]}'\n"
+    assert captured.out == ""
+
+
+def test_cli_rejects_env_max_weight_past_oracle_bound(monkeypatch, capsys):
+    monkeypatch.setenv(cli.MAX_WEIGHT_ENV, str(search.ORACLE_W_MAX + 1))
+    assert cli.main(["enumerate", "--index", "3", "--method", "brute"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --max-weight: expected at most")
+    assert err.count("\n") == 1
+
+
 def test_cli_rejects_non_integer_env_max_weight(monkeypatch, capsys):
     monkeypatch.setenv(cli.MAX_WEIGHT_ENV, "abc")
     assert cli.main(["enumerate", "--index", "3", "--method", "brute"]) == 1

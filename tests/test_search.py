@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import delpezzo
 from delpezzo import catalog, search
-from delpezzo.quasismooth import _failure
+from delpezzo.quasismooth import _failure, hypersurface_rejection
 from delpezzo.records import CandidateRecord, classify
 from delpezzo.search import (
+    ORACLE_W_MAX,
     PASS_CAP,
     BranchAssignment,
     _g1_rules_out,
@@ -31,7 +32,7 @@ from delpezzo.search import (
     solve_condition_system,
     structured_enumerate,
 )
-from delpezzo.weights import Candidate, normalize_weights
+from delpezzo.weights import Candidate, WeightSystem, normalize_weights
 
 
 def test_branch_count():
@@ -342,7 +343,9 @@ def test_pair_gcds_decide_conditions_iii_and_ii():
     """On every point that passes condition I and has P(w) well-formed,
     conditions III and II hold iff gcd(w_i, w_j) divides d for every pair,
     as `_prefilter` proves; here for every ascending w <= 24 and every
-    degree w3 < d < |w|, with no gate, so that large indices count too."""
+    degree w3 < d < |w|, with no gate, so that large indices count too.
+    The failing pair's gcd never divides d, for III as for II, so every
+    "X not well-formed" rejection says so."""
     P = np.array([(*w, d) for w in itertools.combinations_with_replacement(range(1, 25), 4)
                   for d in range(w[3] + 1, sum(w))], dtype=np.int64).T
     for i in range(4):
@@ -356,7 +359,12 @@ def test_pair_gcds_decide_conditions_iii_and_ii():
         failure = _failure(tuple(w), d)
         assert pairs == (failure is None), (w, d, failure)
         outcomes[failure and failure[0]] += 1
-    assert outcomes[None] > 0 and outcomes["III"] > 0 and outcomes["II"] > 0
+        if failure is not None:
+            i, j = failure[1][:2]
+            assert d % math.gcd(w[i], w[j]), (w, d, failure)
+            rejection = hypersurface_rejection(Candidate(WeightSystem(tuple(w)), d))
+            assert rejection.reason != "X not well-formed" or "does not divide" in rejection.detail
+    assert P.shape[1] == 6770 and outcomes["III"] == 2507 and outcomes["II"] == 1952
 
 
 def _counting_classify(monkeypatch):
@@ -392,7 +400,7 @@ def test_structured_rejects_bad_arguments(args):
 
 
 @pytest.mark.parametrize("args,jobs", [((0, 3, 40), 1), ((2, 1, 40), 1), ((1, 3, 0), 1),
-                                       ((1, 3, 40), 0), ((1, 3, 40), -1)])
+                                       ((1, 3, 40), 0), ((1, 3, 40), -1), ((1, 3, ORACLE_W_MAX + 1), 1)])
 def test_brute_force_rejects_bad_arguments(args, jobs):
     with pytest.raises(ValueError, match="bad"):
         brute_force_enumerate(*args, jobs=jobs)
