@@ -142,6 +142,12 @@ MUTANTS = [
     Mutant("provenance-gated-cascade", "src/delpezzo/records.py",
            'NotKltGate: ("unknown",)', 'NotKltGate: ("unknown", "cascade")',
            ("tests/test_cli.py::test_loaders_reject_contradicting_rows[not_klt-provenance]",)),
+    Mutant("load-types-unchecked", "src/delpezzo/serialize.py",
+           "if not set(map(type, values)) <= types:", "if False:",
+           ("tests/test_cli.py::test_from_json_rejects_mistyped_values[mu-float]",)),
+    Mutant("structured-past-g1-unguarded", "src/delpezzo/search.py",
+           "    if 2 * I >= 3 * w_max:\n        return []\n", "",
+           ("tests/test_search.py::test_structured_past_gate_g1_is_empty_without_numpy_work",)),
     Mutant("csv-int-unchecked", "src/delpezzo/serialize.py",
            'if s and not s.removeprefix("-").isdecimal():', "if False:",
            ("tests/test_cli.py::test_from_csv_rejects_a_number_cell_that_is_not_an_integer",)),

@@ -7,7 +7,8 @@ Runs the full enumeration once (both routes, cross-checked), then writes:
   out/theorem_a.txt                   -- the per-link tally with comparisons
   out/reconciliation.txt              -- diff against the printed tables
 
-Usage: python scripts/regenerate_tables.py [--max-weight N] [--jobs N]  (N a positive integer)
+Usage: python scripts/regenerate_tables.py [--max-weight N] [--out DIR]
+(N from 1 to the oracle's bound, `search.ORACLE_W_MAX`; default 150)
 """
 
 import argparse
@@ -15,15 +16,14 @@ import pathlib
 import sys
 
 from delpezzo import catalog, serialize
-from delpezzo.cli import _positive_int
+from delpezzo.cli import _weight_bound
 from delpezzo.errors import RouteDisagreement
 from delpezzo.search import verified_enumeration
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-weight", type=_positive_int, default=150)
-    ap.add_argument("--jobs", type=_positive_int, default=1)
+    ap.add_argument("--max-weight", type=_weight_bound, default=150)
     ap.add_argument("--out", default="out")
     args = ap.parse_args()
 
@@ -31,7 +31,7 @@ def main() -> int:
     outdir.mkdir(exist_ok=True)
 
     try:
-        records = verified_enumeration(1, 10, args.max_weight, jobs=args.jobs)
+        records = verified_enumeration(1, 10, args.max_weight)
     except RouteDisagreement as exc:
         print(f"FATAL: method disagreement: {exc}")
         return 2

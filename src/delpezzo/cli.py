@@ -26,8 +26,6 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_INVARIANT = 3
 
-MAX_WEIGHT_ENV = "DELPEZZO_MAX_WEIGHT"
-
 
 class _UsageError(Exception):
     pass
@@ -38,20 +36,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def _weight_bound(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _weight_bound(text: str) -> int:
-    if _positive_int(text) > ORACLE_W_MAX:
+    if value > ORACLE_W_MAX:
         raise argparse.ArgumentTypeError(f"expected at most {ORACLE_W_MAX}, got {text!r}")
-    return int(text)
+    return value
 
 
 def _index_range(text: str) -> tuple[int, int]:
@@ -67,19 +61,14 @@ def _index_range(text: str) -> tuple[int, int]:
 
 
 def _build_parser() -> _Parser:
-    # a string default goes through `type` too, so a bad environment value
-    # is a usage error like a bad flag
-    w_max_default = os.environ.get(MAX_WEIGHT_ENV, "150")
     p = _Parser(prog="delpezzo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("enumerate", help="enumerate candidates per index")
-    pe.add_argument("--index", type=_index_range, default="1..10", help="index or range, e.g. 3 or 1..10")
-    w_max_help = f"weight bound (default: ${MAX_WEIGHT_ENV}, else 150)"
-    pe.add_argument("--max-weight", type=_weight_bound, default=w_max_default, help=w_max_help)
+    pe.add_argument("--index", type=_index_range, default=(1, 10), help="index or range, e.g. 3 or 1..10")
+    pe.add_argument("--max-weight", type=_weight_bound, default=150, help="weight bound (default: %(default)s)")
     pe.add_argument("--method", choices=["brute", "structured", "both"], default="both")
     pe.add_argument("--format", choices=["json", "csv", "markdown"], default="markdown")
-    pe.add_argument("--jobs", type=_positive_int, default=1)
     pe.add_argument("--output", default=None)
 
     pc = sub.add_parser("certify", help="Kähler-Einstein certificate cascade")
@@ -96,17 +85,16 @@ def _build_parser() -> _Parser:
 
     pr = sub.add_parser("reproduce", help="regenerate and diff a published table")
     pr.add_argument("--table", choices=["1", "3", "series", "theorem-a"], required=True)
-    pr.add_argument("--max-weight", type=_weight_bound, default=w_max_default, help=w_max_help)
-    pr.add_argument("--jobs", type=_positive_int, default=1)
+    pr.add_argument("--max-weight", type=_weight_bound, default=150, help="weight bound (default: %(default)s)")
     return p
 
 
 def _render_enumeration(args) -> str:
     imin, imax = args.index
     if args.method == "both":
-        records = verified_enumeration(imin, imax, args.max_weight, jobs=args.jobs)
+        records = verified_enumeration(imin, imax, args.max_weight)
     elif args.method == "brute":
-        records = brute_force_enumerate(imin, imax, args.max_weight, jobs=args.jobs)
+        records = brute_force_enumerate(imin, imax, args.max_weight)
     else:
         records = [r for I in range(imin, imax + 1) for r in structured_enumerate(I, args.max_weight)]
     write = {"json": serialize.to_json, "csv": serialize.to_csv, "markdown": serialize.to_markdown}
@@ -151,8 +139,8 @@ def _topology(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_table1(w_max: int, jobs: int) -> int:
-    report = catalog.diff_against_reference(verified_enumeration(1, 10, w_max, jobs=jobs))
+def _reproduce_table1(w_max: int) -> int:
+    report = catalog.diff_against_reference(verified_enumeration(1, 10, w_max))
     print(report.summary())
     return EXIT_OK if report.clean else EXIT_MISMATCH
 
@@ -198,8 +186,8 @@ def _reproduce_series() -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _reproduce_theorem_a(w_max: int, jobs: int) -> int:
-    tally = catalog.theorem_a_tally(verified_enumeration(1, 10, w_max, jobs=jobs))
+def _reproduce_theorem_a(w_max: int) -> int:
+    tally = catalog.theorem_a_tally(verified_enumeration(1, 10, w_max))
     ok, lines = catalog.compare_theorem_a(tally)
     for line in lines:
         print(line)
@@ -225,13 +213,13 @@ def _run(args) -> int:
     if args.command == "topology":
         return _topology(args)
     if args.table == "1":
-        code = _reproduce_table1(args.max_weight, args.jobs)
+        code = _reproduce_table1(args.max_weight)
     elif args.table == "3":
         code = _reproduce_table3()
     elif args.table == "series":
         code = _reproduce_series()
     else:
-        code = _reproduce_theorem_a(args.max_weight, args.jobs)
+        code = _reproduce_theorem_a(args.max_weight)
     if code != EXIT_OK:
         print(f"mismatch: table {args.table} differs from the reference; the report is on stdout",
               file=sys.stderr)

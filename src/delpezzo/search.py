@@ -5,8 +5,8 @@ Two independent routes produce the classification below a weight bound:
 * `brute_force_enumerate` scans every ascending primitive weight system with
   weights <= w_max and keeps the well-formed, quasi-smooth candidates that
   pass both exclusion gates.  It solves w3 from condition I for z3 instead
-  of scanning it; every pruning is proved in `_scan_w0`.  Complete below its
-  bound by construction; it is the semantic ground truth.
+  of scanning it; every pruning is proved in `_oracle_points`.  Complete
+  below its bound by construction; it is the semantic ground truth.
 
 * `structured_enumerate` follows the search the classification proof runs:
   for each variable i = 1, 2, 3 the quasi-smoothness witness gives an
@@ -21,7 +21,7 @@ Two independent routes produce the classification below a weight bound:
 The witness-exponent bounds.  Let a candidate pass the gates and condition
 I, with m_i*w_i + w_j = d for some partner j:
 
-* m_3 <= M3_MAX = 2 is proved in `_scan_w0`, which also shows d >= 2*w3:
+* m_3 <= M3_MAX = 2 is proved in `_oracle_points`, which also shows d >= 2*w3:
   d = (m_3 + 1)*w3 when j = 3, and d = 2*w3 + w_j otherwise.
 * m_2 <= M2_MAX = 4.  From d >= 2*w3 and d = w0 + w1 + w2 + w3 - I,
   w3 <= w0 + w1 + w2 - I < 3*w2.  Then
@@ -389,13 +389,19 @@ def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
     distinct segments of `_lines` are expanded once into point arrays,
     which end at w3 = w_max.  `classify` builds the record of each
     distinct point that passes `_prefilter`.
-    """
-    import numpy as np
 
+    There is none when 2I >= 3*w_max: a record passes gate G1, 3*w0 > 2I,
+    and has w0 <= w_max, so 2I < 3*w0 <= 3*w_max.  Returning first keeps
+    such an I, however large, out of the int64 arrays of `_lines`.
+    """
     if I < 1:
         raise ValueError(f"bad index {I}")
     if w_max < 1:
         raise ValueError(f"bad weight bound {w_max}")
+    if 2 * I >= 3 * w_max:
+        return []
+    import numpy as np
+
     start, direction, length = _lines(I, w_max)
     # rows (w0, w1, w2, w3, d) with d = |w| - I, one column per segment
     start = np.vstack([start.T, start.sum(axis=1) - I])
@@ -404,7 +410,7 @@ def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
 
 
 PASS_CAP = 1 << 13  # points per numpy pass, so that no pass grows with w_max
-ORACLE_W_MAX = (1 << 28) - 1  # the oracle's int32 arrays are exact below it (`_scan_w0`)
+ORACLE_W_MAX = (1 << 28) - 1  # the oracle's int32 arrays are exact below it (`_oracle_points`)
 
 
 def _line_points(start, step, length):
@@ -456,7 +462,7 @@ def _prefilter(P):
     * X well-formed: gcd(w_i, w_j) divides d for every pair.
 
     Every value it forms is below 4*w_max, so it runs in P's dtype: int32
-    for the oracle (bound in `_scan_w0`), int64 for the structured route.
+    for the oracle (bound in `_oracle_points`), int64 for the structured route.
 
     Given condition I and P(w) well-formed, the last test holds exactly
     when conditions III and II do.  `quasismooth._failure` decides those
@@ -506,14 +512,73 @@ def _admit(passes) -> list[CandidateRecord]:
     return [r for r in records if isinstance(r, CandidateRecord)]
 
 
-def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
-    """All admissible (I, w) with smallest weight w0 and I_min <= I <= I_max.
+def _oracle_segments(w0: int, I_min: int, I_max: int, w_max: int):
+    """The int32 segment table (start, step, length) of the points (w0, w1,
+    w2, w3, d) that `_oracle_points` allows, one column per nonempty (w1,
+    I, case); the intervals and the int32 bound are proved there."""
+    import numpy as np
 
-    `_oracle_points` generates every (I, w) the conditions below allow
-    that can pass gate G2 and condition I for z2; w3 is never scanned.
-    Each condition is necessary for admission, `_prefilter` drops what
-    fails condition I for z0..z2 or the rest of its list, and `classify`
-    builds the record of every survivor.
+    Is = np.arange(I_min, min(I_max, (3 * w0 - 1) // 2) + 1, dtype=np.int32)  # G1
+    w1, I = np.tile(np.arange(w0, w_max + 1, dtype=np.int32), len(Is)), np.repeat(Is, w_max - w0 + 1)
+    T = w0 + w1 - I
+    half = w1 + (T + w1) % 2  # the first w2 with T + w2 even
+    # per case: first w2, last w2 (0 < w1 when the case is empty), w3 at the
+    # first w2, and the steps of w2 and w3
+    cases = [
+        (w1, w_max - T, T + w1, 1, 1),  # w3 = T + w2
+        (half, np.minimum(T, 2 * w_max - T), (T + half) // 2, 2, 1),  # w3 = (T + w2)/2
+        (w1, np.where(w1 >= I, w_max - w1 + I, 0), 2 * w1 - I, 1, 1),  # w3 = w1 + w2 - I
+        (w1, np.where(w0 >= I, w_max - w0 + I, 0), T, 1, 1),  # w3 = w0 + w2 - I
+        (w1, np.where(T <= w_max, T, 0), T, 1, 0),  # w3 = T
+    ]
+    z = 0 * w1  # broadcasts the constant entries
+    # rows w1, I and the five values above, one column per (case, w1, I)
+    table = np.array([[x + z for x in (w1, I, *c)] for c in cases]).transpose(1, 0, 2).reshape(7, -1)
+    w1, I, first, last, w3, a2, a3 = table.compress(table[3] >= table[2], axis=1)  # last >= first: nonempty
+    start = np.array([np.full_like(w1, w0), w1, first, w3, w0 + w1 + first + w3 - I])
+    step = np.array([0 * w1, 0 * w1, a2, a3, a2 + a3])
+    return start, step, (last - first) // a2 + 1
+
+
+def _z2_candidates(start, step, length):
+    """The points of the segments that can pass gate G2 and condition I for
+    z2, as (whole, seg, k): the mask of the segments expanded whole, and
+    each other candidate as its segment and its step count on it.  The
+    proof is in `_oracle_points`.  One round per q serves every (j, s) pair
+    at once: q rises from its pair's q_lo, and a pair leaves once q passes
+    its q_hi, so there are max(q_hi) rounds (5 at w <= 150) and the arrays
+    are O(pairs), at most four per segment of the table."""
+    import numpy as np
+
+    f, a2 = start[2], step[2]
+    c = np.abs(a2 * (start[4] - start[:4]) - (step[4] - step[:4]) * f)  # |c_j|, a row per j
+    g2 = start[0] + start[1] != 2 * (start[0] + start[1] + start[2] + start[3] - start[4])
+    whole = g2 & (c == 0).any(axis=0)
+    pairs = g2 & ~whole & (c >= f)  # the (j, s) that may have some q
+    s, cj = np.nonzero(pairs)[1], c[pairs]
+    q, q_hi = -(-cj // (f + (length - 1) * a2)[s]), cj // f[s]  # w2 = c_j/q lies in [f, last]
+    hits = [np.zeros((2, 0), dtype=np.int32)]
+    while len(s):  # the round of q for every pair that has not passed its q_hi
+        on = q <= q_hi
+        s, cj, q, q_hi = s[on], cj[on], q[on], q_hi[on]
+        w2, rem = np.divmod(cj, q)
+        k, odd = np.divmod(w2 - f[s], a2[s])
+        hits.append(np.stack([s, k]).compress((rem == 0) & (odd == 0), axis=1))
+        q += 1
+    seg, k = np.concatenate(hits, axis=1, dtype=np.int32)
+    return whole, seg, k
+
+
+def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
+    """The passes of points (w0, w1, w2, w3, d) with smallest weight w0 and
+    I_min <= I <= I_max that the oracle hands to `_prefilter`, at most
+    `PASS_CAP` columns each.
+
+    They are every (I, w) the conditions below allow that can pass gate G2
+    and condition I for z2; w3 is never scanned.  Each condition is
+    necessary for admission, `_prefilter` drops what fails condition I for
+    z0..z2 or the rest of its list, and `classify` builds the record of
+    every survivor.
     Write S = w0 + w1 + w2, so that d = S + w3 - I.
 
     * 3*w0 > 2I: otherwise `gate_check` fails (G1).  The intervals below
@@ -569,69 +634,6 @@ def _scan_w0(w0: int, I_min: int, I_max: int, w_max: int) -> list[CandidateRecor
     a2*r_j0 <= 2*d < 8*w_max, and rho_j*f <= 3*w_max.  q <= |c_j|, and
     w2 = |c_j|/q lies on the segment.
     """
-    return _admit(_oracle_points(w0, I_min, I_max, w_max))
-
-
-def _oracle_segments(w0: int, I_min: int, I_max: int, w_max: int):
-    """The int32 segment table (start, step, length) of the points (w0, w1,
-    w2, w3, d) that `_scan_w0` allows, one column per nonempty (w1, I,
-    case); the intervals and the int32 bound are proved there."""
-    import numpy as np
-
-    Is = np.arange(I_min, min(I_max, (3 * w0 - 1) // 2) + 1, dtype=np.int32)  # G1
-    w1, I = np.tile(np.arange(w0, w_max + 1, dtype=np.int32), len(Is)), np.repeat(Is, w_max - w0 + 1)
-    T = w0 + w1 - I
-    half = w1 + (T + w1) % 2  # the first w2 with T + w2 even
-    # per case: first w2, last w2 (0 < w1 when the case is empty), w3 at the
-    # first w2, and the steps of w2 and w3
-    cases = [
-        (w1, w_max - T, T + w1, 1, 1),  # w3 = T + w2
-        (half, np.minimum(T, 2 * w_max - T), (T + half) // 2, 2, 1),  # w3 = (T + w2)/2
-        (w1, np.where(w1 >= I, w_max - w1 + I, 0), 2 * w1 - I, 1, 1),  # w3 = w1 + w2 - I
-        (w1, np.where(w0 >= I, w_max - w0 + I, 0), T, 1, 1),  # w3 = w0 + w2 - I
-        (w1, np.where(T <= w_max, T, 0), T, 1, 0),  # w3 = T
-    ]
-    z = 0 * w1  # broadcasts the constant entries
-    # rows w1, I and the five values above, one column per (case, w1, I)
-    table = np.array([[x + z for x in (w1, I, *c)] for c in cases]).transpose(1, 0, 2).reshape(7, -1)
-    w1, I, first, last, w3, a2, a3 = table.compress(table[3] >= table[2], axis=1)  # last >= first: nonempty
-    start = np.array([np.full_like(w1, w0), w1, first, w3, w0 + w1 + first + w3 - I])
-    step = np.array([0 * w1, 0 * w1, a2, a3, a2 + a3])
-    return start, step, (last - first) // a2 + 1
-
-
-def _z2_candidates(start, step, length):
-    """The points of the segments that can pass gate G2 and condition I for
-    z2, as (whole, seg, k): the mask of the segments expanded whole, and
-    each other candidate as its segment and its step count on it.  The
-    proof is in `_scan_w0`.  One round per q serves every (j, s) pair at
-    once: q rises from its pair's q_lo, and a pair leaves once q passes its
-    q_hi, so there are max(q_hi) rounds (5 at w <= 150) and the arrays are
-    O(pairs), at most four per segment of the table."""
-    import numpy as np
-
-    f, a2 = start[2], step[2]
-    c = np.abs(a2 * (start[4] - start[:4]) - (step[4] - step[:4]) * f)  # |c_j|, a row per j
-    g2 = start[0] + start[1] != 2 * (start[0] + start[1] + start[2] + start[3] - start[4])
-    whole = g2 & (c == 0).any(axis=0)
-    pairs = g2 & ~whole & (c >= f)  # the (j, s) that may have some q
-    s, cj = np.nonzero(pairs)[1], c[pairs]
-    q, q_hi = -(-cj // (f + (length - 1) * a2)[s]), cj // f[s]  # w2 = c_j/q lies in [f, last]
-    hits = [np.zeros((2, 0), dtype=np.int32)]
-    while len(s):  # the round of q for every pair that has not passed its q_hi
-        on = q <= q_hi
-        s, cj, q, q_hi = s[on], cj[on], q[on], q_hi[on]
-        w2, rem = np.divmod(cj, q)
-        k, odd = np.divmod(w2 - f[s], a2[s])
-        hits.append(np.stack([s, k]).compress((rem == 0) & (odd == 0), axis=1))
-        q += 1
-    seg, k = np.concatenate(hits, axis=1, dtype=np.int32)
-    return whole, seg, k
-
-
-def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
-    """The passes of points (w0, w1, w2, w3, d) that `_scan_w0` hands to the
-    prefilter, at most `PASS_CAP` columns each."""
     start, step, length = _oracle_segments(w0, I_min, I_max, w_max)
     whole, seg, k = _z2_candidates(start, step, length)
     yield from _line_points(start[:, whole], step[:, whole], length[whole])
@@ -641,33 +643,23 @@ def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
         yield start.take(s, axis=1) + step.take(s, axis=1) * k[a:a + PASS_CAP]
 
 
-def brute_force_enumerate(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> list[CandidateRecord]:
+def brute_force_enumerate(I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
     """Exhaustive scan: the complete record list below the weight bound.
 
-    Deterministic order (index ascending, then weights lexicographic),
-    identical for any job count.  One pool of spawned workers splits on
-    the smallest weight w0, and each w0 serves every index; a script that
-    passes jobs > 1 needs the usual `if __name__ == "__main__"` guard.
+    Deterministic order (index ascending, then weights lexicographic).
+    Each smallest weight w0 serves every index, and one `_admit` call
+    classifies the survivors of every w0.
     """
     if not (1 <= I_min <= I_max):
         raise ValueError(f"bad index range [{I_min}, {I_max}]")
     if not 1 <= w_max <= ORACLE_W_MAX:
         raise ValueError(f"bad weight bound {w_max}")
-    if jobs < 1:
-        raise ValueError(f"bad job count {jobs}")
     w0_min = (2 * I_min) // 3 + 1  # gate G1 at the smallest index
-    args = [(w0, I_min, I_max, w_max) for w0 in range(w0_min, w_max + 1)]
-    if jobs > 1 and len(args) > 1:
-        from multiprocessing import get_context
-
-        with get_context("spawn").Pool(jobs) as pool:
-            chunks = pool.starmap(_scan_w0, args, chunksize=1)
-    else:
-        chunks = [_scan_w0(*a) for a in args]
-    return sorted((r for chunk in chunks for r in chunk), key=CandidateRecord.key)
+    passes = (P for w0 in range(w0_min, w_max + 1) for P in _oracle_points(w0, I_min, I_max, w_max))
+    return sorted(_admit(passes), key=CandidateRecord.key)
 
 
-def verified_enumeration(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> list[CandidateRecord]:
+def verified_enumeration(I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
     """The oracle's records for I_min..I_max below w_max, checked against the structured search.
 
     Raises `RouteDisagreement` naming each (I, w, d) that one route finds
@@ -675,7 +667,7 @@ def verified_enumeration(I_min: int, I_max: int, w_max: int, jobs: int = 1) -> l
     `_prefilter`, conditions III and II included, so a point it wrongly
     drops goes missing from both and this check cannot see it.
     """
-    oracle = brute_force_enumerate(I_min, I_max, w_max, jobs=jobs)
+    oracle = brute_force_enumerate(I_min, I_max, w_max)
     found = {r.key() for r in oracle}
     structured = {r.key() for I in range(I_min, I_max + 1) for r in structured_enumerate(I, w_max)}
     disputed = sorted(

@@ -23,10 +23,13 @@ case-analysis, prior-work or unknown; any other verdict takes none).  A
 verdict has exactly the certificate columns that are fields of its class:
 certified has rule, lhs and rhs, not_klt has gate (G1 or G2), unknown has
 none.  `series_id` and `series_k` are both present or both absent, and
-every other column is always present.  JSON weights must be four
-numbers.  `from_csv` rejects a header other than `CSV_COLUMNS`, a line
-whose cell count differs from the header's, and a cell that is not an
-integer outside the text columns.
+every other column is always present.  A value in a text column is a
+string, and any other value an int: a bool or a float is rejected, as in
+`record 2: mu = 3.5 is not an integer`.  The JSON top level is a list of
+objects, each with weights a list of four and klt, moduli and series
+objects when present.  `from_csv` rejects a header other than
+`CSV_COLUMNS`, a line whose cell count differs from the header's, and a
+cell that is not an integer outside the text columns.
 """
 
 from __future__ import annotations
@@ -107,6 +110,11 @@ def _load(columns) -> list[CandidateRecord]:
     for column, values in zip(CSV_COLUMNS, columns):
         if column not in _OPTIONAL and None in values:
             raise ValueError(f"record {values.index(None) + 1}: {column} is missing")
+        types = {str if column in _TEXT else int, type(None)}
+        if not set(map(type, values)) <= types:  # one pass; the search only on failure
+            pos, value = next((pos, v) for pos, v in enumerate(values, 1) if type(v) not in types)
+            raise ValueError(f"record {pos}: {column} = {value!r} is not "
+                             + ("a string" if str in types else "an integer"))
     out = []
     for pos, row in enumerate(zip(*columns), 1):
         try:
@@ -125,13 +133,20 @@ def record_to_dict(r: CandidateRecord) -> dict:
     return out
 
 
-def _json_columns(entries: list[dict]) -> list[list]:
+def _json_columns(entries) -> list[list]:
     """One list of values per column, each read from its place in every entry."""
-    objects = {None: entries, "weights": [e.get("weights") or () for e in entries]}
-    objects.update((group, [e.get(group) or {} for e in entries]) for group in _GROUPS)
-    for pos, w in enumerate(objects["weights"], 1):
-        if len(w) != 4:
-            raise ValueError(f"record {pos}: weights {w!r} are not four numbers")
+    if type(entries) is not list:
+        raise ValueError(f"the JSON top level is not a list of records: {entries!r:.40}")
+    for pos, e in enumerate(entries, 1):
+        if type(e) is not dict:
+            raise ValueError(f"record {pos}: {e!r:.40} is not an object")
+        for group in _GROUPS:
+            if type(e.get(group, {})) is not dict:
+                raise ValueError(f"record {pos}: {group} = {e[group]!r:.40} is not an object")
+        if type(e.get("weights")) is not list or len(e["weights"]) != 4:
+            raise ValueError(f"record {pos}: weights {e.get('weights')!r} are not four numbers")
+    objects = {None: entries, "weights": [e["weights"] for e in entries]}
+    objects.update((group, [e.get(group, {}) for e in entries]) for group in _GROUPS)
     return [[w[key] for w in objects[group]] if group == "weights" else
             [obj.get(key) for obj in objects[group]] for group, key in _PLACES]
 

@@ -30,11 +30,10 @@ def test_reproduce_matches_golden_stdout(table, enumeration_150, monkeypatch, ca
     is what `verified_enumeration` returns once the routes agree."""
     records, _ = enumeration_150
 
-    def enumeration(I_min, I_max, w_max, jobs=1):
+    def enumeration(I_min, I_max, w_max):
         assert (I_min, I_max, w_max) == (1, 10, 150)
         return records
 
-    monkeypatch.delenv(cli.MAX_WEIGHT_ENV, raising=False)
     monkeypatch.setattr(cli, "verified_enumeration", enumeration)
     assert cli.main(["reproduce", "--table", table]) == 0
     golden = Path(__file__).resolve().parent / "golden" / f"reproduce_{table}.txt"

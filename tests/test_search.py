@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -190,16 +191,13 @@ def test_brute_force_index1(enumeration_150):
     assert keys == sorted(keys)
 
 
-def test_brute_force_deterministic_and_parallel():
-    single = brute_force_enumerate(2, 2, 40, jobs=1)
-    again = brute_force_enumerate(2, 2, 40, jobs=1)
-    parallel = brute_force_enumerate(2, 2, 40, jobs=2)
+def test_brute_force_deterministic(enumeration_60_both):
+    single = brute_force_enumerate(2, 2, 40)
+    again = brute_force_enumerate(2, 2, 40)
     assert [r.key() for r in single] == [r.key() for r in again]
-    assert [r.key() for r in single] == [r.key() for r in parallel]
-    # one pool serves every index
-    all_single = brute_force_enumerate(1, 10, 60, jobs=1)
-    all_parallel = brute_force_enumerate(1, 10, 60, jobs=2)
-    assert [r.key() for r in all_single] == [r.key() for r in all_parallel]
+    # one call over every index gives the one-index calls' lists, in order
+    brute, _ = enumeration_60_both
+    assert brute_force_enumerate(1, 10, 60) == [r for I in range(1, 11) for r in brute[I]]
 
 
 def test_oracle_matches_unpruned_scan():
@@ -207,8 +205,8 @@ def test_oracle_matches_unpruned_scan():
 
     The oracle skips 3*w0 <= 2I and w0 + w1 = 2I and tries only five
     values of w3 per (w0, w1, w2, I); the proofs are in
-    `search._scan_w0`.  Here every ascending tuple and every index goes
-    through `classify` and the bound w3 <= w_max alone.
+    `search._oracle_points`.  Here every ascending tuple and every index
+    goes through `classify` and the bound w3 <= w_max alone.
     """
     w_max = 40
     expected = [
@@ -224,8 +222,8 @@ def test_oracle_matches_unpruned_scan():
 
 def _docstring_scan(w_max):
     """(I, w) for every w0 <= w1 <= w2, every index 1..10 past gate G1 and
-    every w3 case of `search._scan_w0` with w2 <= w3 <= w_max, one count per
-    case that gives it."""
+    every w3 case of `search._oracle_points` with w2 <= w3 <= w_max, one
+    count per case that gives it."""
     out = Counter()
     for w0, w1, w2 in itertools.combinations_with_replacement(range(1, w_max + 1), 3):
         for I in range(1, 11):
@@ -249,9 +247,9 @@ def oracle_expansion(request):
 
 def test_oracle_intervals_match_docstring_scan(oracle_expansion):
     """The interval generator emits exactly the points, with the repeats,
-    that a plain loop over the conditions of `_scan_w0` gives, in passes of
-    at most `PASS_CAP` points.  An odd bound reaches w3 = (S - I)/2 at
-    the edge 2*w_max - T."""
+    that a plain loop over the conditions of `_oracle_points` gives, in
+    passes of at most `PASS_CAP` points.  An odd bound reaches
+    w3 = (S - I)/2 at the edge 2*w_max - T."""
     w_max, expansion = oracle_expansion
     got = Counter()
     for _, passes in expansion.values():
@@ -381,7 +379,7 @@ def _counting_classify(monkeypatch):
 
 def test_oracle_classifies_only_records(monkeypatch):
     calls = _counting_classify(monkeypatch)
-    records = brute_force_enumerate(1, 10, 60, jobs=1)
+    records = brute_force_enumerate(1, 10, 60)
     assert calls["classify"] == len(records) > 0
 
 
@@ -399,11 +397,19 @@ def test_structured_rejects_bad_arguments(args):
         structured_enumerate(*args)
 
 
-@pytest.mark.parametrize("args,jobs", [((0, 3, 40), 1), ((2, 1, 40), 1), ((1, 3, 0), 1),
-                                       ((1, 3, 40), 0), ((1, 3, 40), -1), ((1, 3, ORACLE_W_MAX + 1), 1)])
-def test_brute_force_rejects_bad_arguments(args, jobs):
+def test_structured_past_gate_g1_is_empty_without_numpy_work():
+    """Gate G1 leaves no record once 2I >= 3*w_max, so a huge index returns
+    before it can wrap around in the int64 arrays of `_lines`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert structured_enumerate(2**62, 50) == []
+        assert structured_enumerate(10**19, 5) == []
+
+
+@pytest.mark.parametrize("args", [(0, 3, 40), (2, 1, 40), (1, 3, 0), (1, 3, ORACLE_W_MAX + 1)])
+def test_brute_force_rejects_bad_arguments(args):
     with pytest.raises(ValueError, match="bad"):
-        brute_force_enumerate(*args, jobs=jobs)
+        brute_force_enumerate(*args)
 
 
 def test_import_leaves_numpy_out():
