@@ -88,9 +88,9 @@ MUTANTS = [
     Mutant("shape-scan-one-short", "src/delpezzo/search.py",
            "< period[:, None])", "< period[:, None] - 1)",
            ("tests/test_search.py::test_minors_solve_matches_smith_form",)),
-    Mutant("char-mul-no-gcd", "src/delpezzo/topology.py",
+    Mutant("char-mul-no-gcd", "tests/oracles.py",
            "cn * cm * g", "cn * cm",
-           ("tests/test_topology.py::test_char_mul_relations",
+           ("tests/test_topology.py::test_char_square_identity",
             "tests/test_topology.py::test_integer_divisor_matches_fraction_fold")),
     Mutant("divisor-two-term-no-gcd", "src/delpezzo/topology.py",
            "out.get(k, 0) + cn * g", "out.get(k, 0) + cn",
@@ -115,7 +115,7 @@ MUTANTS = [
            ("tests/test_quasismooth.py::test_condition_III_one_witness_pair_fails",
             "tests/test_quasismooth.py::test_failure_matches_literal_rule")),
     Mutant("divisor-no-remainder-check", "src/delpezzo/topology.py",
-           "        if rem:\n            rational", "        if False:\n            rational",
+           "        if rem:\n            raise", "        if False:\n            raise",
            ("tests/test_topology.py::test_integer_divisor_checks_match_fraction_fold",)),
     Mutant("ke-certified-unknown", "src/delpezzo/records.py",
            'return "Y"\n    if isinstance(verdict, NotKltGate):',
@@ -145,6 +145,13 @@ MUTANTS = [
     Mutant("load-types-unchecked", "src/delpezzo/serialize.py",
            "if not set(map(type, values)) <= types:", "if False:",
            ("tests/test_cli.py::test_from_json_rejects_mistyped_values[mu-float]",)),
+    Mutant("index-range-unclipped", "src/delpezzo/search.py",
+           "top = min(I_max, (3 * w_max - 1) // 2)", "top = I_max",
+           ("tests/test_cli.py::test_cli_index_range_stops_at_gate_g1",)),
+    Mutant("divisor-text-minus-one", "src/delpezzo/cli.py",
+           '_UNIT_COEFFICIENTS = {1: "", -1: "-"}', '_UNIT_COEFFICIENTS = {1: ""}',
+           ("tests/test_cli.py::test_divisor_text_writes_every_kind_of_term",
+            "tests/test_cli.py::test_cli_topology_outputs")),
     Mutant("structured-past-g1-unguarded", "src/delpezzo/search.py",
            "    if 2 * I >= 3 * w_max:\n        return []\n", "",
            ("tests/test_search.py::test_structured_past_gate_g1_is_empty_without_numpy_work",)),

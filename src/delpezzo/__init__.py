@@ -43,8 +43,6 @@ from .search import (
 )
 from .topology import (
     LinkReport,
-    VirtualCharacter,
-    char_mul,
     characteristic_divisor,
     diffeo_type,
     milnor_number,
@@ -54,7 +52,6 @@ from .weights import (
     WeightSystem,
     count_monomials,
     is_well_formed,
-    monomials_of_degree,
     normalize_weights,
 )
 

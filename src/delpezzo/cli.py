@@ -17,7 +17,7 @@ from .errors import InvariantViolation, RouteDisagreement
 from .klt import certify_KE
 from .quasismooth import Rejection
 from .records import classify
-from .search import ORACLE_W_MAX, brute_force_enumerate, structured_enumerate, verified_enumeration
+from .search import ORACLE_W_MAX, brute_force_enumerate, structured_range, verified_enumeration
 from .topology import diffeo_type
 from .weights import Candidate, normalize_weights
 
@@ -96,7 +96,7 @@ def _render_enumeration(args) -> str:
     elif args.method == "brute":
         records = brute_force_enumerate(imin, imax, args.max_weight)
     else:
-        records = [r for I in range(imin, imax + 1) for r in structured_enumerate(I, args.max_weight)]
+        records = structured_range(imin, imax, args.max_weight)
     write = {"json": serialize.to_json, "csv": serialize.to_csv, "markdown": serialize.to_markdown}
     return write[args.format](records)
 
@@ -121,6 +121,17 @@ def _certify(args) -> int:
     return EXIT_OK
 
 
+_UNIT_COEFFICIENTS = {1: "", -1: "-"}
+
+
+def _divisor_text(div: dict[int, int]) -> str:
+    """The divisor {n: c_n}, in its order of ascending n, as
+    `1 - L2 + L6 - L9 + 6L18`: L_1 written as its coefficient, and a
+    coefficient of 1 or -1 on L_n (n > 1) written as its sign alone."""
+    terms = (str(c) if n == 1 else f"{_UNIT_COEFFICIENTS.get(c, c)}L{n}" for n, c in div.items())
+    return " + ".join(terms).replace("+ -", "- ")
+
+
 def _topology(args) -> int:
     checked = _checked(args, diffeo_type)
     if checked is None:
@@ -128,7 +139,7 @@ def _topology(args) -> int:
     c, report = checked
     print(f"candidate: {c}")
     print(f"mu = {report.mu}")
-    print(f"divisor = {report.divisor}")
+    print(f"divisor = {_divisor_text(report.divisor)}")
     print(f"b2(link) = {report.b2_link}, b2(orbifold) = {report.b2_link + 1}")
     if report.l == 0:
         print("link: S^5")

@@ -409,6 +409,17 @@ def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
     return sorted(_admit(_line_points(start, step, length)), key=CandidateRecord.key)
 
 
+def structured_range(I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
+    """`structured_enumerate` at each index of I_min..I_max, concatenated.
+
+    The range is clipped at (3*w_max - 1) // 2: past it 2I >= 3*w_max, and
+    `structured_enumerate` proves by gate G1 that such an index has no
+    record, so a huge range costs no more than its nonempty part.
+    """
+    top = min(I_max, (3 * w_max - 1) // 2)
+    return [r for I in range(I_min, top + 1) for r in structured_enumerate(I, w_max)]
+
+
 PASS_CAP = 1 << 13  # points per numpy pass, so that no pass grows with w_max
 ORACLE_W_MAX = (1 << 28) - 1  # the oracle's int32 arrays are exact below it (`_oracle_points`)
 
@@ -669,7 +680,7 @@ def verified_enumeration(I_min: int, I_max: int, w_max: int) -> list[CandidateRe
     """
     oracle = brute_force_enumerate(I_min, I_max, w_max)
     found = {r.key() for r in oracle}
-    structured = {r.key() for I in range(I_min, I_max + 1) for r in structured_enumerate(I, w_max)}
+    structured = {r.key() for r in structured_range(I_min, I_max, w_max)}
     disputed = sorted(
         [(k, "structured search") for k in found - structured]
         + [(k, "exhaustive oracle") for k in structured - found]

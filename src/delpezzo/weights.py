@@ -1,4 +1,4 @@
-"""Weight systems, weighted monomial enumeration, degree/index bookkeeping.
+"""Weight systems, weighted monomial counting, degree/index bookkeeping.
 
 A weight system is an ascending primitive 4-tuple of positive integers
 (w0, w1, w2, w3).  A degree-d hypersurface in the corresponding weighted
@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import NonPrimitiveWeights
-
-# Exponent vector (a0, a1, a2, a3) of a monomial z0^a0 z1^a1 z2^a2 z3^a3.
-ExponentVector = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True, order=True)
@@ -96,30 +93,8 @@ class Candidate:
         return f"{self.weights} d={self.d} I={self.I}"
 
 
-def monomials_of_degree(w: WeightSystem, d: int) -> list[ExponentVector]:
-    """All exponent vectors with a0*w0 + ... + a3*w3 = d.
-
-    Ordered with the highest-index variable outermost: the emitted sequence
-    is ascending in (a3, a2, a1).  Deterministic, so serialized artifacts
-    are byte-stable.
-    """
-    if d < 0:
-        return []
-    w0, w1, w2, w3 = w.w
-    out: list[ExponentVector] = []
-    for a3 in range(d // w3 + 1):
-        r3 = d - a3 * w3
-        for a2 in range(r3 // w2 + 1):
-            r2 = r3 - a2 * w2
-            for a1 in range(r2 // w1 + 1):
-                r1 = r2 - a1 * w1
-                if r1 % w0 == 0:
-                    out.append((r1 // w0, a1, a2, a3))
-    return out
-
-
 def count_monomials(w: WeightSystem, d: int) -> int:
-    """len(monomials_of_degree(w, d)) without building the list.
+    """The number of monomials z0^a0 z1^a1 z2^a2 z3^a3 of weighted degree d.
 
     For fixed (a3, a2) with remainder r2, the monomials are the a1 in
     [0, r2 // w1] with a1*w1 = r2 (mod w0).  With g = gcd(w0, w1) and

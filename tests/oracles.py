@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's algebra: the divisor
 oracle works with explicit root-of-unity multisets in Z[Z/L], the
-monomial oracle counts lattice points by blunt iteration, and the Jacobian
-oracle decides quasi-smoothness by linear algebra over F_p.
+Fraction fold multiplies the divisor's factors out in Q[C*] one at a time,
+the monomial oracle counts lattice points by blunt iteration, and the
+Jacobian oracle decides quasi-smoothness by linear algebra over F_p.
 """
 
 import random
@@ -13,13 +14,55 @@ from math import gcd, lcm
 
 import numpy as np
 
-from delpezzo.topology import VirtualCharacter, reduced_ratios
+from delpezzo.topology import reduced_ratios
 
 
-def roots_vector(char: VirtualCharacter, L: int) -> list:
+def _nonzero(coeffs: dict) -> dict:
+    return {n: c for n, c in coeffs.items() if c}
+
+
+def char_add(a: dict, b: dict) -> dict:
+    """a + b for virtual characters {n: c_n} = sum c_n L_n; zeros dropped,
+    so that dict equality is equality in the ring."""
+    out = dict(a)
+    for n, c in b.items():
+        out[n] = out.get(n, 0) + c
+    return _nonzero(out)
+
+
+def char_sub(a: dict, b: dict) -> dict:
+    return char_add(a, {n: -c for n, c in b.items()})
+
+
+def char_mul(a: dict, b: dict) -> dict:
+    """Bilinear extension of L_a * L_b = gcd(a,b) * L_lcm(a,b); zeros dropped."""
+    out = {}
+    for n, cn in a.items():
+        for m, cm in b.items():
+            g = gcd(n, m)
+            k = n // g * m
+            out[k] = out.get(k, 0) + cn * cm * g
+    return _nonzero(out)
+
+
+def fraction_divisor(candidate) -> dict:
+    """The characteristic divisor as a fold of Fraction-coefficient factors
+    (L_u/v - 1), one `char_mul` per reduced ratio u/v = d/w_i."""
+    div = {1: 1}
+    for u, v in reduced_ratios(candidate):
+        div = char_mul(div, char_sub({u: Fraction(1, v)}, {1: 1}))
+    return div
+
+
+def degree_sum(char: dict):
+    """sum_n n * c_n: the size of the root-of-unity multiset of a character."""
+    return sum(n * c for n, c in char.items())
+
+
+def roots_vector(char: dict, L: int) -> list:
     """Multiplicity of each L-th root of unity in a virtual character."""
     out = [0] * L
-    for n, c in char.coeffs.items():
+    for n, c in char.items():
         assert L % n == 0, (n, L)
         step = L // n
         for j in range(n):

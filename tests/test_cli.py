@@ -422,6 +422,33 @@ def test_cli_topology_outputs(capsys):
     assert "divisor = 1 + 5L3\n" in out
 
 
+def test_divisor_text_writes_every_kind_of_term():
+    # the L_1 term and the coefficients 1, -1, >= 2 and <= -2
+    assert cli._divisor_text({1: 1, 2: -1, 3: 1, 6: -2, 9: 3}) == "1 - L2 + L3 - 2L6 + 3L9"
+
+
+@pytest.mark.parametrize("method", ["structured", "both"])
+def test_cli_index_range_stops_at_gate_g1(method, capsys, monkeypatch):
+    """No index past (3*w_max - 1) // 2 has a record, so a huge range
+    searches only up to it: 7 indices at w_max = 5."""
+    argv = ["enumerate", "--max-weight", "5", "--method", method, "--format", "csv"]
+    assert cli.main(argv + ["--index", "1..7"]) == 0
+    expected = capsys.readouterr().out
+    real = search.structured_enumerate
+    calls = []
+
+    def counted(index, w_max):
+        calls.append(index)
+        return real(index, w_max)
+
+    # and under the command line's own name for it, should it import one
+    monkeypatch.setattr(search, "structured_enumerate", counted)
+    monkeypatch.setattr(cli, "structured_enumerate", counted, raising=False)
+    assert cli.main(argv + ["--index", "1..1000000"]) == 0
+    assert len(calls) <= 7
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_output_file(tmp_path):
     target = tmp_path / "rows.json"
     code = cli.main(["enumerate", "--index", "3", "--max-weight", "150",

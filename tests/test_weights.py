@@ -11,7 +11,6 @@ from delpezzo.weights import (
     WeightSystem,
     count_monomials,
     is_well_formed,
-    monomials_of_degree,
     normalize_weights,
     pair_has_monomial,
 )
@@ -62,19 +61,8 @@ def test_well_formed(w, expected):
 )
 def test_monomial_counts(w, d, count):
     ws = normalize_weights(w)
-    monos = monomials_of_degree(ws, d)
-    assert len(monos) == count
     assert count_monomials(ws, d) == count
     assert count_monomials_oracle(ws.w, d) == count
-    for a in monos:
-        assert sum(x * y for x, y in zip(a, ws.w)) == d
-
-
-def test_monomials_deterministic_order():
-    ws = normalize_weights((2, 3, 5, 9))
-    monos = monomials_of_degree(ws, 18)
-    assert monos == sorted(monos, key=lambda a: (a[3], a[2], a[1]))
-    assert monos == monomials_of_degree(ws, 18)
 
 
 def test_candidate_invariants():
@@ -107,21 +95,6 @@ weights_strategy = st.tuples(*[st.integers(1, 30)] * 4).filter(lambda t: gcd(*t)
 def test_normalize_idempotent(raw):
     ws = normalize_weights(raw)
     assert normalize_weights(ws.w).w == ws.w
-
-
-@given(weights_strategy, st.integers(0, 25), st.integers(0, 25))
-@settings(max_examples=60)
-def test_monomials_monoid_closure(raw, d1, d2):
-    ws = normalize_weights(raw)
-    first = monomials_of_degree(ws, d1)
-    second = monomials_of_degree(ws, d2)
-    if not first or not second:
-        return
-    total = set(monomials_of_degree(ws, d1 + d2))
-    for a in first[:5]:
-        for b in second[:5]:
-            s = tuple(x + y for x, y in zip(a, b))
-            assert s in total
 
 
 def test_monomial_count_nondecreasing_past_frobenius():
