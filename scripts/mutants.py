@@ -124,6 +124,9 @@ MUTANTS = [
     Mutant("place-moduli-top-level", "src/delpezzo/serialize.py",
            '_GROUPS = ("klt", "moduli", "series")', '_GROUPS = ("klt", "series")',
            ("tests/test_cli.py::test_json_schema_fields",)),
+    Mutant("json-record-unshifted", "src/delpezzo/serialize.py",
+           '.replace("\\n", "\\n ")', "",
+           ("tests/test_cli.py::test_to_json_is_json_dumps_of_the_list",)),
     Mutant("load-no-index-check", "src/delpezzo/serialize.py",
            "(I, l, b2_orbifold, n) != (c.I, b2_link, b2_link + 1, m - dim_aut)",
            "(l, b2_orbifold, n) != (b2_link, b2_link + 1, m - dim_aut)",

@@ -10,9 +10,12 @@ columns.  JSON places each column by one rule: w0..w3 make up the
 nested object under the rest of its name, and every other column stays at
 the top level.  An absent value is omitted, and so is an object left
 empty (the `series` of a record without one), so the JSON key order is
-the column order.  Both loaders read one list of values per column and
-build the records a row at a time.  Markdown is for reading.  No record
-field is rational: every number is an exact integer.
+the column order.  `to_json` encodes one record at a time, so its peak
+memory is a small multiple of one record's text, not of the document's,
+and writes exactly the bytes of `json.dumps` on the whole list with
+indent 1.  Both loaders read one list of values per column and build the
+records a row at a time.  Markdown is for reading.  No record field is
+rational: every number is an exact integer.
 
 Loading rejects a row that contradicts itself, with a ValueError naming
 the record's position and the field: index != |w| - d, l != b2_link,
@@ -63,6 +66,7 @@ def _place(column: str) -> tuple[str | None, str | int]:
 
 
 _PLACES = tuple(map(_place, CSV_COLUMNS))
+_ENCODER = json.JSONEncoder(indent=1)  # json.dumps(obj, indent=1) is its encode(obj)
 _VERDICTS = {Certified: "certified", NotKltGate: "not_klt", Unknown: "unknown"}
 _CLASSES = {name: cls for cls, name in _VERDICTS.items()}
 _CERTIFICATE = ("klt_rule", "klt_gate", "klt_lhs", "klt_rhs")
@@ -152,7 +156,22 @@ def _json_columns(entries) -> list[list]:
 
 
 def to_json(records: list[CandidateRecord]) -> str:
-    return json.dumps([record_to_dict(r) for r in records], indent=1) + "\n"
+    """`json.dumps([record_to_dict(r) for r in records], indent=1) + "\\n"`, a record at a time.
+
+    CPython's C encoder ignores `indent`, so `json.dumps` of the whole list
+    runs the pure-Python encoder, which holds the document as tens of
+    thousands of chunk strings before it joins them (about 13 times the
+    text at its peak).  Here each record is encoded alone and only the
+    records' texts are held.  The bytes are the same: JSON escapes a
+    newline inside a string as `\\n`, so every newline in a record's text
+    is one the encoder wrote before an indented line, and putting one more
+    space after each places the record's lines at depth 1, as they sit in
+    the list.  The list is written as the encoder writes it: "[", then
+    each record after a newline and one space, with "," between records,
+    then a newline before "]" unless the list is empty.
+    """
+    texts = ("\n " + _ENCODER.encode(record_to_dict(r)).replace("\n", "\n ") for r in records)
+    return "[" + ",".join(texts) + ("\n]\n" if records else "]\n")
 
 
 def from_json(text: str) -> list[CandidateRecord]:
@@ -162,7 +181,9 @@ def from_json(text: str) -> list[CandidateRecord]:
 def to_csv(records: list[CandidateRecord]) -> str:
     buf = io.StringIO()
     rows = (["" if v is None else v for v in _row(r)] for r in records)
-    csv.writer(buf, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -90,6 +91,31 @@ def test_json_key_order_is_csv_column_order(sample_records):
             else:
                 keys.append(key)
         assert keys == [c for c in CSV_COLUMNS if c in keys]
+
+
+def _records_150(structured_150):
+    return [r for index in range(1, 11) for r in structured_150[index]]
+
+
+def test_to_json_is_json_dumps_of_the_list(sample_records, structured_150):
+    """Byte for byte, including a string whose escapes hold a newline and a non-ASCII letter."""
+    records = _records_150(structured_150)
+    member = next(r for r in records if r.series_id)
+    odd = dataclasses.replace(member, series_id='a"b\\c\nd\u00e9')
+    for rs in ([], sample_records[:1], records, [odd, *sample_records[:2]]):
+        assert to_json(rs) == json.dumps([serialize.record_to_dict(r) for r in rs], indent=1) + "\n"
+
+
+def test_to_json_peak_memory_is_a_few_times_its_text(structured_150):
+    """Encoding the whole list at once peaks near 13 times the text; a record at a time, below 3."""
+    records = _records_150(structured_150)
+    tracemalloc.start()
+    try:
+        text = to_json(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
 
 
 def _edited(records, pos, column, json_path, value):
