@@ -127,24 +127,19 @@ MUTANTS = [
     Mutant("json-record-unshifted", "src/delpezzo/serialize.py",
            '.replace("\\n", "\\n ")', "",
            ("tests/test_cli.py::test_to_json_is_json_dumps_of_the_list",)),
-    Mutant("load-no-index-check", "src/delpezzo/serialize.py",
-           "(I, l, b2_orbifold, n) != (c.I, b2_link, b2_link + 1, m - dim_aut)",
-           "(l, b2_orbifold, n) != (b2_link, b2_link + 1, m - dim_aut)",
-           ("tests/test_cli.py::test_loaders_reject_contradicting_rows[index]",)),
-    Mutant("load-no-moduli-n-check", "src/delpezzo/serialize.py",
-           "(I, l, b2_orbifold, n) != (c.I, b2_link, b2_link + 1, m - dim_aut)",
-           "(I, l, b2_orbifold) != (c.I, b2_link, b2_link + 1)",
-           ("tests/test_cli.py::test_loaders_reject_contradicting_rows[moduli_n]",)),
     Mutant("load-no-certificate-check", "src/delpezzo/serialize.py",
-           "if (rule is None, gate is None, lhs is None, rhs is None) != _ABSENT[cls]:",
-           "if False:",
+           "    if missing:\n", "    if False:\n",
            ("tests/test_cli.py::test_loaders_reject_contradicting_rows[certified-rule-missing]",)),
-    Mutant("load-series-id-alone", "src/delpezzo/serialize.py",
-           "if (series_id is None) != (series_k is None):", "if False:",
-           ("tests/test_cli.py::test_loaders_reject_contradicting_rows[series-k-missing]",)),
-    Mutant("provenance-gated-cascade", "src/delpezzo/records.py",
-           'NotKltGate: ("unknown",)', 'NotKltGate: ("unknown", "cascade")',
-           ("tests/test_cli.py::test_loaders_reject_contradicting_rows[not_klt-provenance]",)),
+    Mutant("check-stops-before-klt", "src/delpezzo/cli.py",
+           "zip(serialize.CSV_COLUMNS, row, serialize._row(rec))",
+           "zip(serialize.CSV_COLUMNS[:10], row, serialize._row(rec))",
+           ("tests/test_cli.py::test_check_refuses_rows_that_agree_with_themselves[klt_lhs]",)),
+    Mutant("check-rejection-matches", "src/delpezzo/cli.py",
+           '[f"classify rejects it: {rec}"] if', "[] if",
+           ("tests/test_cli.py::test_check_refuses_a_row_classify_rejects",)),
+    Mutant("check-format-inverted", "src/delpezzo/cli.py",
+           'if text.lstrip().startswith("[") else', 'if not text.lstrip().startswith("[") else',
+           ("tests/test_cli.py::test_check_passes_the_golden_records",)),
     Mutant("load-types-unchecked", "src/delpezzo/serialize.py",
            "if not set(map(type, values)) <= types:", "if False:",
            ("tests/test_cli.py::test_from_json_rejects_mistyped_values[mu-float]",)),

@@ -26,12 +26,7 @@ from .moduli import (
     aut_dimension,
     moduli_report,
 )
-from .quasismooth import (
-    ConditionIWitness,
-    Rejection,
-    condition_I,
-    is_quasismooth,
-)
+from .quasismooth import Rejection, is_quasismooth
 from .records import CandidateRecord, build_record, classify
 from .search import (
     BranchAssignment,

@@ -1,14 +1,17 @@
-"""Command-line driver: enumeration, certification, topology, reproduction.
+"""Command-line driver: enumeration, certification, topology, reproduction,
+and the check of a record file against its recomputation.
 
-Exit codes: 0 success/match, 1 usage error or an output file or stdout that
-cannot be written (e.g. a closed pipe), 2 verification mismatch, 3 internal
-invariant violation or any other internal error.  Every nonzero exit prints
-one line to stderr, never a traceback.
+Exit codes: 0 success/match, 1 usage error, an output file or stdout that
+cannot be written (e.g. a closed pipe) or a record file that cannot be read
+or parsed, 2 verification mismatch, 3 internal invariant violation or any
+other internal error.  Every nonzero exit prints one line to stderr, never
+a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -71,21 +74,21 @@ def _build_parser() -> _Parser:
     pe.add_argument("--format", choices=["json", "csv", "markdown"], default="markdown")
     pe.add_argument("--output", default=None)
 
-    pc = sub.add_parser("certify", help="Kähler-Einstein certificate cascade")
-    pc.add_argument("weights", type=int, nargs=4)
-    group = pc.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degree", type=int)
-    group.add_argument("--index", type=int)
-
-    pt = sub.add_parser("topology", help="link invariants of a candidate")
-    pt.add_argument("weights", type=int, nargs=4)
-    group = pt.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degree", type=int)
-    group.add_argument("--index", type=int)
+    for name, text in (("certify", "Kähler-Einstein certificate cascade"),
+                       ("topology", "link invariants of a candidate")):
+        pp = sub.add_parser(name, help=text)
+        pp.add_argument("weights", type=int, nargs=4)
+        group = pp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--degree", type=int)
+        group.add_argument("--index", type=int)
 
     pr = sub.add_parser("reproduce", help="regenerate and diff a published table")
     pr.add_argument("--table", choices=["1", "3", "series", "theorem-a"], required=True)
-    pr.add_argument("--max-weight", type=_weight_bound, default=150, help="weight bound (default: %(default)s)")
+    pr.add_argument("--max-weight", type=_weight_bound, default=None,
+                    help="weight bound of tables 1 and theorem-a (default: 150)")
+
+    pk = sub.add_parser("check", help="recompute every record of a JSON or CSV file")
+    pk.add_argument("file")
     return p
 
 
@@ -205,6 +208,32 @@ def _reproduce_theorem_a(w_max: int) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _check(path: str) -> int:
+    """Compare each row of a JSON or CSV record file with `_row` of `classify`
+    on its (w, d), column by column; the first row that differs, or that
+    `classify` rejects, exits 2.  The file is JSON iff its first non-blank
+    character is "["."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        rows = (serialize.json_rows if text.lstrip().startswith("[") else serialize.csv_rows)(text)
+    except (OSError, ValueError, csv.Error) as exc:  # a bad encoding or JSON is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    for pos, row in enumerate(rows, 1):
+        rec = classify(row[1:5], row[5])
+        problems = [f"classify rejects it: {rec}"] if isinstance(rec, Rejection) else [
+            f"{column} = {value!r} in the file, {computed!r} computed"
+            for column, value, computed in zip(serialize.CSV_COLUMNS, row, serialize._row(rec))
+            if value != computed]
+        if problems:
+            print(f"mismatch: record {pos} (I={row[0]}, w={row[1:5]}, d={row[5]}): {problems[0]}",
+                  file=sys.stderr)
+            return EXIT_MISMATCH
+    print(f"{len(rows)} records match their recomputation")
+    return EXIT_OK
+
+
 def _run(args) -> int:
     if args.command == "enumerate":
         # render first, so a failed run leaves an existing output file alone
@@ -223,14 +252,18 @@ def _run(args) -> int:
         return _certify(args)
     if args.command == "topology":
         return _topology(args)
+    if args.command == "check":
+        return _check(args.file)
+    if args.table in ("3", "series") and args.max_weight is not None:
+        raise _UsageError(f"--max-weight does not apply to table {args.table}")
     if args.table == "1":
-        code = _reproduce_table1(args.max_weight)
+        code = _reproduce_table1(args.max_weight or 150)
     elif args.table == "3":
         code = _reproduce_table3()
     elif args.table == "series":
         code = _reproduce_series()
     else:
-        code = _reproduce_theorem_a(args.max_weight)
+        code = _reproduce_theorem_a(args.max_weight or 150)
     if code != EXIT_OK:
         print(f"mismatch: table {args.table} differs from the reference; the report is on stdout",
               file=sys.stderr)

@@ -54,30 +54,6 @@ class Rejection:
         return f"{self.reason}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ConditionIWitness:
-    """Minimal exponents m_i and partners j(i) with m_i*w_i + w_{j(i)} = d."""
-
-    m: tuple[int, int, int, int]
-    j: tuple[int, int, int, int]
-
-    def check(self, w: WeightSystem, d: int) -> bool:
-        return all(self.m[i] * w[i] + w[self.j[i]] == d for i in range(4))
-
-
-def condition_I(w: WeightSystem, d: int) -> ConditionIWitness | None:
-    """Minimal witness of condition I, or None if some variable has no monomial.
-
-    For each i the witness takes the smallest m_i >= 1 with
-    m_i*w_i + w_j = d for some j, ties broken by the smallest j.
-    """
-    partners = [_partner(w.w, d, i) for i in range(4)]
-    if None in partners:
-        return None
-    m, j = zip(*partners)
-    return ConditionIWitness(m, j)
-
-
 def _partner(w: tuple[int, ...], d: int, i: int) -> tuple[int, int] | None:
     """Smallest (m, j) with m >= 1 and m*w_i + w_j = d, ties to the smallest j."""
     wi = w[i]

@@ -13,26 +13,26 @@ empty (the `series` of a record without one), so the JSON key order is
 the column order.  `to_json` encodes one record at a time, so its peak
 memory is a small multiple of one record's text, not of the document's,
 and writes exactly the bytes of `json.dumps` on the whole list with
-indent 1.  Both loaders read one list of values per column and build the
-records a row at a time.  Markdown is for reading.  No record field is
-rational: every number is an exact integer.
+indent 1.  Both readers check one list of values per column, and the
+loaders build the records a row at a time.  Markdown is for reading.  No
+record field is rational: every number is an exact integer.
 
-Loading rejects a row that contradicts itself, with a ValueError naming
-the record's position and the field: index != |w| - d, l != b2_link,
-b2_orbifold != b2_link + 1, moduli_n != moduli_m - moduli_dimG, or a
-provenance that `records._PROVENANCES` never gives the verdict (certified
-takes cascade, not_klt takes unknown, unknown any of cascade,
-case-analysis, prior-work or unknown; any other verdict takes none).  A
-verdict has exactly the certificate columns that are fields of its class:
-certified has rule, lhs and rhs, not_klt has gate (G1 or G2), unknown has
-none.  `series_id` and `series_k` are both present or both absent, and
-every other column is always present.  A value in a text column is a
-string, and any other value an int: a bool or a float is rejected, as in
-`record 2: mu = 3.5 is not an integer`.  The JSON top level is a list of
-objects, each with weights a list of four and klt, moduli and series
-objects when present.  `from_csv` rejects a header other than
-`CSV_COLUMNS`, a line whose cell count differs from the header's, and a
-cell that is not an integer outside the text columns.
+Loading only parses.  `json_rows` and `csv_rows` read a text into rows
+in column order, and reject, with a ValueError naming the record's
+position and the column, a value of the wrong type or a required value
+that is absent.  A value in a text column is a string, and any other
+value an int: a bool or a float is rejected, as in `record 2: mu = 3.5 is
+not an integer`.  Every column but the certificate and series ones is
+required.  The JSON top level is a list of objects, each with weights a
+list of four and klt, moduli and series objects when present.  `csv_rows`
+rejects a header other than `CSV_COLUMNS`, a line whose cell count
+differs from the header's, and a cell that is not an integer outside the
+text columns.  `from_json` and `from_csv` then build each row's record,
+which asks for a known verdict with the certificate columns its class is
+built from (certified: rule, lhs and rhs; not_klt: gate, G1 or G2), and
+for weights and a degree that make a `Candidate`.  Whether a row is the
+record `classify` computes is not theirs to judge: `delpezzo check FILE`
+compares every row with `_row` of its recomputation.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import json
 from dataclasses import fields
 
 from .klt import Certified, NotKltGate, Unknown
-from .records import _PROVENANCES, CandidateRecord, _ke_flag
+from .records import CandidateRecord, _ke_flag
 from .weights import Candidate, WeightSystem
 
 CSV_COLUMNS = [
@@ -68,11 +68,8 @@ def _place(column: str) -> tuple[str | None, str | int]:
 _PLACES = tuple(map(_place, CSV_COLUMNS))
 _ENCODER = json.JSONEncoder(indent=1)  # json.dumps(obj, indent=1) is its encode(obj)
 _VERDICTS = {Certified: "certified", NotKltGate: "not_klt", Unknown: "unknown"}
-_CLASSES = {name: cls for cls, name in _VERDICTS.items()}
-_CERTIFICATE = ("klt_rule", "klt_gate", "klt_lhs", "klt_rhs")
-# Which certificate columns each verdict leaves absent: those that are not fields of its class.
-_ABSENT = {cls: tuple(c[4:] not in {f.name for f in fields(cls)} for c in _CERTIFICATE)
-           for cls in _VERDICTS}
+# Each verdict's class, and the certificate columns (without `klt_`) it is built from: its fields.
+_BUILD = {name: (cls, tuple(f.name for f in fields(cls))) for cls, name in _VERDICTS.items()}
 
 
 def _row(r: CandidateRecord) -> tuple:
@@ -84,33 +81,25 @@ def _row(r: CandidateRecord) -> tuple:
 
 
 def _from_row(row: tuple) -> CandidateRecord:
-    (I, w0, w1, w2, w3, d, b2_orbifold, b2_link, l, mu, verdict, rule, gate, lhs, rhs,
+    """The record a parsed row describes; its index is recomputed as |w| - d."""
+    (_, w0, w1, w2, w3, d, b2_orbifold, b2_link, l, mu, verdict, rule, gate, lhs, rhs,
      provenance, m, dim_aut, n, series_id, series_k) = row
-    c = Candidate(WeightSystem((w0, w1, w2, w3)), d)
-    if (I, l, b2_orbifold, n) != (c.I, b2_link, b2_link + 1, m - dim_aut):
-        field, value, source, want = next(check for check in (
-            ("index", I, "|w| - d", c.I), ("l", l, "b2_link", b2_link),
-            ("b2_orbifold", b2_orbifold, "b2_link + 1", b2_link + 1),
-            ("moduli_n", n, "moduli_m - moduli_dimG", m - dim_aut)) if check[1] != check[3])
-        raise ValueError(f"{field} = {value}, but {source} = {want}")
-    cls = _CLASSES.get(verdict)
-    if provenance not in _PROVENANCES.get(cls, ()):
-        raise ValueError(f"klt_verdict {verdict!r} never has klt_provenance {provenance!r}")
-    if (rule is None, gate is None, lhs is None, rhs is None) != _ABSENT[cls]:
-        column, value = next((column, value) for column, value, absent in zip(
-            _CERTIFICATE, (rule, gate, lhs, rhs), _ABSENT[cls]) if (value is None) != absent)
-        raise ValueError(f"{column} is missing" if value is None
-                         else f"klt_verdict {verdict!r} has no {column}")
-    if (series_id is None) != (series_k is None):
-        raise ValueError(f"{'series_id' if series_id is None else 'series_k'} is missing")
-    klt = (Certified(rule, lhs, rhs) if cls is Certified
-           else NotKltGate(gate) if cls is NotKltGate else Unknown())
-    return CandidateRecord(c, mu, b2_link, b2_orbifold, l, klt, provenance,
-                           _ke_flag(klt, provenance), m, dim_aut, n, series_id, series_k)
+    if verdict not in _BUILD:
+        raise ValueError(f"klt_verdict {verdict!r} is not one of {', '.join(_BUILD)}")
+    cls, names = _BUILD[verdict]
+    certificate = {"rule": rule, "gate": gate, "lhs": lhs, "rhs": rhs}
+    missing = [name for name in names if certificate[name] is None]
+    if missing:
+        raise ValueError(f"klt_{missing[0]} is missing")
+    klt = cls(*(certificate[name] for name in names))
+    return CandidateRecord(Candidate(WeightSystem((w0, w1, w2, w3)), d), mu, b2_link,
+                           b2_orbifold, l, klt, provenance, _ke_flag(klt, provenance), m,
+                           dim_aut, n, series_id, series_k)
 
 
-def _load(columns) -> list[CandidateRecord]:
-    """Records from one list of values per column; a ValueError names the record's position."""
+def _rows(columns) -> list[tuple]:
+    """Rows from one list of values per column, each value of its column's
+    type and present unless optional; a ValueError names the record's position."""
     for column, values in zip(CSV_COLUMNS, columns):
         if column not in _OPTIONAL and None in values:
             raise ValueError(f"record {values.index(None) + 1}: {column} is missing")
@@ -119,8 +108,12 @@ def _load(columns) -> list[CandidateRecord]:
             pos, value = next((pos, v) for pos, v in enumerate(values, 1) if type(v) not in types)
             raise ValueError(f"record {pos}: {column} = {value!r} is not "
                              + ("a string" if str in types else "an integer"))
+    return list(zip(*columns))
+
+
+def _records(rows) -> list[CandidateRecord]:
     out = []
-    for pos, row in enumerate(zip(*columns), 1):
+    for pos, row in enumerate(rows, 1):
         try:
             out.append(_from_row(row))
         except ValueError as exc:
@@ -174,8 +167,12 @@ def to_json(records: list[CandidateRecord]) -> str:
     return "[" + ",".join(texts) + ("\n]\n" if records else "]\n")
 
 
+def json_rows(text: str) -> list[tuple]:
+    return _rows(_json_columns(json.loads(text)))
+
+
 def from_json(text: str) -> list[CandidateRecord]:
-    return _load(_json_columns(json.loads(text)))
+    return _records(json_rows(text))
 
 
 def to_csv(records: list[CandidateRecord]) -> str:
@@ -187,14 +184,18 @@ def to_csv(records: list[CandidateRecord]) -> str:
     return buf.getvalue()
 
 
-def from_csv(text: str) -> list[CandidateRecord]:
+def csv_rows(text: str) -> list[tuple]:
     header, *rows = list(csv.reader(io.StringIO(text))) or [[]]
     if header != CSV_COLUMNS:
         raise ValueError(f"CSV header is not {','.join(CSV_COLUMNS)}")
     for line, cells in enumerate(rows, 2):
         if len(cells) != len(CSV_COLUMNS):
             raise ValueError(f"CSV line {line} has {len(cells)} cells, the header {len(CSV_COLUMNS)}")
-    return _load([_csv_column(column, cells) for column, cells in zip(CSV_COLUMNS, zip(*rows))])
+    return _rows([_csv_column(column, cells) for column, cells in zip(CSV_COLUMNS, zip(*rows))])
+
+
+def from_csv(text: str) -> list[CandidateRecord]:
+    return _records(csv_rows(text))
 
 
 def _csv_column(column: str, cells) -> list:

@@ -19,7 +19,7 @@ from delpezzo.topology import (
     milnor_number,
     reduced_ratios,
 )
-from delpezzo.quasismooth import condition_I, hypersurface_rejection, is_quasismooth
+from delpezzo.quasismooth import _partner, hypersurface_rejection, is_quasismooth
 from delpezzo.records import classify
 from delpezzo.weights import Candidate, WeightSystem, is_well_formed, normalize_weights
 from oracles import (
@@ -298,7 +298,7 @@ def test_criterion_9_jacobian_quasismoothness(enumeration_150):
             if d <= w[3] or gate_check(Candidate(ws, d)) is not None:
                 continue
             cases += 1
-            passes_I = condition_I(ws, d) is not None
+            passes_I = all(_partner(w, d, i) is not None for i in range(4))
             rejection = hypersurface_rejection(Candidate(ws, d))
             fails_II = rejection is not None and rejection.reason == "X not well-formed"
             criterion = rejection is None or fails_II  # I and III

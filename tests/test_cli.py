@@ -118,67 +118,171 @@ def test_to_json_peak_memory_is_a_few_times_its_text(structured_150):
     assert peak < 4 * len(text)
 
 
-def _edited(records, pos, column, json_path, value):
-    """JSON and CSV text of `records` with one value of record `pos` replaced.
+def _edited(records, pos, edits):
+    """JSON and CSV text of `records` with values of record `pos` replaced,
+    `edits` mapping each column to its new value.
 
     None removes the value: the JSON key is dropped and the CSV cell left empty.
     """
     rows = json.loads(to_json(records))
-    *outer, key = json_path
-    target = rows[pos]
-    for part in outer:
-        target = target[part]
-    if value is None:
-        del target[key]
-    else:
-        target[key] = value
     table = list(csv.reader(io.StringIO(to_csv(records))))
-    table[pos + 1][CSV_COLUMNS.index(column)] = "" if value is None else str(value)
+    for column, value in edits.items():
+        group, key = serialize._place(column)
+        target = rows[pos] if group is None else rows[pos][group]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        table[pos + 1][CSV_COLUMNS.index(column)] = "" if value is None else str(value)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(table)
     return json.dumps(rows, indent=1), buf.getvalue()
 
 
+def _check_file(tmp_path, content, capsys):
+    """`delpezzo check` on a file holding `content`: (exit code, stdout, stderr)."""
+    path = tmp_path / "records"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code = cli.main(["check", str(path)])
+    return (code, *capsys.readouterr())
+
+
 # (weights, degree) of a certified, a gated and an unknown record, and of a series member
 CERTIFIED, GATED, UNKNOWN = ((2, 3, 5, 9), 18), ((1, 1, 4, 4), 8), ((2, 3, 4, 5), 12)
 SERIES = ((2, 3, 3, 5), 12)
+AT_UNKNOWN, AT_SERIES = "(I=2, w=(2, 3, 4, 5), d=12): ", "(I=1, w=(2, 3, 3, 5), d=12): "
 
 
 @pytest.mark.parametrize(
-    "case,column,json_path,value,message",
+    "refuser,case,column,value,message",
     [
-        (UNKNOWN, "index", ("index",), 7, "index = 7, but |w| - d = 2"),
-        (UNKNOWN, "b2_orbifold", ("b2_orbifold",), 99, "b2_orbifold = 99, but b2_link + 1"),
-        (UNKNOWN, "l", ("l",), 0, "l = 0, but b2_link"),
-        (UNKNOWN, "moduli_n", ("moduli", "n"), 9, "moduli_n = 9, but moduli_m - moduli_dimG = 4"),
-        (CERTIFIED, "klt_provenance", ("klt", "provenance"), "unknown",
-         "klt_verdict 'certified' never has klt_provenance 'unknown'"),
-        (GATED, "klt_provenance", ("klt", "provenance"), "cascade",
-         "klt_verdict 'not_klt' never has klt_provenance 'cascade'"),
-        (UNKNOWN, "klt_provenance", ("klt", "provenance"), "folklore",
-         "klt_verdict 'unknown' never has klt_provenance 'folklore'"),
-        (UNKNOWN, "klt_verdict", ("klt", "verdict"), "maybe", "klt_verdict 'maybe' never has"),
-        (UNKNOWN, "mu", ("mu",), None, "mu is missing"),
-        (CERTIFIED, "klt_rule", ("klt", "rule"), None, "klt_rule is missing"),
-        (CERTIFIED, "klt_lhs", ("klt", "lhs"), None, "klt_lhs is missing"),
-        (GATED, "klt_gate", ("klt", "gate"), None, "klt_gate is missing"),
-        (GATED, "klt_gate", ("klt", "gate"), "G9", "no gate 'G9'"),
-        (UNKNOWN, "klt_gate", ("klt", "gate"), "G1", "klt_verdict 'unknown' has no klt_gate"),
-        (CERTIFIED, "klt_gate", ("klt", "gate"), "G1", "klt_verdict 'certified' has no klt_gate"),
-        (SERIES, "series_k", ("series", "k"), None, "series_k is missing"),
-        (SERIES, "series_id", ("series", "id"), None, "series_id is missing"),
+        ("check", UNKNOWN, "index", 7, "(I=7, w=(2, 3, 4, 5), d=12): index = 7 in the file, 2 computed"),
+        ("check", UNKNOWN, "b2_orbifold", 99, AT_UNKNOWN + "b2_orbifold = 99 in the file, 5 computed"),
+        ("check", UNKNOWN, "l", 0, AT_UNKNOWN + "l = 0 in the file, 4 computed"),
+        ("check", UNKNOWN, "moduli_n", 9, AT_UNKNOWN + "moduli_n = 9 in the file, 4 computed"),
+        ("check", CERTIFIED, "klt_provenance", "unknown", "(I=1, w=(2, 3, 5, 9), d=18): "
+         "klt_provenance = 'unknown' in the file, 'cascade' computed"),
+        # `classify` rejects a gated candidate, so no not_klt row is ever its record
+        ("check", GATED, "klt_provenance", "cascade", "(I=2, w=(1, 1, 4, 4), d=8): "
+         "classify rejects it: gate G1: 2I >= 3w0 with I = 2, w = (1,1,4,4)"),
+        ("check", UNKNOWN, "klt_provenance", "folklore",
+         AT_UNKNOWN + "klt_provenance = 'folklore' in the file, 'unknown' computed"),
+        ("load", UNKNOWN, "klt_verdict", "maybe",
+         "klt_verdict 'maybe' is not one of certified, not_klt, unknown"),
+        ("load", UNKNOWN, "mu", None, "mu is missing"),
+        ("load", CERTIFIED, "klt_rule", None, "klt_rule is missing"),
+        ("load", CERTIFIED, "klt_lhs", None, "klt_lhs is missing"),
+        ("load", GATED, "klt_gate", None, "klt_gate is missing"),
+        ("load", GATED, "klt_gate", "G9", "no gate 'G9'"),
+        ("check", UNKNOWN, "klt_gate", "G1", AT_UNKNOWN + "klt_gate = 'G1' in the file, None computed"),
+        ("check", CERTIFIED, "klt_gate", "G1", "(I=1, w=(2, 3, 5, 9), d=18): "
+         "klt_gate = 'G1' in the file, None computed"),
+        ("check", SERIES, "series_k", None, AT_SERIES + "series_k = None in the file, 1 computed"),
+        ("check", SERIES, "series_id", None,
+         AT_SERIES + "series_id = None in the file, '(2,2k+1,2k+1,4k+1)' computed"),
     ],
     ids=["index", "b2_orbifold", "l", "moduli_n", "certified-provenance", "not_klt-provenance",
          "unknown-provenance", "verdict", "mu-missing", "certified-rule-missing",
          "certified-lhs-missing", "not_klt-gate-missing", "not_klt-gate-unknown",
          "unknown-with-gate", "certified-with-gate", "series-k-missing", "series-id-missing"],
 )
-def test_loaders_reject_contradicting_rows(case, column, json_path, value, message):
+def test_loaders_reject_contradicting_rows(tmp_path, capsys, refuser, case, column, value, message):
+    """A row the loaders cannot build into a record (an absent or unknown
+    value its record needs) is theirs to refuse.  Any other row that is not
+    the record `classify` computes loads, and `check` refuses it, naming the
+    record and the first column that differs, or the rejection."""
     records = [record_of(*CERTIFIED), record_of(*case)]
-    json_text, csv_text = _edited(records, 1, column, json_path, value)
-    for load, text in ((from_json, json_text), (from_csv, csv_text)):
-        with pytest.raises(ValueError, match="^record 2: " + re.escape(message)):
+    for load, text in zip((from_json, from_csv), _edited(records, 1, {column: value})):
+        if refuser == "load":
+            with pytest.raises(ValueError, match="^record 2: " + re.escape(message)):
+                load(text)
+        else:
             load(text)
+            assert _check_file(tmp_path, text, capsys) == (2, "", f"mismatch: record 2 {message}\n")
+
+
+GOLDEN_CSV = Path(__file__).resolve().parent / "golden" / "records.csv"
+
+
+def test_check_passes_the_golden_records(capsys):
+    assert cli.main(["check", str(GOLDEN_CSV)]) == 0
+    assert capsys.readouterr() == ("416 records match their recomputation\n", "")
+
+
+def test_check_passes_the_classified_sample_as_json(sample_records, tmp_path, capsys):
+    """The sample's records that `classify` builds pass.  Its two gated
+    records, which `build_record` makes and `classify` rejects, do not."""
+    classified = sample_records[:-2]
+    assert _check_file(tmp_path, to_json(classified), capsys) == (
+        0, f"{len(classified)} records match their recomputation\n", "")
+    code, out, err = _check_file(tmp_path, to_json(sample_records), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mismatch: record {len(classified) + 1} (I=2, w=(1, 1, 4, 4), d=8): "
+                          "classify rejects it: gate G1: ")
+
+
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        ({"mu": 105}, "mu = 105 in the file, 104 computed"),
+        ({"moduli_m": 14, "moduli_n": 6}, "moduli_m = 14 in the file, 13 computed"),
+        ({"b2_orbifold": 8, "b2_link": 7, "l": 7}, "b2_orbifold = 8 in the file, 7 computed"),
+        ({"klt_lhs": 35}, "klt_lhs = 35 in the file, 36 computed"),
+    ],
+    ids=["mu", "moduli_m-and-n", "b2-and-l", "klt_lhs"],
+)
+def test_check_refuses_rows_that_agree_with_themselves(tmp_path, capsys, edits, message):
+    """Rows whose columns agree with one another, but not with `classify`:
+    the loaders build them, and `check` names the first wrong column."""
+    records = [record_of(*UNKNOWN), record_of(*CERTIFIED)]
+    for load, text in zip((from_json, from_csv), _edited(records, 1, edits)):
+        load(text)
+        assert _check_file(tmp_path, text, capsys) == (
+            2, "", f"mismatch: record 2 (I=1, w=(2, 3, 5, 9), d=18): {message}\n")
+
+
+def test_check_refuses_a_row_classify_rejects(tmp_path, capsys):
+    """(2,3,4,5) at degree 13 is quasi-smooth, but X contains a singular line."""
+    records = [record_of(*CERTIFIED), record_of(*UNKNOWN)]
+    for text in _edited(records, 1, {"index": 1, "degree": 13}):
+        assert _check_file(tmp_path, text, capsys) == (
+            2, "", "mismatch: record 2 (I=1, w=(2, 3, 4, 5), d=13): classify rejects it: "
+            "X not well-formed: gcd(w0, w2) = 2 does not divide 13, so X contains the line "
+            "z1 = z3 = 0\n")
+
+
+def _reordered_header(text):
+    header, rest = text.split("\n", 1)
+    names = header.split(",")
+    names[1], names[2] = names[2], names[1]
+    return ",".join(names) + "\n" + rest
+
+
+@pytest.mark.parametrize(
+    "content,error",
+    [
+        (None, "No such file or directory"),
+        ("DIR", "Is a directory"),
+        (b"\xff\xfeindex", "'utf-8' codec can't decode byte 0xff in position 0"),
+        ('[{"index": 1', "Expecting"),
+        ("REORDERED", "CSV header is not index,w0,w1,"),
+        ("x" * 200_000, "field larger than field limit"),
+    ],
+    ids=["missing", "directory", "not-utf8", "invalid-json", "reordered-header",
+         "field-too-large"],
+)
+def test_check_unreadable_file_exit1(tmp_path, capsys, content, error):
+    path = tmp_path / "records"
+    if content == "DIR":
+        path.mkdir()
+    elif content == "REORDERED":
+        path.write_text(_reordered_header(to_csv([record_of(*CERTIFIED)])))
+    elif content is not None:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert cli.main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and error in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -223,8 +327,7 @@ def test_from_json_rejects_a_top_level_that_is_not_a_list_of_objects(text, messa
 
 
 def test_from_csv_rejects_a_number_cell_that_is_not_an_integer():
-    _, csv_text = _edited([record_of(*CERTIFIED), record_of(*UNKNOWN)], 1, "degree",
-                          ("degree",), "x")
+    _, csv_text = _edited([record_of(*CERTIFIED), record_of(*UNKNOWN)], 1, {"degree": "x"})
     with pytest.raises(ValueError, match="^record 2: degree = 'x' is not an integer$"):
         from_csv(csv_text)
 
@@ -244,11 +347,8 @@ def test_loaders_accept_unknown_verdict_with_cascade_provenance():
 
 
 def test_from_csv_rejects_reordered_header(sample_records):
-    header, rest = to_csv(sample_records).split("\n", 1)
-    names = header.split(",")
-    names[1], names[2] = names[2], names[1]
     with pytest.raises(ValueError, match="CSV header"):
-        from_csv(",".join(names) + "\n" + rest)
+        from_csv(_reordered_header(to_csv(sample_records)))
 
 
 @pytest.mark.parametrize("edit,cells", [(lambda line: line + ",1,2", 23),
@@ -580,6 +680,13 @@ def test_regenerate_tables_rejects_nonpositive_bounds(argv, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("table", ["3", "series"])
+def test_cli_reproduce_rejects_a_bound_its_table_ignores(capsys, table):
+    """Tables 3 and series enumerate nothing, so `--max-weight` is refused, not ignored."""
+    assert cli.main(["reproduce", "--table", table, "--max-weight", "5"]) == 1
+    assert capsys.readouterr() == ("", f"usage error: --max-weight does not apply to table {table}\n")
+
+
 def test_cli_reproduce_series(capsys):
     assert cli.main(["reproduce", "--table", "series"]) == 0
     out = capsys.readouterr().out
@@ -653,21 +760,26 @@ _ARGS = {
     "certify": st.one_of(_POINT, _NOISE),
     "topology": st.one_of(_POINT, _NOISE),
     "reproduce": st.one_of(_MAX_WEIGHT, _NOISE),
+    "check": _NOISE,
 }
-# what a subcommand needs first: the weights and a degree or an index, or a table
-_TABLE = _choice("--table", ["1", "3", "series", "theorem-a"])
+# What a subcommand needs first: the weights and a degree or an index; a
+# table, with `--max-weight 40` for the two tables that enumerate; or a
+# record file, GOOD or MISSING.
+_TABLE = st.one_of(st.tuples(_choice("--table", ["1", "theorem-a"]), st.just(["--max-weight", "40"])),
+                   st.tuples(st.sampled_from([["--table", "3"], ["--table", "series"]])))
 _LEAD = {"certify": st.tuples(_WEIGHTS, _POINT), "topology": st.tuples(_WEIGHTS, _POINT),
-         "reproduce": st.tuples(_TABLE)}
+         "reproduce": _TABLE, "check": st.tuples(st.sampled_from([["GOOD"], ["MISSING"]]))}
 
 
 @st.composite
 def _argv(draw):
     """A subcommand (or junk), usually what it needs first, then up to
     three more flags, mostly its own, with good or bad values.  `enumerate`
-    and `reproduce` start with `--max-weight 40`, which a `--max-weight`
-    drawn later overrides, so that no run scans the default bound."""
+    starts with `--max-weight 40`, and `reproduce` of tables 1 and
+    theorem-a has it in its lead; a `--max-weight` drawn later overrides
+    it, so that no run scans the default bound."""
     command = draw(st.sampled_from(list(_ARGS) * 4 + ["", "bogus", "-5"]))
-    argv = [command] + (["--max-weight", "40"] if command in ("enumerate", "reproduce") else [])
+    argv = [command] + (["--max-weight", "40"] if command == "enumerate" else [])
     if command in _LEAD and draw(st.integers(0, 3)):
         argv += [tok for piece in draw(_LEAD[command]) for tok in piece]
     for piece in draw(st.lists(_ARGS.get(command, _NOISE), max_size=3)):
@@ -681,7 +793,8 @@ def test_cli_argv_fuzz(argv):
     """Any argv ends in a documented exit code, never a traceback, and a
     nonzero exit prints exactly one line to stderr."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {"OUT": f"{tmp}/out.txt", "MISSING_DIR": f"{tmp}/missing/out.txt"}
+        paths = {"OUT": f"{tmp}/out.txt", "MISSING_DIR": f"{tmp}/missing/out.txt",
+                 "GOOD": str(GOLDEN_CSV), "MISSING": f"{tmp}/missing.csv"}
         argv = [paths.get(tok, tok) for tok in argv]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from delpezzo.quasismooth import (
     _failure,
     _partner,
-    condition_I,
     hypersurface_rejection,
     is_quasismooth,
 )
@@ -22,25 +21,29 @@ from delpezzo.weights import (
 from oracles import pair_witness_extras, partner_oracle, quasismooth_failure_oracle
 
 
+def _partners(w: tuple[int, ...], d: int) -> list[tuple[int, int] | None]:
+    """Each variable's minimal condition-I partner (m, j), None where it has none."""
+    return [_partner(w, d, i) for i in range(4)]
+
+
 def test_condition_I_minimal_witness():
-    w = normalize_weights((2, 3, 5, 9))
-    witness = condition_I(w, 18)
-    assert witness is not None
-    assert witness.check(w, 18)
+    w = normalize_weights((2, 3, 5, 9)).w
+    partners = _partners(w, 18)
+    assert None not in partners
+    assert all(m * w[i] + w[j] == 18 for i, (m, j) in enumerate(partners))
     # z3^2 for the heaviest variable, z2^3 z1 for the third
-    assert witness.m[3] == 1 and witness.j[3] == 3
-    assert witness.m[2] == 3 and witness.j[2] == 1
+    assert partners[3] == (1, 3)
+    assert partners[2] == (3, 1)
 
 
 def test_condition_I_no_witness():
     # the second variable admits no monomial: 4m + w_j = 18 is insoluble
-    assert condition_I(normalize_weights((3, 4, 5, 7)), 18) is None
+    assert _partners(normalize_weights((3, 4, 5, 7)).w, 18)[1] is None
 
 
 def test_condition_I_quadric():
-    witness = condition_I(normalize_weights((1, 1, 1, 1)), 2)
-    assert witness.m == (1, 1, 1, 1)
-    assert witness.j == (0, 0, 0, 0)  # smallest-j tie break on equal weights
+    # m = 1 everywhere, and the smallest-j tie break on equal weights
+    assert _partners(normalize_weights((1, 1, 1, 1)).w, 2) == [(1, 0)] * 4
 
 
 def test_condition_I_unit_weight_always_solvable():
@@ -117,13 +120,13 @@ def test_condition_I_partners_witness_every_pair(case):
     if gcd(*raw) != 1:
         return
     w = normalize_weights(raw)
-    witness = condition_I(w, d)
-    if witness is None:
+    partners = _partners(w.w, d)
+    if None in partners:
         return
     for i in range(4):
         for j in range(i + 1, 4):
             if not pair_has_monomial(w[i], w[j], d):
-                assert {witness.j[i], witness.j[j]} <= pair_witness_extras(w.w, d, i, j)
+                assert {partners[i][1], partners[j][1]} <= pair_witness_extras(w.w, d, i, j)
 
 
 @pytest.mark.parametrize(
@@ -148,14 +151,14 @@ def test_condition_I_matches_linear_system(raw, d):
     if gcd(*raw) != 1:
         return
     w = normalize_weights(raw)
-    witness = condition_I(w, d)
+    partners = _partners(w.w, d)
     solvable = all(
         any((d - w[j]) >= w[i] and (d - w[j]) % w[i] == 0 for j in range(4))
         for i in range(4)
     )
-    assert (witness is not None) is solvable
-    if witness is not None:
-        assert witness.check(w, d)
+    assert (None not in partners) is solvable
+    if solvable:
+        assert all(m * w[i] + w[j] == d for i, (m, j) in enumerate(partners))
 
 
 @st.composite
@@ -176,19 +179,16 @@ def _ascending_case(draw):
 @example(((2, 3, 4, 5), 13))  # passes I and III, fails II
 @example(((1, 2, 2, 2), 3))  # passes I, fails III
 def test_condition_I_witness_matches_scan(case):
-    """condition_I's witness is the minimal (m, j) of a blunt scan; its None
-    means exactly that some variable has no partner; and on a well-formed
-    P(w) `is_quasismooth` agrees with `hypersurface_rejection`."""
+    """Each variable's partner is the minimal (m, j) of a blunt scan, and
+    None exactly where the scan finds none; a variable without one fails
+    `is_quasismooth`; and on a well-formed P(w) `is_quasismooth` agrees
+    with `hypersurface_rejection`."""
     w, d = case
     ws = WeightSystem(w)
     partners = [partner_oracle(w, d, i) for i in range(4)]
-    witness = condition_I(ws, d)
+    assert _partners(w, d) == partners
     if None in partners:
-        assert witness is None
         assert not is_quasismooth(ws, d)
-    else:
-        assert witness is not None
-        assert (witness.m, witness.j) == tuple(zip(*partners))
     if is_well_formed(ws) and w[3] < d < sum(w):
         assert is_quasismooth(ws, d) is (hypersurface_rejection(Candidate(ws, d)) is None)
 

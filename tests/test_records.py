@@ -8,7 +8,7 @@ from delpezzo import catalog
 from delpezzo.errors import PreconditionError
 from delpezzo.klt import Certified, NotKltGate, Unknown, gate_check
 from delpezzo.quasismooth import Rejection, hypersurface_rejection, is_quasismooth
-from delpezzo.records import _PROVENANCES, CandidateRecord, build_record, classify
+from delpezzo.records import CandidateRecord, _record, build_record, classify
 from delpezzo.weights import Candidate, WeightSystem, is_well_formed, normalize_weights
 
 
@@ -105,13 +105,19 @@ def test_classify_admits_exactly_the_public_chain(case):
         assert got == build_record(c)
 
 
-def test_records_take_only_the_provenances_loading_accepts(enumeration_150):
-    """`_PROVENANCES` is what `_record` gives each verdict, and all that loading accepts."""
+# The provenances `_record` may give each verdict: a family's only to an
+# uncertified member of a proven family.
+PROVENANCES = {Certified: {"cascade"}, NotKltGate: {"unknown"},
+               Unknown: {"cascade", "case-analysis", "prior-work", "unknown"}}
+
+
+def test_record_gives_each_verdict_only_its_provenances(enumeration_150):
+    """`_record` gives a certificate "cascade", a gated candidate "unknown",
+    and an uncertified one its proven family's provenance or "unknown"."""
     records, _ = enumeration_150
-    gated = [build_record(cand(w, d)) for w, d in (((1, 1, 4, 4), 8), ((1, 1, 1, 1), 3))]
+    gated = [_record(cand(w, d)) for w, d in (((1, 1, 4, 4), 8), ((1, 1, 1, 1), 3))]
     pairs = {(type(r.klt), r.klt_provenance) for r in records + gated}
     assert {cls for cls, _ in pairs} == {Certified, NotKltGate, Unknown}
-    assert pairs <= {(cls, p) for cls, ps in _PROVENANCES.items() for p in ps}
-    # an uncertified member of a proven family takes its family's provenance
+    assert pairs <= {(cls, p) for cls, ps in PROVENANCES.items() for p in ps}
     for fam in catalog.reference_series() + catalog.errata_series():
-        assert fam.klt_provenance in _PROVENANCES[Unknown], fam.id
+        assert fam.klt_provenance in PROVENANCES[Unknown], fam.id
