@@ -118,9 +118,13 @@ MUTANTS = [
            "        if rem:\n            raise", "        if False:\n            raise",
            ("tests/test_topology.py::test_integer_divisor_checks_match_fraction_fold",)),
     Mutant("ke-certified-unknown", "src/delpezzo/records.py",
-           'return "Y"\n    if isinstance(verdict, NotKltGate):',
-           'return "?"\n    if isinstance(verdict, NotKltGate):',
+           'return "Y"\n    return "?" if provenance',
+           'return "?"\n    return "?" if provenance',
            ("tests/test_acceptance.py::test_criterion_2_ke_column",)),
+    Mutant("build-record-skips-gates", "src/delpezzo/records.py",
+           "    if gate is not None:\n        return Rejection(", "    if False:\n        return Rejection(",
+           ("tests/test_records.py::test_build_record_checks_preconditions[w2-8-gate G1]",
+            "tests/test_records.py::test_build_record_checks_preconditions[w3-12-gate G2]")),
     Mutant("place-moduli-top-level", "src/delpezzo/serialize.py",
            '_GROUPS = ("klt", "moduli", "series")', '_GROUPS = ("klt", "series")',
            ("tests/test_cli.py::test_json_schema_fields",)),

@@ -27,11 +27,9 @@ GATE_RULES = {GATE_INDEX_VS_SMALLEST: "2I >= 3w0", GATE_INDEX_PAIR_SUM: "2I = w0
 
 @dataclass(frozen=True)
 class NotKltGate:
-    gate: str  # "G1" or "G2"
+    """`certify_KE`'s verdict on a gated candidate; no record carries it."""
 
-    def __post_init__(self):
-        if self.gate not in GATE_RULES:
-            raise ValueError(f"no gate {self.gate!r}: the gates are {', '.join(GATE_RULES)}")
+    gate: str  # "G1" or "G2", as `gate_check` returns it
 
     def __str__(self) -> str:
         return f"NotKlt (gate {self.gate}: {GATE_RULES[self.gate]})"
@@ -87,16 +85,14 @@ def certify_KE(c: Candidate) -> KltVerdict:
     undefined otherwise and the call is rejected.
     """
     require_hypersurface(c)
-    return _cascade(c)
-
-
-def _cascade(c: Candidate) -> KltVerdict:
-    """`certify_KE` without its precondition checks, for callers that have
-    already made them."""
-    w, d = c.weights.w, c.d
     gate = gate_check(c)
-    if gate is not None:
-        return NotKltGate(gate)
+    return NotKltGate(gate) if gate is not None else _cascade(c)
+
+
+def _cascade(c: Candidate) -> Certified | Unknown:
+    """The rules R1, R2, R3 in order, for a candidate already past the gates
+    and `require_hypersurface`, as every record's is."""
+    w, d = c.weights.w, c.d
     lhs = 2 * c.I * d
     if lhs < 3 * w[0] * w[1]:
         return Certified("R1", lhs, 3 * w[0] * w[1])

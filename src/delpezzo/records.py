@@ -1,4 +1,12 @@
-"""Fully populated result records for enumerated candidates."""
+"""Fully populated result records for admitted candidates.
+
+`classify` is the one admission: a (w, d) enters the classification, and
+gets a record, only if it is primitive, a `Candidate`, past gates G1 and G2
+and quasi-smooth with X and P(w) well-formed.  `build_record` is its
+checked entry for a `Candidate` and refuses exactly what `classify`
+rejects, so no record is ever gated: its verdict is `Certified` or
+`Unknown`, and its K-E flag "Y" or "?".
+"""
 
 from __future__ import annotations
 
@@ -6,9 +14,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import catalog
-from .klt import GATE_RULES, Certified, KltVerdict, NotKltGate, Unknown, _cascade, gate_check
+from .errors import PreconditionError
+from .klt import GATE_RULES, Certified, Unknown, _cascade, gate_check
 from .moduli import _moduli_report
-from .quasismooth import Rejection, hypersurface_rejection, require_hypersurface
+from .quasismooth import Rejection, hypersurface_rejection
 from .topology import _link_report
 from .weights import Candidate, WeightSystem
 
@@ -27,9 +36,9 @@ class CandidateRecord:
     b2_link: int
     b2_orbifold: int
     l: int
-    klt: KltVerdict
+    klt: Certified | Unknown
     klt_provenance: str  # cascade | case-analysis | prior-work | unknown
-    ke: str  # "Y", "?" or "N" (gated)
+    ke: str  # "Y" or "?"
     moduli_m: int
     moduli_dim_aut: int
     moduli_n: int
@@ -46,11 +55,10 @@ def classify(w, d: int) -> CandidateRecord | Rejection:
     The checks run in order: w is primitive (tested first, so that a
     non-primitive tuple is rejected as such before a `WeightSystem` is built);
     w is an ascending positive 4-tuple with 1 <= I and d > w3, as
-    `WeightSystem` and `Candidate` check; gates G1 and G2; then
-    `hypersurface_rejection`.  A candidate that passes them all is built
-    into its record without checking anything twice.  The enumeration
-    routes call this only on points their numpy prefilter has already
-    admitted, so there every call builds a record.
+    `WeightSystem` and `Candidate` check; then `_rejection`.  A candidate
+    that passes them all is built into its record without checking anything
+    twice.  The enumeration routes call this only on points their numpy
+    prefilter has already admitted, so there every call builds a record.
     """
     g = gcd(*w)
     if g != 1:
@@ -59,27 +67,35 @@ def classify(w, d: int) -> CandidateRecord | Rejection:
         c = Candidate(WeightSystem(tuple(w)), d)
     except ValueError as exc:
         return Rejection("not a candidate", str(exc))
-    gate = gate_check(c)
-    if gate is not None:
-        return Rejection(f"gate {gate}", f"{GATE_RULES[gate]} with I = {c.I}, w = {c.weights}")
-    rejection = hypersurface_rejection(c)
+    rejection = _rejection(c)
     return rejection if rejection is not None else _record(c)
 
 
 def build_record(c: Candidate) -> CandidateRecord:
-    """Classify one candidate: topology, KE verdict with provenance, moduli.
+    """The record of a candidate `classify` admits: topology, KE verdict with
+    provenance, moduli.
 
-    Requires what `require_hypersurface` checks, the precondition of
-    `diffeo_type`, `moduli_report` and `certify_KE`; it is checked once
-    here, and each invariant is computed once.  A candidate that fails a
-    gate gets a record with the `NotKltGate` verdict.
+    A `Candidate` is primitive and has 1 <= I and d > w3, so it passes
+    `classify` exactly when it passes `_rejection`; otherwise this raises
+    PreconditionError naming that `Rejection`, as `classify` would return it.
     """
-    require_hypersurface(c)
+    rejection = _rejection(c)
+    if rejection is not None:
+        raise PreconditionError(f"{c}: {rejection}")
     return _record(c)
 
 
-def _ke_flag(verdict: KltVerdict, provenance: str) -> str:
-    """The K-E flag: "Y" for a certificate or a proven family member, "N" when gated.
+def _rejection(c: Candidate) -> Rejection | None:
+    """The admission step `classify` and `build_record` share: gates G1 and
+    G2, then `hypersurface_rejection`, which every invariant requires."""
+    gate = gate_check(c)
+    if gate is not None:
+        return Rejection(f"gate {gate}", f"{GATE_RULES[gate]} with I = {c.I}, w = {c.weights}")
+    return hypersurface_rejection(c)
+
+
+def _ke_flag(verdict: Certified | Unknown, provenance: str) -> str:
+    """The K-E flag: "Y" for a certificate or a proven family member, else "?".
 
     An `Unknown` verdict is "Y" exactly when its provenance names a proof
     (the family's: cascade, case-analysis or prior-work) and "?" when the
@@ -87,8 +103,6 @@ def _ke_flag(verdict: KltVerdict, provenance: str) -> str:
     """
     if isinstance(verdict, Certified):
         return "Y"
-    if isinstance(verdict, NotKltGate):
-        return "N"
     return "?" if provenance == "unknown" else "Y"
 
 
@@ -101,7 +115,7 @@ def _record(c: Candidate) -> CandidateRecord:
 
     if isinstance(verdict, Certified):
         provenance = "cascade"
-    elif isinstance(verdict, Unknown) and match is not None and match[0].ke_at(match[1]) == "Y":
+    elif match is not None and match[0].ke_at(match[1]) == "Y":
         provenance = match[0].klt_provenance
     else:
         provenance = "unknown"

@@ -465,8 +465,9 @@ def _prefilter(P):
       one (`_z2_candidates`), and z1, z2 and z3 hold on every structured
       point (its witness equations).  The oracle's 636,754 points at
       w <= 150 fall to 62,973, 28,937, 28,728 and 28,728; the structured
-      route's 178,979 at w <= 600 fall to 67,611 at z0 alone;
-    * d > w3;
+      route's 178,979 at w <= 600 fall to 67,611 at z0 alone.  Condition I
+      for z3 also gives d > w3, which `Candidate` asks: d = m*w3 + w_j
+      with m >= 1 and w_j >= 1;
     * gates G1 (3*w0 > 2I) and G2 (w0 + w1 != 2I);
     * P(w) well-formed: no triple of weights shares a factor, which also
       makes the weights primitive;
@@ -502,7 +503,7 @@ def _prefilter(P):
         P = P.compress(((r >= wi) & (r % wi == 0)).any(axis=0), axis=1)
     w0, w1, w2, w3, d = P
     I2 = 2 * (w0 + w1 + w2 + w3 - d)
-    keep = (d > w3) & (3 * w0 > I2) & (I2 != w0 + w1)
+    keep = (3 * w0 > I2) & (I2 != w0 + w1)
     g = {}
     for a, b in itertools.combinations(range(4), 2):
         g[a, b] = np.gcd(P[a], P[b])

@@ -23,14 +23,16 @@ position and the column, a value of the wrong type or a required value
 that is absent.  A value in a text column is a string, and any other
 value an int: a bool or a float is rejected, as in `record 2: mu = 3.5 is
 not an integer`.  Every column but the certificate and series ones is
-required.  The JSON top level is a list of objects, each with weights a
-list of four and klt, moduli and series objects when present.  `csv_rows`
-rejects a header other than `CSV_COLUMNS`, a line whose cell count
-differs from the header's, and a cell that is not an integer outside the
-text columns.  `from_json` and `from_csv` then build each row's record,
-which asks for a known verdict with the certificate columns its class is
-built from (certified: rule, lhs and rhs; not_klt: gate, G1 or G2), and
-for weights and a degree that make a `Candidate`.  Whether a row is the
+required, and `klt_verdict` is `certified` or `unknown`: no record is
+gated, so `not_klt`, like any other name, is refused.  The JSON top level
+is a list of objects, each with weights a list of four and klt, moduli
+and series objects when present.  `csv_rows` rejects a header other than
+`CSV_COLUMNS`, a line whose cell count differs from the header's, and a
+cell that is not an integer outside the text columns.  `from_json` and
+`from_csv` then build each row's record, which asks for the certificate
+columns its verdict is built from (certified: rule, lhs and rhs), and for
+weights and a degree that make a `Candidate`.  `klt_gate` stays a column,
+always empty, so that every file keeps its layout.  Whether a row is the
 record `classify` computes is not theirs to judge: `delpezzo check FILE`
 compares every row with `_row` of its recomputation.
 """
@@ -42,7 +44,7 @@ import io
 import json
 from dataclasses import fields
 
-from .klt import Certified, NotKltGate, Unknown
+from .klt import Certified, Unknown
 from .records import CandidateRecord, _ke_flag
 from .weights import Candidate, WeightSystem
 
@@ -67,7 +69,7 @@ def _place(column: str) -> tuple[str | None, str | int]:
 
 _PLACES = tuple(map(_place, CSV_COLUMNS))
 _ENCODER = json.JSONEncoder(indent=1)  # json.dumps(obj, indent=1) is its encode(obj)
-_VERDICTS = {Certified: "certified", NotKltGate: "not_klt", Unknown: "unknown"}
+_VERDICTS = {Certified: "certified", Unknown: "unknown"}
 # Each verdict's class, and the certificate columns (without `klt_`) it is built from: its fields.
 _BUILD = {name: (cls, tuple(f.name for f in fields(cls))) for cls, name in _VERDICTS.items()}
 
@@ -75,19 +77,17 @@ _BUILD = {name: (cls, tuple(f.name for f in fields(cls))) for cls, name in _VERD
 def _row(r: CandidateRecord) -> tuple:
     c, v = r.candidate, r.klt
     return (c.I, *c.weights.w, c.d, r.b2_orbifold, r.b2_link, r.l, r.mu, _VERDICTS[type(v)],
-            getattr(v, "rule", None), getattr(v, "gate", None), getattr(v, "lhs", None),
+            getattr(v, "rule", None), None, getattr(v, "lhs", None),
             getattr(v, "rhs", None), r.klt_provenance, r.moduli_m, r.moduli_dim_aut,
             r.moduli_n, r.series_id, r.series_k)
 
 
 def _from_row(row: tuple) -> CandidateRecord:
     """The record a parsed row describes; its index is recomputed as |w| - d."""
-    (_, w0, w1, w2, w3, d, b2_orbifold, b2_link, l, mu, verdict, rule, gate, lhs, rhs,
+    (_, w0, w1, w2, w3, d, b2_orbifold, b2_link, l, mu, verdict, rule, _, lhs, rhs,
      provenance, m, dim_aut, n, series_id, series_k) = row
-    if verdict not in _BUILD:
-        raise ValueError(f"klt_verdict {verdict!r} is not one of {', '.join(_BUILD)}")
     cls, names = _BUILD[verdict]
-    certificate = {"rule": rule, "gate": gate, "lhs": lhs, "rhs": rhs}
+    certificate = {"rule": rule, "lhs": lhs, "rhs": rhs}
     missing = [name for name in names if certificate[name] is None]
     if missing:
         raise ValueError(f"klt_{missing[0]} is missing")
@@ -99,7 +99,8 @@ def _from_row(row: tuple) -> CandidateRecord:
 
 def _rows(columns) -> list[tuple]:
     """Rows from one list of values per column, each value of its column's
-    type and present unless optional; a ValueError names the record's position."""
+    type and present unless optional, and each verdict one of `_BUILD`'s; a
+    ValueError names the record's position."""
     for column, values in zip(CSV_COLUMNS, columns):
         if column not in _OPTIONAL and None in values:
             raise ValueError(f"record {values.index(None) + 1}: {column} is missing")
@@ -108,6 +109,9 @@ def _rows(columns) -> list[tuple]:
             pos, value = next((pos, v) for pos, v in enumerate(values, 1) if type(v) not in types)
             raise ValueError(f"record {pos}: {column} = {value!r} is not "
                              + ("a string" if str in types else "an integer"))
+        if column == "klt_verdict" and not set(values) <= _BUILD.keys():
+            pos, value = next((pos, v) for pos, v in enumerate(values, 1) if v not in _BUILD)
+            raise ValueError(f"record {pos}: klt_verdict {value!r} is not one of {', '.join(_BUILD)}")
     return list(zip(*columns))
 
 
@@ -217,8 +221,6 @@ def to_markdown(records: list[CandidateRecord]) -> str:
     for r in records:
         if isinstance(r.klt, Certified):
             cert = f"{r.klt.rule}: {r.klt.lhs} < {r.klt.rhs}"
-        elif isinstance(r.klt, NotKltGate):
-            cert = f"gate {r.klt.gate}"
         else:
             cert = "-" if r.klt_provenance == "unknown" else r.klt_provenance
         series = f"{r.series_id} k={r.series_k}" if r.series_id else ""

@@ -48,15 +48,11 @@ class WeightSystem:
 def normalize_weights(raw) -> WeightSystem:
     """Sort a 4-tuple of positive integers into a canonical WeightSystem.
 
-    Non-primitive input (all four sharing a factor) is rejected rather than
-    rescaled, so that caller bugs are not silently masked.
+    `WeightSystem` rejects a tuple that is not four positive weights (sorted,
+    a non-positive weight comes first), and a non-primitive one rather than
+    rescaling it, so that caller bugs are not silently masked.
     """
-    t = tuple(int(x) for x in raw)
-    if len(t) != 4:
-        raise ValueError(f"need exactly four weights, got {raw!r}")
-    if any(x < 1 for x in t):
-        raise ValueError(f"weights must be positive, got {raw!r}")
-    return WeightSystem(tuple(sorted(t)))
+    return WeightSystem(tuple(sorted(int(x) for x in raw)))
 
 
 @dataclass(frozen=True)
@@ -64,8 +60,9 @@ class Candidate:
     """A degree-d hypersurface family in P(w) with its Fano index I = |w| - d.
 
     Degrees equal to a weight (linear cones) are excluded: d > w3 is
-    required, which rules out every d = w_i since the weights ascend.
-    I is computed once; it takes no part in equality, hashing or repr.
+    required, which rules out every d = w_i since the weights ascend, and
+    makes d positive, as w3 >= 1.  I is computed once; it takes no part in
+    equality, hashing or repr.
     """
 
     weights: WeightSystem
@@ -75,8 +72,6 @@ class Candidate:
     def __post_init__(self):
         w, d = self.weights.w, self.d
         object.__setattr__(self, "I", sum(w) - d)
-        if d < 1:
-            raise ValueError(f"degree must be positive, got {d}")
         if self.I < 1:
             raise ValueError(f"index {self.I} < 1 for weights {self.weights} degree {d}")
         if d <= w[3]:

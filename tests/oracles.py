@@ -213,22 +213,11 @@ def quasismooth_failure_oracle(weights, d: int):
     return None
 
 
-def order_dividing(n: int, L: int) -> bool:
-    return L % n == 0
-
-
 def milnor_oracle(weights, d: int) -> Fraction:
     mu = Fraction(1)
     for w in weights:
         mu *= Fraction(d - w, w)
     return mu
-
-
-def gcd4(*xs) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g
 
 
 JACOBIAN_P = 2**31 - 1  # prime; products of two residues fit in int64

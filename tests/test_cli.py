@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import delpezzo.cli as cli
 from delpezzo import catalog, moduli, search, serialize
-from delpezzo.klt import Certified, NotKltGate, Unknown
+from delpezzo.klt import Certified, Unknown
 from delpezzo.records import build_record
 from delpezzo.search import brute_force_enumerate
 from delpezzo.serialize import (
@@ -38,16 +38,12 @@ def record_of(w, d):
 
 @pytest.fixture(scope="module")
 def sample_records():
-    """Every verdict: the oracle's certified and unknown records, then gates G1 and G2."""
-    gated = [record_of((1, 1, 4, 4), 8), record_of((1, 1, 1, 1), 3)]
-    return brute_force_enumerate(1, 1, 60) + brute_force_enumerate(2, 2, 40) + gated
+    """Every verdict a record has: the oracle's certified and unknown records."""
+    return brute_force_enumerate(1, 1, 60) + brute_force_enumerate(2, 2, 40)
 
 
 def test_sample_records_cover_every_verdict(sample_records):
-    assert {type(r.klt) for r in sample_records} == {Certified, NotKltGate, Unknown}
-    assert [r.klt for r in sample_records[-2:]] == [NotKltGate("G1"), NotKltGate("G2")]
-    entry = json.loads(to_json(sample_records))[-2]
-    assert entry["klt"] == {"verdict": "not_klt", "gate": "G1", "provenance": "unknown"}
+    assert {type(r.klt) for r in sample_records} == {Certified, Unknown}
 
 
 def test_json_round_trip(sample_records):
@@ -76,7 +72,7 @@ def test_json_schema_fields(sample_records):
             "mu", "klt", "moduli",
         }
         assert set(entry["moduli"]) == {"m", "dimG", "n"}
-        assert entry["klt"]["verdict"] in {"certified", "not_klt", "unknown"}
+        assert entry["klt"]["verdict"] in {"certified", "unknown"}
 
 
 def test_json_key_order_is_csv_column_order(sample_records):
@@ -147,8 +143,8 @@ def _check_file(tmp_path, content, capsys):
     return (code, *capsys.readouterr())
 
 
-# (weights, degree) of a certified, a gated and an unknown record, and of a series member
-CERTIFIED, GATED, UNKNOWN = ((2, 3, 5, 9), 18), ((1, 1, 4, 4), 8), ((2, 3, 4, 5), 12)
+# (weights, degree) of a certified and an unknown record, and of a series member
+CERTIFIED, UNKNOWN = ((2, 3, 5, 9), 18), ((2, 3, 4, 5), 12)
 SERIES = ((2, 3, 3, 5), 12)
 AT_UNKNOWN, AT_SERIES = "(I=2, w=(2, 3, 4, 5), d=12): ", "(I=1, w=(2, 3, 3, 5), d=12): "
 
@@ -162,18 +158,16 @@ AT_UNKNOWN, AT_SERIES = "(I=2, w=(2, 3, 4, 5), d=12): ", "(I=1, w=(2, 3, 3, 5), 
         ("check", UNKNOWN, "moduli_n", 9, AT_UNKNOWN + "moduli_n = 9 in the file, 4 computed"),
         ("check", CERTIFIED, "klt_provenance", "unknown", "(I=1, w=(2, 3, 5, 9), d=18): "
          "klt_provenance = 'unknown' in the file, 'cascade' computed"),
-        # `classify` rejects a gated candidate, so no not_klt row is ever its record
-        ("check", GATED, "klt_provenance", "cascade", "(I=2, w=(1, 1, 4, 4), d=8): "
-         "classify rejects it: gate G1: 2I >= 3w0 with I = 2, w = (1,1,4,4)"),
         ("check", UNKNOWN, "klt_provenance", "folklore",
          AT_UNKNOWN + "klt_provenance = 'folklore' in the file, 'unknown' computed"),
         ("load", UNKNOWN, "klt_verdict", "maybe",
-         "klt_verdict 'maybe' is not one of certified, not_klt, unknown"),
+         "klt_verdict 'maybe' is not one of certified, unknown"),
+        # no record is gated, so not_klt is no verdict a row may name
+        ("load", UNKNOWN, "klt_verdict", "not_klt",
+         "klt_verdict 'not_klt' is not one of certified, unknown"),
         ("load", UNKNOWN, "mu", None, "mu is missing"),
         ("load", CERTIFIED, "klt_rule", None, "klt_rule is missing"),
         ("load", CERTIFIED, "klt_lhs", None, "klt_lhs is missing"),
-        ("load", GATED, "klt_gate", None, "klt_gate is missing"),
-        ("load", GATED, "klt_gate", "G9", "no gate 'G9'"),
         ("check", UNKNOWN, "klt_gate", "G1", AT_UNKNOWN + "klt_gate = 'G1' in the file, None computed"),
         ("check", CERTIFIED, "klt_gate", "G1", "(I=1, w=(2, 3, 5, 9), d=18): "
          "klt_gate = 'G1' in the file, None computed"),
@@ -181,9 +175,8 @@ AT_UNKNOWN, AT_SERIES = "(I=2, w=(2, 3, 4, 5), d=12): ", "(I=1, w=(2, 3, 3, 5), 
         ("check", SERIES, "series_id", None,
          AT_SERIES + "series_id = None in the file, '(2,2k+1,2k+1,4k+1)' computed"),
     ],
-    ids=["index", "b2_orbifold", "l", "moduli_n", "certified-provenance", "not_klt-provenance",
-         "unknown-provenance", "verdict", "mu-missing", "certified-rule-missing",
-         "certified-lhs-missing", "not_klt-gate-missing", "not_klt-gate-unknown",
+    ids=["index", "b2_orbifold", "l", "moduli_n", "certified-provenance", "unknown-provenance",
+         "verdict", "not_klt", "mu-missing", "certified-rule-missing", "certified-lhs-missing",
          "unknown-with-gate", "certified-with-gate", "series-k-missing", "series-id-missing"],
 )
 def test_loaders_reject_contradicting_rows(tmp_path, capsys, refuser, case, column, value, message):
@@ -210,15 +203,16 @@ def test_check_passes_the_golden_records(capsys):
 
 
 def test_check_passes_the_classified_sample_as_json(sample_records, tmp_path, capsys):
-    """The sample's records that `classify` builds pass.  Its two gated
-    records, which `build_record` makes and `classify` rejects, do not."""
-    classified = sample_records[:-2]
-    assert _check_file(tmp_path, to_json(classified), capsys) == (
-        0, f"{len(classified)} records match their recomputation\n", "")
-    code, out, err = _check_file(tmp_path, to_json(sample_records), capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"mismatch: record {len(classified) + 1} (I=2, w=(1, 1, 4, 4), d=8): "
-                          "classify rejects it: gate G1: ")
+    assert _check_file(tmp_path, to_json(sample_records), capsys) == (
+        0, f"{len(sample_records)} records match their recomputation\n", "")
+
+
+def test_check_refuses_a_not_klt_row_as_unreadable(tmp_path, capsys):
+    """No record is gated, so a not_klt row, gate and all, is no record file's row."""
+    records = [record_of(*CERTIFIED), record_of(*UNKNOWN)]
+    for text in _edited(records, 1, {"klt_verdict": "not_klt", "klt_gate": "G1"}):
+        assert _check_file(tmp_path, text, capsys) == (
+            1, "", "error: record 2: klt_verdict 'not_klt' is not one of certified, unknown\n")
 
 
 @pytest.mark.parametrize(

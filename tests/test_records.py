@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from delpezzo import catalog
 from delpezzo.errors import PreconditionError
-from delpezzo.klt import Certified, NotKltGate, Unknown, gate_check
+from delpezzo.klt import Certified, Unknown, gate_check
 from delpezzo.quasismooth import Rejection, hypersurface_rejection, is_quasismooth
-from delpezzo.records import CandidateRecord, _record, build_record, classify
+from delpezzo.records import CandidateRecord, build_record, classify
 from delpezzo.weights import Candidate, WeightSystem, is_well_formed, normalize_weights
 
 
@@ -21,6 +21,8 @@ def cand(w, d):
     [
         ((2, 2, 2, 3), 8, "not well-formed"),
         ((2, 3, 4, 5), 13, "X not well-formed"),
+        ((1, 1, 4, 4), 8, "gate G1"),  # quasi-smooth, X and P(w) well-formed
+        ((3, 3, 4, 5), 12, "gate G2"),  # the same
     ],
 )
 def test_build_record_checks_preconditions(w, d, reason):
@@ -59,12 +61,13 @@ def test_classify_rejection_reasons(w, d, reason):
     ],
 )
 def test_rejection_names_its_witness(w, d, detail):
+    """`build_record` names `classify`'s rejection: for (1,1,1,3) at degree 5,
+    gate G2 comes before the condition I failure."""
     c = cand(w, d)
-    rejection = hypersurface_rejection(c)
-    assert detail in rejection.detail
+    assert detail in hypersurface_rejection(c).detail
     with pytest.raises(PreconditionError) as exc:
         build_record(c)
-    assert str(exc.value) == f"{c}: {rejection}"
+    assert str(exc.value) == f"{c}: {classify(w, d)}"
 
 
 def _chain_admits(w, d) -> Candidate | None:
@@ -94,6 +97,8 @@ table1_cases = st.sampled_from(
 @example(((1, 2, 3, 3), 1))  # fails conditions II and III
 @settings(max_examples=400, deadline=None)
 def test_classify_admits_exactly_the_public_chain(case):
+    """`classify` admits what the chain does, and on every `Candidate` the
+    stream builds, `build_record` returns its record or raises its rejection."""
     w, I = case
     d = sum(w) - I
     got = classify(w, d)
@@ -102,22 +107,29 @@ def test_classify_admits_exactly_the_public_chain(case):
         assert isinstance(got, Rejection)
     else:
         assert isinstance(got, CandidateRecord)
-        assert got == build_record(c)
+    if d <= w[3]:  # the stream's weights are primitive with I >= 1: only d > w3 can fail
+        return
+    c = Candidate(WeightSystem(w), d)
+    if isinstance(got, Rejection):
+        with pytest.raises(PreconditionError) as exc:
+            build_record(c)
+        assert str(exc.value) == f"{c}: {got}"
+    else:
+        assert build_record(c) == got
 
 
 # The provenances `_record` may give each verdict: a family's only to an
 # uncertified member of a proven family.
-PROVENANCES = {Certified: {"cascade"}, NotKltGate: {"unknown"},
+PROVENANCES = {Certified: {"cascade"},
                Unknown: {"cascade", "case-analysis", "prior-work", "unknown"}}
 
 
 def test_record_gives_each_verdict_only_its_provenances(enumeration_150):
-    """`_record` gives a certificate "cascade", a gated candidate "unknown",
-    and an uncertified one its proven family's provenance or "unknown"."""
+    """`_record` gives a certificate "cascade", and an uncertified candidate
+    its proven family's provenance or "unknown"."""
     records, _ = enumeration_150
-    gated = [_record(cand(w, d)) for w, d in (((1, 1, 4, 4), 8), ((1, 1, 1, 1), 3))]
-    pairs = {(type(r.klt), r.klt_provenance) for r in records + gated}
-    assert {cls for cls, _ in pairs} == {Certified, NotKltGate, Unknown}
+    pairs = {(type(r.klt), r.klt_provenance) for r in records}
+    assert {cls for cls, _ in pairs} == {Certified, Unknown}
     assert pairs <= {(cls, p) for cls, ps in PROVENANCES.items() for p in ps}
     for fam in catalog.reference_series() + catalog.errata_series():
         assert fam.klt_provenance in PROVENANCES[Unknown], fam.id

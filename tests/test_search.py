@@ -93,7 +93,15 @@ def test_solve_inconsistent_branch_empty():
     assert kinds <= {"empty", "finite", "line", "plane"}
 
 
-def test_structured_matches_unpruned_branches():
+@pytest.fixture(scope="module")
+def branch_spaces():
+    """Every one of the 5,120 branches at each index I = 1..12, with its
+    `solve_condition_system`: {I: [(branch, space), ...]}, solved once for
+    the three tests below that compare with the legacy branch solve."""
+    return {I: [(b, solve_condition_system(b)) for b in witness_branches(I)] for I in range(1, 13)}
+
+
+def test_structured_matches_unpruned_branches(branch_spaces):
     """Leaving out the G1-pruned shapes and walking each line once loses nothing.
 
     The reference solves every one of the 5,120 branches at each index,
@@ -101,13 +109,11 @@ def test_structured_matches_unpruned_branches():
     filters the union with `classify` and the bound w3 <= w_max alone.
     """
     w_max = 80
-    branches = list(witness_branches(1))
     for I in range(1, 13):
         expected = {}
-        for b in branches:
-            b = BranchAssignment(m=b.m, j=b.j, index=I)
+        for b, space in branch_spaces[I]:
             A, rhs = b.equations()
-            for w in solve_condition_system(b).instances(w_max):
+            for w in space.instances(w_max):
                 assert [sum(a * x for a, x in zip(row, w)) for row in A] == rhs
                 r = classify(w, sum(w) - I)
                 if w[3] <= w_max and isinstance(r, CandidateRecord):
@@ -117,7 +123,7 @@ def test_structured_matches_unpruned_branches():
         assert (I >= 11) == (got == [])
 
 
-def test_pruned_shapes_fix_two_weights_to_index():
+def test_pruned_shapes_fix_two_weights_to_index(branch_spaces):
     """Every shape the search leaves out has a row w_a + w_b = I, and only
     those shapes give a plane."""
     pruned = [b for b in witness_branches(1) if _g1_rules_out(b.m, b.j)]
@@ -127,8 +133,8 @@ def test_pruned_shapes_fix_two_weights_to_index():
         assert any(sorted(row) == [-1, -1, 0, 0] for row in A)
         assert rhs == [-1, -1, -1]
     for I in range(1, 11):
-        for b in witness_branches(I):
-            if solve_condition_system(b).kind == "plane":
+        for b, space in branch_spaces[I]:
+            if space.kind == "plane":
                 assert _g1_rules_out(b.m, b.j)
 
 
@@ -157,13 +163,13 @@ def test_minors_solve_matches_smith_form():
         assert diff == [lam * kx for kx in k]
 
 
-def test_lines_match_branch_instances():
+def test_lines_match_branch_instances(branch_spaces):
     """The segments of `_lines` hold exactly the points the legacy
     `solve_condition_system` gives on the kept branches, and every
     direction is lexicographically positive, as the deduplication needs."""
-    kept = _kept_shapes()
+    kept = set(_kept_shapes())
     for I in range(1, 13):
-        spaces = [solve_condition_system(BranchAssignment(m, j, I)) for m, j in kept]
+        spaces = [space for b, space in branch_spaces[I] if (b.m, b.j) in kept]
         for w_max in (80, 150, 600):
             expected = {w for space in spaces for w in space.instances(w_max)}
             start, direction, length = (a.tolist() for a in _lines(I, w_max))
@@ -329,6 +335,7 @@ _admitted_cases = st.sampled_from(sorted(
 @example(((3, 4, 5, 7), 17))  # admitted, with the bare pair (z1, z3) and j(1) != j(3)
 @example(((2, 4, 6, 8), 18))  # not primitive
 @example(((2, 2, 2, 3), 8))  # P(w) not well-formed, though every pair's gcd divides d
+@example(((2, 3, 5, 9), 9))  # d = w3: condition I for z3 fails, as d > w3 does
 @settings(max_examples=400, deadline=None)
 def test_numpy_admission_is_classify(case):
     """The prefilter keeps a point iff `classify` admits it."""
