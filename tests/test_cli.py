@@ -147,45 +147,50 @@ def _check_file(tmp_path, content, capsys):
 CERTIFIED, UNKNOWN = ((2, 3, 5, 9), 18), ((2, 3, 4, 5), 12)
 SERIES = ((2, 3, 3, 5), 12)
 AT_UNKNOWN, AT_SERIES = "(I=2, w=(2, 3, 4, 5), d=12): ", "(I=1, w=(2, 3, 3, 5), d=12): "
+NOT_KLT = "klt_verdict 'not_klt' is not one of certified, unknown"
 
 
 @pytest.mark.parametrize(
-    "refuser,case,column,value,message",
+    "refuser,case,edits,message",
     [
-        ("check", UNKNOWN, "index", 7, "(I=7, w=(2, 3, 4, 5), d=12): index = 7 in the file, 2 computed"),
-        ("check", UNKNOWN, "b2_orbifold", 99, AT_UNKNOWN + "b2_orbifold = 99 in the file, 5 computed"),
-        ("check", UNKNOWN, "l", 0, AT_UNKNOWN + "l = 0 in the file, 4 computed"),
-        ("check", UNKNOWN, "moduli_n", 9, AT_UNKNOWN + "moduli_n = 9 in the file, 4 computed"),
-        ("check", CERTIFIED, "klt_provenance", "unknown", "(I=1, w=(2, 3, 5, 9), d=18): "
+        ("check", UNKNOWN, {"index": 7}, "(I=7, w=(2, 3, 4, 5), d=12): index = 7 in the file, 2 computed"),
+        ("check", UNKNOWN, {"b2_orbifold": 99}, AT_UNKNOWN + "b2_orbifold = 99 in the file, 5 computed"),
+        ("check", UNKNOWN, {"l": 0}, AT_UNKNOWN + "l = 0 in the file, 4 computed"),
+        ("check", UNKNOWN, {"moduli_n": 9}, AT_UNKNOWN + "moduli_n = 9 in the file, 4 computed"),
+        ("check", CERTIFIED, {"klt_provenance": "unknown"}, "(I=1, w=(2, 3, 5, 9), d=18): "
          "klt_provenance = 'unknown' in the file, 'cascade' computed"),
-        ("check", UNKNOWN, "klt_provenance", "folklore",
+        ("check", UNKNOWN, {"klt_provenance": "folklore"},
          AT_UNKNOWN + "klt_provenance = 'folklore' in the file, 'unknown' computed"),
-        ("load", UNKNOWN, "klt_verdict", "maybe",
+        ("load", UNKNOWN, {"klt_verdict": "maybe"},
          "klt_verdict 'maybe' is not one of certified, unknown"),
-        # no record is gated, so not_klt is no verdict a row may name
-        ("load", UNKNOWN, "klt_verdict", "not_klt",
-         "klt_verdict 'not_klt' is not one of certified, unknown"),
-        ("load", UNKNOWN, "mu", None, "mu is missing"),
-        ("load", CERTIFIED, "klt_rule", None, "klt_rule is missing"),
-        ("load", CERTIFIED, "klt_lhs", None, "klt_lhs is missing"),
-        ("check", UNKNOWN, "klt_gate", "G1", AT_UNKNOWN + "klt_gate = 'G1' in the file, None computed"),
-        ("check", CERTIFIED, "klt_gate", "G1", "(I=1, w=(2, 3, 5, 9), d=18): "
+        # no record is gated, so a not_klt row is refused at its verdict,
+        # whatever its provenance and gate columns hold (an unknown row has no gate)
+        ("load", UNKNOWN, {"klt_verdict": "not_klt", "klt_gate": "G1", "klt_provenance": "cascade"},
+         NOT_KLT),
+        ("load", UNKNOWN, {"klt_verdict": "not_klt"}, NOT_KLT),
+        ("load", UNKNOWN, {"klt_verdict": "not_klt", "klt_gate": "G9"}, NOT_KLT),
+        ("load", UNKNOWN, {"mu": None}, "mu is missing"),
+        ("load", CERTIFIED, {"klt_rule": None}, "klt_rule is missing"),
+        ("load", CERTIFIED, {"klt_lhs": None}, "klt_lhs is missing"),
+        ("check", UNKNOWN, {"klt_gate": "G1"}, AT_UNKNOWN + "klt_gate = 'G1' in the file, None computed"),
+        ("check", CERTIFIED, {"klt_gate": "G1"}, "(I=1, w=(2, 3, 5, 9), d=18): "
          "klt_gate = 'G1' in the file, None computed"),
-        ("check", SERIES, "series_k", None, AT_SERIES + "series_k = None in the file, 1 computed"),
-        ("check", SERIES, "series_id", None,
+        ("check", SERIES, {"series_k": None}, AT_SERIES + "series_k = None in the file, 1 computed"),
+        ("check", SERIES, {"series_id": None},
          AT_SERIES + "series_id = None in the file, '(2,2k+1,2k+1,4k+1)' computed"),
     ],
     ids=["index", "b2_orbifold", "l", "moduli_n", "certified-provenance", "unknown-provenance",
-         "verdict", "not_klt", "mu-missing", "certified-rule-missing", "certified-lhs-missing",
-         "unknown-with-gate", "certified-with-gate", "series-k-missing", "series-id-missing"],
+         "verdict", "not_klt-provenance", "not_klt-gate-missing", "not_klt-gate-unknown",
+         "mu-missing", "certified-rule-missing", "certified-lhs-missing", "unknown-with-gate",
+         "certified-with-gate", "series-k-missing", "series-id-missing"],
 )
-def test_loaders_reject_contradicting_rows(tmp_path, capsys, refuser, case, column, value, message):
+def test_loaders_reject_contradicting_rows(tmp_path, capsys, refuser, case, edits, message):
     """A row the loaders cannot build into a record (an absent or unknown
     value its record needs) is theirs to refuse.  Any other row that is not
     the record `classify` computes loads, and `check` refuses it, naming the
     record and the first column that differs, or the rejection."""
     records = [record_of(*CERTIFIED), record_of(*case)]
-    for load, text in zip((from_json, from_csv), _edited(records, 1, {column: value})):
+    for load, text in zip((from_json, from_csv), _edited(records, 1, edits)):
         if refuser == "load":
             with pytest.raises(ValueError, match="^record 2: " + re.escape(message)):
                 load(text)
