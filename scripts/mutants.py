@@ -85,9 +85,17 @@ MUTANTS = [
            "flip = v[np.arange(len(v)), (v != 0).argmax(axis=1)] < 0",
            "flip = np.zeros(len(v), dtype=bool)",
            ("tests/test_search.py::test_lines_match_branch_instances",)),
+    Mutant("interval-lower-bound-floor", "src/delpezzo/diophantine.py",
+           "v = -(-cst // a)", "v = cst // a",
+           ("tests/test_diophantine.py::test_box_enumeration_matches_naive_scan",
+            "tests/test_search.py::test_lines_match_branch_instances")),
     Mutant("shape-scan-one-short", "src/delpezzo/search.py",
            "< period[:, None])", "< period[:, None] - 1)",
            ("tests/test_search.py::test_minors_solve_matches_smith_form",)),
+    Mutant("aut-dimension-one-short", "src/delpezzo/moduli.py",
+           "return sum(count_monomials(w, wi) for wi in w)",
+           "return sum(count_monomials(w, wi) for wi in w[:3]) + count_monomials(w, w[3]) - 1",
+           ("tests/test_moduli.py::test_moduli_is_the_jacobian_ring_degree_d_piece",)),
     Mutant("char-mul-no-gcd", "tests/oracles.py",
            "cn * cm * g", "cn * cm",
            ("tests/test_topology.py::test_char_square_identity",

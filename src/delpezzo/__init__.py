@@ -5,6 +5,12 @@ certificates, Milnor-Orlik link topology, and moduli dimensions, with the
 published classification tables embedded for regression.
 """
 
+from .diophantine import (
+    BranchAssignment,
+    SolutionSpace,
+    solve_condition_system,
+    witness_branches,
+)
 from .errors import (
     CatalogIntegrityError,
     InvariantViolation,
@@ -28,14 +34,7 @@ from .moduli import (
 )
 from .quasismooth import Rejection, is_quasismooth
 from .records import CandidateRecord, build_record, classify
-from .search import (
-    BranchAssignment,
-    SolutionSpace,
-    brute_force_enumerate,
-    witness_branches,
-    solve_condition_system,
-    structured_enumerate,
-)
+from .search import brute_force_enumerate, structured_enumerate
 from .topology import (
     LinkReport,
     characteristic_divisor,

@@ -1,13 +1,26 @@
-"""Exact integer solutions of small linear systems A*x = b.
+"""The legacy branch reference: the witness branches solved by Smith form.
 
-Smith normal form over the integers gives, for a consistent system, one
-particular integer solution plus a lattice basis of the kernel.  Box
+Not a route.  `search.structured_enumerate` solves the branch shapes by
+3x3 minors (`search._solve_shapes`) and never calls this module.  It is
+kept as the independent reference the tests compare the live route with,
+shape by shape and point by point, and for the benchmark's layer probes.
+
+Smith normal form over the integers gives, for a consistent system A*x = b,
+one particular integer solution plus a lattice basis of the kernel.  Box
 enumeration then lists every solution with lo <= x_i <= hi; kernels of
-dimension up to two are supported, which covers every branch system of
-the structured search.
+dimension up to two are supported, which covers every branch system.
+`_interval` is the one integer-interval step, shared by the box and by the
+ordering constraints of `solve_condition_system`.
 """
 
 from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import cache
+from math import gcd, lcm
+
+from .search import M1_MAX, M2_MAX, M3_MAX
 
 
 def _eye(n: int) -> list[list[int]]:
@@ -124,6 +137,11 @@ def _interval(constraints):
     return lo, hi
 
 
+def _segment(start, step, count: int):
+    """The tuples start + k*step for k = 0..count-1, built a coordinate at a time."""
+    return zip(*(range(s, s + count * t, t) if t else itertools.repeat(s, count) for s, t in zip(start, step)))
+
+
 def box_solutions(particular, basis, lo: int, hi: int):
     """All lattice points particular + sum k_j * basis_j with lo <= x_i <= hi.
 
@@ -144,8 +162,7 @@ def box_solutions(particular, basis, lo: int, hi: int):
         klo, khi = _interval(cons)
         if klo is None or khi is None:
             raise ValueError("unbounded one-parameter family inside a finite box")
-        for k in range(klo, khi + 1):
-            yield tuple(particular[i] + k * v[i] for i in range(n))
+        yield from _segment([particular[i] + klo * v[i] for i in range(n)], v, khi - klo + 1)
         return
     if len(basis) == 2:
         v1, v2 = basis
@@ -173,9 +190,135 @@ def box_solutions(particular, basis, lo: int, hi: int):
             k2lo, k2hi = _interval(cons)
             if k2lo is None or k2hi is None:
                 raise ValueError("unbounded slice in two-parameter family")
-            for k2 in range(k2lo, k2hi + 1):
-                yield tuple(
-                    particular[i] + k1 * v1[i] + k2 * v2[i] for i in range(n)
-                )
+            yield from _segment([particular[i] + k1 * v1[i] + k2lo * v2[i] for i in range(n)],
+                                v2, k2hi - k2lo + 1)
         return
     raise ValueError(f"kernel dimension {len(basis)} > 2 not supported")
+
+
+@dataclass(frozen=True)
+class BranchAssignment:
+    """Witness exponents (m_1, m_2, m_3) and partners j(i) for i = 1, 2, 3."""
+
+    m: tuple[int, int, int]
+    j: tuple[int, int, int]
+    index: int
+
+    def __post_init__(self):
+        m1, m2, m3 = self.m
+        if not (1 <= m1 <= M1_MAX and 1 <= m2 <= M2_MAX and 1 <= m3 <= M3_MAX):
+            raise ValueError(f"witness exponents {self.m} out of range")
+        if any(not 0 <= jj <= 3 for jj in self.j):
+            raise ValueError(f"partners {self.j} out of range")
+        if self.index < 1:
+            raise ValueError(f"index must be positive, got {self.index}")
+
+    def equations(self):
+        """Rows (coeffs, rhs) of m_i*w_i + w_{j(i)} - sum(w) = -I for i=1,2,3."""
+        rows = []
+        for i, (mi, ji) in enumerate(zip(self.m, self.j), start=1):
+            coeffs = [-1, -1, -1, -1]
+            coeffs[i] += mi
+            coeffs[ji] += 1
+            rows.append(coeffs)
+        return rows, [-self.index] * 3
+
+
+def witness_branches(I: int):
+    """All branch assignments within the widened exponent ranges, no duplicates.
+
+    The lower ends are widened to m_i >= 1: the exceptional escapes of the
+    classical bound analysis all satisfy a gate condition and are discarded later, so
+    nothing below the classical lower bounds is lost by including them.
+    """
+    # one tuple per j for every m, since the shape cache keeps them
+    js = list(itertools.product(range(4), repeat=3))
+    for m in itertools.product(range(1, M1_MAX + 1), range(1, M2_MAX + 1), range(1, M3_MAX + 1)):
+        for j in js:
+            yield BranchAssignment(m=m, j=j, index=I)
+
+
+@cache
+def _shape(m, j):
+    """One diagonalization U*A*V = D of the branch matrix of the shape (m, j).
+
+    `solve_condition_system` calls it; the tests use it as the independent
+    reference for `search._solve_shapes`.
+
+    The right-hand side at index I is -I*(1,1,1), so with u = -U*(1,1,1) the
+    system is consistent iff u_i = 0 wherever D_ii = 0 and D_ii divides
+    I*u_i elsewhere, that is iff `step` divides I.  The particular solution
+    is then (I // step) * `base`.  Returns (step, base, kernel basis), or
+    None for a shape that is inconsistent at every index.
+    """
+    D, U, V = diagonalize(BranchAssignment(m, j, 1).equations()[0])
+    u = [-sum(row) for row in U]
+    if any(D[i][i] == 0 and u[i] for i in range(3)):
+        return None
+    step = lcm(*(D[i][i] // gcd(D[i][i], u[i]) for i in range(3) if D[i][i]))
+    y = [step * u[i] // D[i][i] if D[i][i] else 0 for i in range(3)] + [0]
+    base = tuple(sum(V[i][k] * y[k] for k in range(4)) for i in range(4))
+    # the pivots come first, so the kernel is spanned by the columns past them
+    return step, base, tuple(tuple(r[k] for r in V) for k in range(4) if k == 3 or not D[k][k])
+
+
+@dataclass(frozen=True)
+class SolutionSpace:
+    """Integer solutions of a branch system, intersected with ordering.
+
+    A consistent system's solutions are the coset origin + Z*directions;
+    its instances are the coset's positive ascending points in a box.  The
+    kind says how many there are without a bound:
+
+    kind "empty":  inconsistent (no origin), or no solution is positive
+                   and ascending.
+    kind "finite": finitely many solutions are.
+    kind "line":   a ray of solutions is; instances still need the
+                   pointwise filters (primitivity, quasi-smoothness, gates).
+    kind "plane":  a two-parameter coset; only shapes that
+                   `search._g1_rules_out` marks give it, so gate G1 rejects
+                   every member.
+    """
+
+    index: int
+    kind: str
+    origin: tuple[int, int, int, int] | None = None
+    directions: tuple[tuple[int, int, int, int], ...] = ()
+
+    def instances(self, w_max: int):
+        """Ascending weight tuples of the space with all entries in 1..w_max."""
+        if self.kind == "empty":
+            return
+        for w in box_solutions(self.origin, self.directions, 1, w_max):
+            if w[0] <= w[1] <= w[2] <= w[3]:
+                yield w
+
+
+def solve_condition_system(b: BranchAssignment) -> SolutionSpace:
+    """Integer solution space of the three witness equations of a branch.
+
+    Full-rank branches give a line of solutions, whose positive ascending
+    points are one k-interval of p + k*v, by the seven constraints
+    w_i >= 1 and w_{i+1} >= w_i: empty, bounded (finite) or a ray (line).
+    Coinciding equations give a plane.  Three equations in four unknowns
+    always leave a kernel.  Inconsistent systems give the empty space, not
+    an error.
+    """
+    shape = _shape(b.m, b.j)
+    if shape is None or b.index % shape[0]:
+        return SolutionSpace(index=b.index, kind="empty")
+    step, base, basis = shape
+    p = tuple(b.index // step * x for x in base)
+    if len(basis) == 2:
+        return SolutionSpace(index=b.index, kind="plane", origin=p, directions=basis)
+    (v,) = basis
+    # as a*k <= c: -v_i*k <= p_i - 1 and (v_i - v_{i+1})*k <= p_{i+1} - p_i
+    lo, hi = _interval([(-v[i], p[i] - 1) for i in range(4)]
+                       + [(v[i] - v[i + 1], p[i + 1] - p[i]) for i in range(3)])
+    if lo is None or hi is None:
+        return SolutionSpace(index=b.index, kind="line", origin=p, directions=basis)
+    if lo > hi:
+        return SolutionSpace(index=b.index, kind="empty")
+    if hi - lo > 200_000:
+        raise AssertionError(f"branch {b}: ordering window [{lo}, {hi}] too wide")
+    return SolutionSpace(index=b.index, kind="finite", origin=p, directions=basis)

@@ -43,83 +43,14 @@ records only when they do.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
-from math import gcd, lcm
 
-from .diophantine import box_solutions, diagonalize
 from .errors import RouteDisagreement
 from .records import CandidateRecord, classify
 
 M1_MAX = 10
 M2_MAX = 4
 M3_MAX = 2
-
-
-@dataclass(frozen=True)
-class BranchAssignment:
-    """Witness exponents (m_1, m_2, m_3) and partners j(i) for i = 1, 2, 3."""
-
-    m: tuple[int, int, int]
-    j: tuple[int, int, int]
-    index: int
-
-    def __post_init__(self):
-        m1, m2, m3 = self.m
-        if not (1 <= m1 <= M1_MAX and 1 <= m2 <= M2_MAX and 1 <= m3 <= M3_MAX):
-            raise ValueError(f"witness exponents {self.m} out of range")
-        if any(not 0 <= jj <= 3 for jj in self.j):
-            raise ValueError(f"partners {self.j} out of range")
-        if self.index < 1:
-            raise ValueError(f"index must be positive, got {self.index}")
-
-    def equations(self):
-        """Rows (coeffs, rhs) of m_i*w_i + w_{j(i)} - sum(w) = -I for i=1,2,3."""
-        rows = []
-        for i, (mi, ji) in enumerate(zip(self.m, self.j), start=1):
-            coeffs = [-1, -1, -1, -1]
-            coeffs[i] += mi
-            coeffs[ji] += 1
-            rows.append(coeffs)
-        return rows, [-self.index] * 3
-
-
-def witness_branches(I: int):
-    """All branch assignments within the widened exponent ranges, no duplicates.
-
-    The lower ends are widened to m_i >= 1: the exceptional escapes of the
-    classical bound analysis all satisfy a gate condition and are discarded later, so
-    nothing below the classical lower bounds is lost by including them.
-    """
-    # one tuple per j for every m, since the shape cache keeps them
-    js = list(itertools.product(range(4), repeat=3))
-    for m in itertools.product(range(1, M1_MAX + 1), range(1, M2_MAX + 1), range(1, M3_MAX + 1)):
-        for j in js:
-            yield BranchAssignment(m=m, j=j, index=I)
-
-
-@cache
-def _shape(m, j):
-    """One diagonalization U*A*V = D of the branch matrix of the shape (m, j).
-
-    Only the legacy `solve_condition_system` calls it; the tests use it as
-    the independent reference for `_solve_shapes`.
-
-    The right-hand side at index I is -I*(1,1,1), so with u = -U*(1,1,1) the
-    system is consistent iff u_i = 0 wherever D_ii = 0 and D_ii divides
-    I*u_i elsewhere, that is iff `step` divides I.  The particular solution
-    is then (I // step) * `base`.  Returns (step, base, kernel basis), or
-    None for a shape that is inconsistent at every index.
-    """
-    D, U, V = diagonalize(BranchAssignment(m, j, 1).equations()[0])
-    u = [-sum(row) for row in U]
-    if any(D[i][i] == 0 and u[i] for i in range(3)):
-        return None
-    step = lcm(*(D[i][i] // gcd(D[i][i], u[i]) for i in range(3) if D[i][i]))
-    y = [step * u[i] // D[i][i] if D[i][i] else 0 for i in range(3)] + [0]
-    base = tuple(sum(V[i][k] * y[k] for k in range(4)) for i in range(4))
-    # the pivots come first, so the kernel is spanned by the columns past them
-    return step, base, tuple(tuple(r[k] for r in V) for k in range(4) if k == 3 or not D[k][k])
 
 
 def _g1_rules_out(m, j):
@@ -240,112 +171,6 @@ def _det3(a, b, c):
     import numpy as np
 
     return (a * np.cross(b, c)).sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class SolutionSpace:
-    """Integer solutions of a branch system, intersected with ordering.
-
-    kind "empty":  inconsistent or nothing admissible.
-    kind "finite": the admissible set is a finite list of weight tuples.
-    kind "line":   a one-parameter family w_i(k) = a_i*k + b_i (k >= k_min)
-                   with degree d(k); instances still need the pointwise
-                   filters (primitivity, quasi-smoothness, gates).
-    kind "plane":  a two-parameter lattice coset; only shapes that
-                   `_g1_rules_out` marks give it, so gate G1 rejects every
-                   member.  Enumerated by slicing under the bound.
-    """
-
-    index: int
-    kind: str
-    points: tuple[tuple[int, int, int, int], ...] = ()
-    weight_forms: tuple[tuple[int, int], ...] | None = None  # (a, b) per weight
-    k_min: int | None = None
-    origin: tuple[int, int, int, int] | None = None
-    directions: tuple[tuple[int, int, int, int], ...] = ()
-
-    def weights_at(self, k: int) -> tuple[int, int, int, int]:
-        if self.weight_forms is None:
-            raise ValueError("not a one-parameter family")
-        return tuple(a * k + b for a, b in self.weight_forms)
-
-    def instances(self, w_max: int):
-        """Ordered positive weight tuples with all entries <= w_max."""
-        if self.kind == "empty":
-            return
-        if self.kind == "finite":
-            for w in self.points:
-                if all(1 <= x <= w_max for x in w):
-                    yield w
-            return
-        if self.kind == "line":
-            for k in itertools.count(self.k_min):
-                w = self.weights_at(k)
-                if max(w) > w_max:
-                    return
-                yield w
-        # plane: slice the two-parameter coset inside the box, filter order
-        for w in box_solutions(list(self.origin), [list(v) for v in self.directions], 1, w_max):
-            if w[0] <= w[1] <= w[2] <= w[3]:
-                yield w
-
-
-def _ordering_interval(p, v):
-    """Integer k-interval where p + k*v is positive and ascending.
-
-    Returns (lo, hi) with None for an unbounded side, or None if empty.
-    """
-    lo, hi = None, None
-    constraints = [(v[i], 1 - p[i]) for i in range(4)]  # a*k >= c as (a, c): w_i >= 1
-    constraints += [(v[i + 1] - v[i], p[i] - p[i + 1]) for i in range(3)]  # w_{i+1} >= w_i
-    for a, c in constraints:
-        if a == 0:
-            if c > 0:
-                return None
-            continue
-        if a > 0:
-            val = -(-c // a)
-            lo = val if lo is None else max(lo, val)
-        else:
-            val = c // a
-            hi = val if hi is None else min(hi, val)
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return lo, hi
-
-
-def solve_condition_system(b: BranchAssignment) -> SolutionSpace:
-    """Integer solution space of the three witness equations of a branch.
-
-    Full-rank branches give a line of solutions (possibly cut to finitely
-    many by the ordering constraints); coinciding equations give a plane.
-    Three equations in four unknowns always leave a kernel.  Inconsistent
-    systems give the empty space, not an error.
-    """
-    shape = _shape(b.m, b.j)
-    if shape is None or b.index % shape[0]:
-        return SolutionSpace(index=b.index, kind="empty")
-    step, base, basis = shape
-    p = [b.index // step * x for x in base]
-    if len(basis) == 2:
-        return SolutionSpace(index=b.index, kind="plane", origin=tuple(p), directions=basis)
-    v = basis[0]
-    interval = _ordering_interval(p, v)
-    if interval is None:
-        return SolutionSpace(index=b.index, kind="empty")
-    lo, hi = interval
-    if lo is not None and hi is not None:
-        if hi - lo > 200_000:
-            raise AssertionError(f"branch {b}: ordering window [{lo}, {hi}] too wide")
-        pts = tuple(
-            tuple(p[i] + k * v[i] for i in range(4)) for k in range(lo, hi + 1)
-        )
-        return SolutionSpace(index=b.index, kind="finite", points=pts)
-    if lo is None:  # ray towards -infinity: flip the direction
-        v = [-x for x in v]
-        lo = -hi
-    forms = tuple((v[i], p[i]) for i in range(4))
-    return SolutionSpace(index=b.index, kind="line", weight_forms=forms, k_min=lo)
 
 
 def _lines(I: int, w_max: int):

@@ -1,13 +1,19 @@
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from delpezzo import catalog, serialize
 from delpezzo.errors import PreconditionError
 from delpezzo.moduli import aut_dimension, moduli_report
-from delpezzo.weights import Candidate, normalize_weights
-from oracles import is_minimal_torus
+from delpezzo.quasismooth import hypersurface_rejection
+from delpezzo.records import CandidateRecord, classify
+from delpezzo.weights import Candidate, WeightSystem, count_monomials, normalize_weights
+from oracles import is_minimal_torus, milnor_orlik_oracle
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "records.csv"
 
 
 def cand(w, d):
@@ -89,3 +95,47 @@ def test_is_minimal_torus(w, expected):
 def test_minimal_torus_iff_dim4(raw):
     w = normalize_weights(raw)
     assert is_minimal_torus(w) is (aut_dimension(w) == 4)
+
+
+def _jacobian_ring_degree_d(w, d: int) -> int:
+    """[t^d] of the Milnor-Orlik polynomial: dim of the degree-d piece of S/J_F."""
+    poly = milnor_orlik_oracle(w, d)
+    return poly[d] if d < len(poly) else 0
+
+
+def test_moduli_is_the_jacobian_ring_degree_d_piece():
+    """n = m - dim G(w) is the degree-d piece of the Jacobian ring, read off
+    the Milnor-Orlik Poincare polynomial (proof in the `moduli` docstring),
+    on the 416 golden records and on every moduli-table row, a series row at
+    its first five members, with the errata's corrected n."""
+    golden = serialize.from_csv(GOLDEN.read_text())
+    assert len(golden) == 416
+    for r in golden:
+        assert _jacobian_ring_degree_d(r.candidate.weights.w, r.candidate.d) == r.moduli_n, r.key()
+    families = {f.id: f for f in catalog.reference_series()}
+    for check in catalog.table3_checks():
+        fam = families.get(check.row.series_id)
+        members = [fam.candidate_at(k) for k in range(fam.k_min, fam.k_min + 5)] if fam else [check.candidate]
+        for c in members:
+            assert _jacobian_ring_degree_d(c.weights.w, c.d) == moduli_report(c).n == check.expected[1], c
+
+
+@given(st.tuples(*[st.integers(1, 30)] * 4).map(lambda t: tuple(sorted(t))))
+@example((1, 1, 1, 1))  # the quadric, d = 2, whose stabilizer O(4) is not finite
+@example((2, 3, 3, 5))  # the erratum series (2,2k+1,2k+1,4k+1) at k = 1: n = 4, printed 5
+@settings(max_examples=150, deadline=None)
+def test_moduli_bounds_the_jacobian_ring_degree_d_piece(w):
+    """On every quasi-smooth (w, d), [t^d] P(t) = m - dim G(w) + dim Stab(F)
+    is at least m - dim G(w), and equal to it, and to the record's n, where
+    `classify` admits (w, d)."""
+    assume(gcd(*w) == 1)
+    ws = WeightSystem(w)
+    for d in range(w[3] + 1, sum(w)):  # 1 <= I and d > w3, as `Candidate` asks
+        if hypersurface_rejection(Candidate(ws, d)) is not None:
+            continue
+        piece = _jacobian_ring_degree_d(w, d)
+        n = count_monomials(ws, d) - aut_dimension(ws)
+        assert piece >= n, (w, d)
+        r = classify(w, d)
+        if isinstance(r, CandidateRecord):
+            assert piece == n == r.moduli_n, (w, d)
