@@ -157,14 +157,16 @@ MUTANTS = [
            ("tests/test_cli.py::test_from_json_rejects_mistyped_values[mu-float]",)),
     Mutant("index-range-unclipped", "src/delpezzo/search.py",
            "top = min(I_max, (3 * w_max - 1) // 2)", "top = I_max",
-           ("tests/test_cli.py::test_cli_index_range_stops_at_gate_g1",)),
+           ("tests/test_cli.py::test_cli_index_range_stops_at_gate_g1",
+            "tests/test_search.py::test_structured_past_gate_g1_is_empty_without_numpy_work")),
+    Mutant("verified-compares-oracle-with-itself", "src/delpezzo/search.py",
+           "structured = _admit(_structured_passes(I_min, I_max, w_max))",
+           "structured = _admit(_oracle_passes(I_min, I_max, w_max))",
+           ("tests/test_cli.py::test_cli_method_disagreement_exit2",)),
     Mutant("divisor-text-minus-one", "src/delpezzo/cli.py",
            '_UNIT_COEFFICIENTS = {1: "", -1: "-"}', '_UNIT_COEFFICIENTS = {1: ""}',
            ("tests/test_cli.py::test_divisor_text_writes_every_kind_of_term",
             "tests/test_cli.py::test_cli_topology_outputs")),
-    Mutant("structured-past-g1-unguarded", "src/delpezzo/search.py",
-           "    if 2 * I >= 3 * w_max:\n        return []\n", "",
-           ("tests/test_search.py::test_structured_past_gate_g1_is_empty_without_numpy_work",)),
     Mutant("csv-int-unchecked", "src/delpezzo/serialize.py",
            'if s and not s.removeprefix("-").isdecimal():', "if False:",
            ("tests/test_cli.py::test_from_csv_rejects_a_number_cell_that_is_not_an_integer",)),

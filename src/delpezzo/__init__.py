@@ -5,12 +5,7 @@ certificates, Milnor-Orlik link topology, and moduli dimensions, with the
 published classification tables embedded for regression.
 """
 
-from .diophantine import (
-    BranchAssignment,
-    SolutionSpace,
-    solve_condition_system,
-    witness_branches,
-)
+from .diophantine import solve_condition_system, witness_branches
 from .errors import (
     CatalogIntegrityError,
     InvariantViolation,

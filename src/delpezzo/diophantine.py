@@ -1,9 +1,10 @@
 """The legacy branch reference: the witness branches solved by Smith form.
 
-Not a route.  `search.structured_enumerate` solves the branch shapes by
-3x3 minors (`search._solve_shapes`) and never calls this module.  It is
-kept as the independent reference the tests compare the live route with,
-shape by shape and point by point, and for the benchmark's layer probes.
+Not a route.  The structured route, `search.structured_range`, solves the
+branch shapes by 3x3 minors (`search._solve_shapes`) and never calls this
+module.  It is kept as the independent reference the tests compare the
+live route with, shape by shape and point by point, and for the
+benchmark's layer probes.
 
 Smith normal form over the integers gives, for a consistent system A*x = b,
 one particular integer solution plus a lattice basis of the kernel.  Box

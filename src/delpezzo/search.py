@@ -8,7 +8,7 @@ Two independent routes produce the classification below a weight bound:
   of scanning it; every pruning is proved in `_oracle_points`.  Complete
   below its bound by construction; it is the semantic ground truth.
 
-* `structured_enumerate` follows the search the classification proof runs:
+* `structured_range` follows the search the classification proof runs:
   for each variable i = 1, 2, 3 the quasi-smoothness witness gives an
   equation m_i*w_i + w_{j(i)} = d, and with the witness exponents bounded
   as below, finitely many branch shapes (m, j) remain, each a system of
@@ -30,14 +30,20 @@ I, with m_i*w_i + w_j = d for some partner j:
   among the 1,503 records at w <= 600 is 7, and `verified_enumeration`
   checks the bound only below the oracle's weight bound.
 
-Both routes generate their candidate points as integer arrays, and the
-shared numpy `_prefilter` keeps exactly the points `classify` admits:
-condition I, the gates, P(w) well-formed, and conditions III and II in
-the form of one gcd test per pair (proof in `_prefilter`).  So `classify`
-only builds records, though it still checks every condition itself.
+One pipeline serves both routes, in three stages:
 
-The two must agree: `verified_enumeration` runs both and returns the
-records only when they do.
+1. The route hands over its candidate points (w0, w1, w2, w3, d) as
+   integer arrays, a pass at a time: `_oracle_passes`, `_structured_passes`.
+2. `_admit` keeps the distinct points the shared numpy `_prefilter` keeps,
+   which are exactly the points `classify` admits: condition I, the gates,
+   P(w) well-formed, and conditions III and II in the form of one gcd test
+   per pair (proof in `_prefilter`).
+3. `_records` builds the record of each admitted point once, with
+   `classify`, which still checks every condition itself.
+
+The two routes must agree: `verified_enumeration` compares their admitted
+points before any record is built, and builds the records once, from the
+oracle's points, only when they do.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ def _g1_rules_out(m, j):
 
 @cache
 def _line_shapes():
-    """The distinct solved shapes `structured_enumerate` walks, as read-only
+    """The distinct solved shapes the structured route walks, as read-only
     arrays (step, base, kernel) with one row per shape; see `_solve_shapes`.
 
     `_g1_rules_out` leaves 2,405 of the 5,120 shapes, and it removes all 64
@@ -175,7 +181,8 @@ def _det3(a, b, c):
 
 def _lines(I: int, w_max: int):
     """The distinct segments the line shapes give at index I, as int arrays
-    (start, direction, length) with one row per segment.
+    (start, step, length): start and step have the rows (w0, w1, w2, w3, d)
+    and one column per segment, ready for `_line_points`.
 
     A shape whose step divides I gives the line p + k*v, with
     p = (I // step)*base and v its kernel.  Its positive ascending points
@@ -187,7 +194,8 @@ def _lines(I: int, w_max: int):
     v_i != 0, which lies between 1 and the constant w3.  So the sentinels
     of an open side never survive.  The direction is made lexicographically
     positive, starting at the segment's lower end, so two shapes with the
-    same solution line give the same row, and one copy is kept.
+    same solution line give the same row, and one copy is kept.  The d
+    row is |w| - I at the start and |v| along the step.
     """
     import numpy as np
 
@@ -203,46 +211,39 @@ def _lines(I: int, w_max: int):
     p, v, lo, hi = p[on], v[on], lo[on], hi[on]
     flip = v[np.arange(len(v)), (v != 0).argmax(axis=1)] < 0  # the first nonzero entry
     start = p + np.where(flip, hi, lo)[:, None] * v
-    rows = _distinct_rows(np.column_stack([start, np.where(flip[:, None], -v, v), hi - lo + 1]))
-    return rows[:, :4], rows[:, 4:8], rows[:, 8]
+    v = np.where(flip[:, None], -v, v)
+    rows = _distinct_rows(np.column_stack([start, start.sum(axis=1) - I, v, v.sum(axis=1), hi - lo + 1]))
+    return rows[:, :5].T, rows[:, 5:10].T, rows[:, 10]
 
 
-def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
-    """Union of the filtered branch solutions, deduplicated, canonical order.
+def _structured_passes(I_min: int, I_max: int, w_max: int):
+    """The passes of points the structured route hands to `_admit`: the
+    segments of `_lines` at each index of I_min..I_max, expanded once
+    each into point arrays, which end at w3 = w_max.
 
-    `_line_shapes` solves the shapes once per process; at each index the
-    distinct segments of `_lines` are expanded once into point arrays,
-    which end at w3 = w_max.  `classify` builds the record of each
-    distinct point that passes `_prefilter`.
-
-    There is none when 2I >= 3*w_max: a record passes gate G1, 3*w0 > 2I,
-    and has w0 <= w_max, so 2I < 3*w0 <= 3*w_max.  Returning first keeps
-    such an I, however large, out of the int64 arrays of `_lines`.
+    The range is clipped at (3*w_max - 1) // 2, since no index past it has
+    a record: a record passes gate G1, 3*w0 > 2I, and has w0 <= w_max, so
+    2I < 3*w0 <= 3*w_max.  So a huge range costs no more than its nonempty
+    part, and no such index, however large, reaches the int64 arrays of
+    `_lines`.
     """
-    if I < 1:
-        raise ValueError(f"bad index {I}")
+    if I_min < 1:
+        raise ValueError(f"bad index {I_min}")
     if w_max < 1:
         raise ValueError(f"bad weight bound {w_max}")
-    if 2 * I >= 3 * w_max:
-        return []
-    import numpy as np
-
-    start, direction, length = _lines(I, w_max)
-    # rows (w0, w1, w2, w3, d) with d = |w| - I, one column per segment
-    start = np.vstack([start.T, start.sum(axis=1) - I])
-    step = np.vstack([direction.T, direction.sum(axis=1)])
-    return sorted(_admit(_line_points(start, step, length)), key=CandidateRecord.key)
+    top = min(I_max, (3 * w_max - 1) // 2)
+    return (P for I in range(I_min, top + 1) for P in _line_points(*_lines(I, w_max)))
 
 
 def structured_range(I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
-    """`structured_enumerate` at each index of I_min..I_max, concatenated.
+    """The structured route's records for I_min..I_max below w_max, in
+    canonical order: one record per distinct admitted point."""
+    return _records(_admit(_structured_passes(I_min, I_max, w_max)))
 
-    The range is clipped at (3*w_max - 1) // 2: past it 2I >= 3*w_max, and
-    `structured_enumerate` proves by gate G1 that such an index has no
-    record, so a huge range costs no more than its nonempty part.
-    """
-    top = min(I_max, (3 * w_max - 1) // 2)
-    return [r for I in range(I_min, top + 1) for r in structured_enumerate(I, w_max)]
+
+def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
+    """`structured_range` at the one index I."""
+    return structured_range(I, I, w_max)
 
 
 PASS_CAP = 1 << 13  # points per numpy pass, so that no pass grows with w_max
@@ -276,11 +277,14 @@ def _prefilter(P):
     """The columns of P that `classify` admits.
 
     P has rows (w0, w1, w2, w3, d) with ascending positive weights and
-    I = |w| - d >= 1.  `classify` checks every condition again, so a
-    point this wrongly keeps is still rejected.  A point this wrongly
-    drops is lost to both routes alike, and `verified_enumeration` cannot
-    see it; the tests that compare each route with an unpruned scan at
-    small bounds, and the property test against `classify`, guard that.
+    I = |w| - d >= 1.  What it keeps is what the routes hand over as
+    admitted: `verified_enumeration` compares these points, before any
+    record is built, and `_records` builds each record once from them.
+    `classify` checks every condition again, so a point this wrongly
+    keeps is still rejected there.  A point this wrongly drops is lost to
+    both routes alike, and `verified_enumeration` cannot see it; the tests
+    that compare each route with an unpruned scan at small bounds, and the
+    property test against `classify`, guard that.
     The conditions, all exact integer tests:
 
     * condition I for each z_i: m*w_i + w_j = d for some m >= 1 and j, as
@@ -338,15 +342,17 @@ def _prefilter(P):
     return P.compress(keep, axis=1)
 
 
-def _admit(passes) -> list[CandidateRecord]:
-    """The records `classify` builds from the distinct survivors of `_prefilter`,
-    one per survivor, since the prefilter keeps exactly what it admits."""
-    found = set()
-    for P in passes:
-        P = _prefilter(P)
-        found.update(zip(zip(*P[:4].tolist()), P[4].tolist()))
-    records = (classify(w, d) for w, d in found)
-    return [r for r in records if isinstance(r, CandidateRecord)]
+def _admit(passes) -> set:
+    """The distinct points (w, d) of the passes that `_prefilter` keeps,
+    which are exactly the points `classify` admits."""
+    return {(tuple(p[:4]), p[4]) for P in passes for p in _prefilter(P).T.tolist()}
+
+
+def _records(points) -> list[CandidateRecord]:
+    """The record of each point, built once by `classify`, in canonical order
+    (index ascending, then weights lexicographic)."""
+    records = (classify(w, d) for w, d in points)
+    return sorted((r for r in records if isinstance(r, CandidateRecord)), key=CandidateRecord.key)
 
 
 def _oracle_segments(w0: int, I_min: int, I_max: int, w_max: int):
@@ -480,37 +486,38 @@ def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
         yield start.take(s, axis=1) + step.take(s, axis=1) * k[a:a + PASS_CAP]
 
 
-def brute_force_enumerate(I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
-    """Exhaustive scan: the complete record list below the weight bound.
-
-    Deterministic order (index ascending, then weights lexicographic).
-    Each smallest weight w0 serves every index, and one `_admit` call
-    classifies the survivors of every w0.
-    """
+def _oracle_passes(I_min: int, I_max: int, w_max: int):
+    """The passes of points the oracle hands to `_admit`: those of
+    `_oracle_points` for each smallest weight w0, each w0 serving every
+    index of I_min..I_max."""
     if not (1 <= I_min <= I_max):
         raise ValueError(f"bad index range [{I_min}, {I_max}]")
     if not 1 <= w_max <= ORACLE_W_MAX:
         raise ValueError(f"bad weight bound {w_max}")
     w0_min = (2 * I_min) // 3 + 1  # gate G1 at the smallest index
-    passes = (P for w0 in range(w0_min, w_max + 1) for P in _oracle_points(w0, I_min, I_max, w_max))
-    return sorted(_admit(passes), key=CandidateRecord.key)
+    return (P for w0 in range(w0_min, w_max + 1) for P in _oracle_points(w0, I_min, I_max, w_max))
+
+
+def brute_force_enumerate(I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
+    """Exhaustive scan: the complete record list below the weight bound, in
+    canonical order, one record per distinct admitted point."""
+    return _records(_admit(_oracle_passes(I_min, I_max, w_max)))
 
 
 def verified_enumeration(I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
     """The oracle's records for I_min..I_max below w_max, checked against the structured search.
 
-    Raises `RouteDisagreement` naming each (I, w, d) that one route finds
-    and the other lacks.  Both routes drop points through the same
+    The two routes' admitted points are compared before any record is
+    built; `RouteDisagreement` names each (I, w, d) that one route finds
+    and the other lacks.  When they agree, each record is built once, from
+    the oracle's points.  Both routes drop points through the same
     `_prefilter`, conditions III and II included, so a point it wrongly
     drops goes missing from both and this check cannot see it.
     """
-    oracle = brute_force_enumerate(I_min, I_max, w_max)
-    found = {r.key() for r in oracle}
-    structured = {r.key() for r in structured_range(I_min, I_max, w_max)}
-    disputed = sorted(
-        [(k, "structured search") for k in found - structured]
-        + [(k, "exhaustive oracle") for k in structured - found]
-    )
+    found = _admit(_oracle_passes(I_min, I_max, w_max))
+    structured = _admit(_structured_passes(I_min, I_max, w_max))
+    lacking = {"structured search": found - structured, "exhaustive oracle": structured - found}
+    disputed = sorted(((sum(w) - d, w, d), route) for route, points in lacking.items() for w, d in points)
     if disputed:
         raise RouteDisagreement(disputed)
-    return oracle
+    return _records(found)

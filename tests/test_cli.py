@@ -386,24 +386,25 @@ def test_cli_enumerate_both_methods_agree(capsys):
     assert rows[0].startswith("index,")
 
 
-def test_cli_method_disagreement_exit2(capsys, monkeypatch, tmp_path):
-    # fault injection: make the structured route drop a record
-    real = search.structured_enumerate
-    dropped = []
+@pytest.mark.parametrize("route, name", [("_structured_passes", "structured search"),
+                                         ("_oracle_passes", "exhaustive oracle")],
+                         ids=["structured", "oracle"])
+def test_cli_method_disagreement_exit2(route, name, capsys, monkeypatch, tmp_path):
+    # fault injection: make one route's passes drop an admitted point
+    I, w, d = search.structured_enumerate(3, 100)[-1].key()
+    real = getattr(search, route)
 
-    def broken(index, w_max):
-        records = real(index, w_max)
-        dropped.append(records[-1].key())
-        return records[:-1]
+    def broken(*args):
+        for P in real(*args):
+            yield P[:, (P.T != (*w, d)).any(axis=1)]
 
-    monkeypatch.setattr(search, "structured_enumerate", broken)
+    monkeypatch.setattr(search, route, broken)
     argv = ["enumerate", "--index", "3", "--max-weight", "100", "--method", "both", "--format", "json"]
     code = cli.main(argv)
     assert code == 2
     err = capsys.readouterr().err
     assert "disagreement" in err
-    I, w, d = dropped[0]
-    assert f"(I={I}, w={w}, d={d}) missing from the structured search" in err
+    assert f"(I={I}, w={w}, d={d}) missing from the {name}" in err
     assert err.count("\n") == 1
     # a failed run leaves an existing output file as it was
     target = tmp_path / "rows.json"
@@ -555,22 +556,23 @@ def test_divisor_text_writes_every_kind_of_term():
 @pytest.mark.parametrize("method", ["structured", "both"])
 def test_cli_index_range_stops_at_gate_g1(method, capsys, monkeypatch):
     """No index past (3*w_max - 1) // 2 has a record, so a huge range
-    searches only up to it: 7 indices at w_max = 5."""
+    expands exactly the indices up to it: 1..7 at w_max = 5.  An index
+    past them fails at once rather than running a million of them."""
     argv = ["enumerate", "--max-weight", "5", "--method", method, "--format", "csv"]
     assert cli.main(argv + ["--index", "1..7"]) == 0
     expected = capsys.readouterr().out
-    real = search.structured_enumerate
+    real = search._lines
     calls = []
 
     def counted(index, w_max):
         calls.append(index)
+        if index > 7:
+            raise AssertionError(f"index {index} expanded past gate G1")
         return real(index, w_max)
 
-    # and under the command line's own name for it, should it import one
-    monkeypatch.setattr(search, "structured_enumerate", counted)
-    monkeypatch.setattr(cli, "structured_enumerate", counted, raising=False)
+    monkeypatch.setattr(search, "_lines", counted)
     assert cli.main(argv + ["--index", "1..1000000"]) == 0
-    assert len(calls) <= 7
+    assert calls == list(range(1, 8))
     assert capsys.readouterr().out == expected
 
 

@@ -29,6 +29,8 @@ from delpezzo.search import (
     _solve_shapes,
     brute_force_enumerate,
     structured_enumerate,
+    structured_range,
+    verified_enumeration,
 )
 from delpezzo.weights import Candidate, WeightSystem, normalize_weights
 
@@ -159,14 +161,17 @@ def test_minors_solve_matches_smith_form():
 
 def test_lines_match_branch_instances(branch_spaces):
     """The segments of `_lines` hold exactly the points the legacy
-    `solve_condition_system` gives on the kept branches, and every
-    direction is lexicographically positive, as the deduplication needs."""
+    `solve_condition_system` gives on the kept branches, every direction
+    is lexicographically positive, as the deduplication needs, and the d
+    row is |w| - I along each segment."""
     kept = set(_kept_shapes())
     for I in range(1, 13):
         spaces = [space for b, space in branch_spaces[I] if (b.m, b.j) in kept]
         for w_max in (80, 150, 600):
             expected = {w for space in spaces for w in space.instances(w_max)}
-            start, direction, length = (a.tolist() for a in _lines(I, w_max))
+            start, step, length = _lines(I, w_max)
+            assert (start[4] == start[:4].sum(axis=0) - I).all() and (step[4] == step[:4].sum(axis=0)).all()
+            start, direction, length = start[:4].T.tolist(), step[:4].T.tolist(), length.tolist()
             got = {tuple(s + k * v for s, v in zip(p, d))
                    for p, d, n in zip(start, direction, length) for k in range(n)}
             assert got == expected
@@ -382,6 +387,18 @@ def test_oracle_classifies_only_records(monkeypatch):
     calls = _counting_classify(monkeypatch)
     records = brute_force_enumerate(1, 10, 60)
     assert calls["classify"] == len(records) > 0
+
+
+def test_verified_enumeration_builds_each_record_once(monkeypatch):
+    """The cross-check compares the routes' points, so only the records
+    it returns are built."""
+    calls = _counting_classify(monkeypatch)
+    records = verified_enumeration(1, 10, 60)
+    assert calls["classify"] == len(records) > 0
+
+
+def test_structured_range_concatenates_the_indices(structured_150):
+    assert structured_range(1, 10, 150) == [r for I in range(1, 11) for r in structured_150[I]]
 
 
 def test_structured_classifies_only_records(monkeypatch):
