@@ -126,8 +126,8 @@ MUTANTS = [
            "        if rem:\n            raise", "        if False:\n            raise",
            ("tests/test_topology.py::test_integer_divisor_checks_match_fraction_fold",)),
     Mutant("ke-certified-unknown", "src/delpezzo/records.py",
-           'return "Y"\n    return "?" if provenance',
-           'return "?"\n    return "?" if provenance',
+           'return "?" if self.klt_provenance == "unknown" else "Y"',
+           'return "?" if self.klt_provenance in ("unknown", "cascade") else "Y"',
            ("tests/test_acceptance.py::test_criterion_2_ke_column",)),
     Mutant("build-record-skips-gates", "src/delpezzo/records.py",
            "    if gate is not None:\n        return Rejection(", "    if False:\n        return Rejection(",
@@ -155,6 +155,9 @@ MUTANTS = [
     Mutant("load-types-unchecked", "src/delpezzo/serialize.py",
            "if not set(map(type, values)) <= types:", "if False:",
            ("tests/test_cli.py::test_from_json_rejects_mistyped_values[mu-float]",)),
+    Mutant("bounds-allow-inverted-range", "src/delpezzo/search.py",
+           "if not 1 <= I_min <= I_max:", "if not 1 <= I_min:",
+           ("tests/test_search.py::test_routes_reject_bad_arguments",)),
     Mutant("index-range-unclipped", "src/delpezzo/search.py",
            "top = min(I_max, (3 * w_max - 1) // 2)", "top = I_max",
            ("tests/test_cli.py::test_cli_index_range_stops_at_gate_g1",
@@ -170,6 +173,10 @@ MUTANTS = [
     Mutant("csv-int-unchecked", "src/delpezzo/serialize.py",
            'if s and not s.removeprefix("-").isdecimal():', "if False:",
            ("tests/test_cli.py::test_from_csv_rejects_a_number_cell_that_is_not_an_integer",)),
+    Mutant("reproduce-mismatch-exits-ok", "src/delpezzo/cli.py",
+           "    if ok:\n        return EXIT_OK", "    if True:\n        return EXIT_OK",
+           ("tests/test_cli.py::test_cli_reproduce_table3_checks_series_row",
+            "tests/test_cli.py::test_cli_reproduce_reports_a_missing_record[1]")),
     Mutant("series-b2-unchecked", "src/delpezzo/cli.py",
            "elif rec.b2_orbifold != fam.b2_printed:", "elif False:",
            ("tests/test_cli.py::test_cli_reproduce_series_reports_b2_mismatch",)),

@@ -64,6 +64,7 @@ def _index_range(text: str) -> tuple[int, int]:
 
 
 def _build_parser() -> _Parser:
+    """The parser; each subcommand binds its handler as `run`, which `main` calls."""
     p = _Parser(prog="delpezzo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -73,35 +74,44 @@ def _build_parser() -> _Parser:
     pe.add_argument("--method", choices=["brute", "structured", "both"], default="both")
     pe.add_argument("--format", choices=["json", "csv", "markdown"], default="markdown")
     pe.add_argument("--output", default=None)
+    pe.set_defaults(run=_enumerate)
 
-    for name, text in (("certify", "Kähler-Einstein certificate cascade"),
-                       ("topology", "link invariants of a candidate")):
+    for name, text, run in (("certify", "Kähler-Einstein certificate cascade", _certify),
+                            ("topology", "link invariants of a candidate", _topology)):
         pp = sub.add_parser(name, help=text)
         pp.add_argument("weights", type=int, nargs=4)
         group = pp.add_mutually_exclusive_group(required=True)
         group.add_argument("--degree", type=int)
         group.add_argument("--index", type=int)
+        pp.set_defaults(run=run)
 
     pr = sub.add_parser("reproduce", help="regenerate and diff a published table")
-    pr.add_argument("--table", choices=["1", "3", "series", "theorem-a"], required=True)
+    pr.add_argument("--table", choices=list(_TABLES), required=True)
     pr.add_argument("--max-weight", type=_weight_bound, default=None,
                     help="weight bound of tables 1 and theorem-a (default: 150)")
+    pr.set_defaults(run=_reproduce)
 
     pk = sub.add_parser("check", help="recompute every record of a JSON or CSV file")
     pk.add_argument("file")
+    pk.set_defaults(run=_check)
     return p
 
 
-def _render_enumeration(args) -> str:
-    imin, imax = args.index
-    if args.method == "both":
-        records = verified_enumeration(imin, imax, args.max_weight)
-    elif args.method == "brute":
-        records = brute_force_enumerate(imin, imax, args.max_weight)
-    else:
-        records = structured_range(imin, imax, args.max_weight)
+def _enumerate(args) -> int:
+    route = {"both": verified_enumeration, "brute": brute_force_enumerate, "structured": structured_range}
     write = {"json": serialize.to_json, "csv": serialize.to_csv, "markdown": serialize.to_markdown}
-    return write[args.format](records)
+    # render first, so a failed run leaves an existing output file alone
+    text = write[args.format](route[args.method](*args.index, args.max_weight))
+    if not args.output:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _checked(args, check):
@@ -153,35 +163,33 @@ def _topology(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_table1(w_max: int) -> int:
-    report = catalog.diff_against_reference(verified_enumeration(1, 10, w_max))
-    print(report.summary())
-    return EXIT_OK if report.clean else EXIT_MISMATCH
+def _table1(records) -> tuple[bool, list[str]]:
+    report = catalog.diff_against_reference(records)
+    return report.clean, report.summary().splitlines()
 
 
-def _reproduce_table3() -> int:
-    """Print every moduli-table row's check on (m, n, l) (`catalog.table3_checks`):
+def _table3() -> tuple[bool, list[str]]:
+    """Every moduli-table row's check on (m, n, l) (`catalog.table3_checks`):
     exact, covered by the row's errata, or a mismatch."""
     checks = catalog.table3_checks()
     mnl = "(m={}, n={}, l={})"
-    documented = []
+    lines, documented = [], []
     for ch in checks:
         line = f"{ch.name}: printed {mnl.format(*ch.printed)}, computed {mnl.format(*ch.computed)}"
         if ch.verdict == "exact":
-            print(line)
+            lines.append(line)
         elif ch.verdict == "documented":
-            documented.append(line + f"  [documented erratum: {', '.join(ch.errata)}]")
+            documented.append(f"  {line}  [documented erratum: {', '.join(ch.errata)}]")
         else:
-            print(line + "  MISMATCH")
+            lines.append(line + "  MISMATCH")
     exact = sum(ch.verdict == "exact" for ch in checks)
-    print(f"{exact}/{len(checks)} exact; {len(documented)} known discrepancies:")
-    for line in documented:
-        print("  " + line)
-    return EXIT_MISMATCH if any(ch.verdict == "mismatch" for ch in checks) else EXIT_OK
+    lines.append(f"{exact}/{len(checks)} exact; {len(documented)} known discrepancies:")
+    return all(ch.verdict != "mismatch" for ch in checks), lines + documented
 
 
-def _reproduce_series() -> int:
-    ok = True
+def _series() -> tuple[bool, list[str]]:
+    """Each family's first five members, checked against its printed b2."""
+    ok, lines = True, []
     for fam in catalog.reference_series() + catalog.errata_series():
         status = []
         for k in range(fam.k_min, fam.k_min + 5):
@@ -191,30 +199,46 @@ def _reproduce_series() -> int:
                 status.append(f"k={k}: {rec}")
             elif rec.b2_orbifold != fam.b2_printed:
                 status.append(f"k={k}: b2 {rec.b2_orbifold} != {fam.b2_printed}")
+        ok = ok and not status
         origin = "errata" if fam.source_table == "errata" else "printed"
-        if status:
-            ok = False
-            print(f"{fam.id} (I={fam.index}, {origin}): " + "; ".join(status))
-        else:
-            print(f"{fam.id} (I={fam.index}, {origin}): first five members check out")
-    return EXIT_OK if ok else EXIT_MISMATCH
+        summary = "; ".join(status) or "first five members check out"
+        lines.append(f"{fam.id} (I={fam.index}, {origin}): {summary}")
+    return ok, lines
 
 
-def _reproduce_theorem_a(w_max: int) -> int:
-    tally = catalog.theorem_a_tally(verified_enumeration(1, 10, w_max))
-    ok, lines = catalog.compare_theorem_a(tally)
-    for line in lines:
-        print(line)
-    return EXIT_OK if ok else EXIT_MISMATCH
+def _theorem_a(records) -> tuple[bool, list[str]]:
+    return catalog.compare_theorem_a(catalog.theorem_a_tally(records))
 
 
-def _check(path: str) -> int:
+# Each table's check, as (ok, report lines); tables 1 and theorem-a check the records of the run.
+_TABLES = {"1": _table1, "3": _table3, "series": _series, "theorem-a": _theorem_a}
+_ENUMERATED = ("1", "theorem-a")
+
+
+def _reproduce(args) -> int:
+    """Print a table's report; a table that differs from its reference also
+    writes one `mismatch:` line to stderr and exits 2."""
+    if args.table in _ENUMERATED:
+        ok, lines = _TABLES[args.table](verified_enumeration(1, 10, args.max_weight or 150))
+    elif args.max_weight is not None:
+        raise _UsageError(f"--max-weight does not apply to table {args.table}")
+    else:
+        ok, lines = _TABLES[args.table]()
+    print("\n".join(lines))
+    if ok:
+        return EXIT_OK
+    print(f"mismatch: table {args.table} differs from the reference; the report is on stdout",
+          file=sys.stderr)
+    return EXIT_MISMATCH
+
+
+def _check(args) -> int:
     """Compare each row of a JSON or CSV record file with `_row` of `classify`
     on its (w, d), column by column; the first row that differs, or that
     `classify` rejects, exits 2.  The file is JSON iff its first non-blank
     character is "["."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
         rows = (serialize.json_rows if text.lstrip().startswith("[") else serialize.csv_rows)(text)
     except (OSError, ValueError, csv.Error) as exc:  # a bad encoding or JSON is a ValueError
@@ -234,45 +258,10 @@ def _check(path: str) -> int:
     return EXIT_OK
 
 
-def _run(args) -> int:
-    if args.command == "enumerate":
-        # render first, so a failed run leaves an existing output file alone
-        text = _render_enumeration(args)
-        if not args.output:
-            sys.stdout.write(text)
-            return EXIT_OK
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        return EXIT_OK
-    if args.command == "certify":
-        return _certify(args)
-    if args.command == "topology":
-        return _topology(args)
-    if args.command == "check":
-        return _check(args.file)
-    if args.table in ("3", "series") and args.max_weight is not None:
-        raise _UsageError(f"--max-weight does not apply to table {args.table}")
-    if args.table == "1":
-        code = _reproduce_table1(args.max_weight or 150)
-    elif args.table == "3":
-        code = _reproduce_table3()
-    elif args.table == "series":
-        code = _reproduce_series()
-    else:
-        code = _reproduce_theorem_a(args.max_weight or 150)
-    if code != EXIT_OK:
-        print(f"mismatch: table {args.table} differs from the reference; the report is on stdout",
-              file=sys.stderr)
-    return code
-
-
 def main(argv=None) -> int:
     try:
-        code = _run(_build_parser().parse_args(argv))
+        args = _build_parser().parse_args(argv)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except _UsageError as exc:

@@ -38,12 +38,18 @@ class CandidateRecord:
     l: int
     klt: Certified | Unknown
     klt_provenance: str  # cascade | case-analysis | prior-work | unknown
-    ke: str  # "Y" or "?"
     moduli_m: int
     moduli_dim_aut: int
     moduli_n: int
     series_id: str | None
     series_k: int | None
+
+    @property
+    def ke(self) -> str:
+        """The K-E flag, read off the provenance: "?" exactly when it is
+        "unknown", "Y" for a certificate (provenance "cascade") or a member
+        of a family proven K-E."""
+        return "?" if self.klt_provenance == "unknown" else "Y"
 
     def key(self) -> tuple:
         return self.candidate.key()
@@ -94,18 +100,6 @@ def _rejection(c: Candidate) -> Rejection | None:
     return hypersurface_rejection(c)
 
 
-def _ke_flag(verdict: Certified | Unknown, provenance: str) -> str:
-    """The K-E flag: "Y" for a certificate or a proven family member, else "?".
-
-    An `Unknown` verdict is "Y" exactly when its provenance names a proof
-    (the family's: cascade, case-analysis or prior-work) and "?" when the
-    provenance is "unknown".
-    """
-    if isinstance(verdict, Certified):
-        return "Y"
-    return "?" if provenance == "unknown" else "Y"
-
-
 def _record(c: Candidate) -> CandidateRecord:
     link = _link_report(c)
     mod = _moduli_report(c)
@@ -128,7 +122,6 @@ def _record(c: Candidate) -> CandidateRecord:
         l=link.l,
         klt=verdict,
         klt_provenance=provenance,
-        ke=_ke_flag(verdict, provenance),
         moduli_m=mod.m,
         moduli_dim_aut=mod.dim_aut,
         moduli_n=mod.n,

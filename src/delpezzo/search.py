@@ -44,6 +44,10 @@ One pipeline serves both routes, in three stages:
 The two routes must agree: `verified_enumeration` compares their admitted
 points before any record is built, and builds the records once, from the
 oracle's points, only when they do.
+
+Every route takes one domain, 1 <= I_min <= I_max and
+1 <= w_max <= ORACLE_W_MAX, the command line's, and refuses any other
+arguments with a ValueError (`_check_bounds`) before it does any work.
 """
 
 from __future__ import annotations
@@ -227,10 +231,7 @@ def _structured_passes(I_min: int, I_max: int, w_max: int):
     part, and no such index, however large, reaches the int64 arrays of
     `_lines`.
     """
-    if I_min < 1:
-        raise ValueError(f"bad index {I_min}")
-    if w_max < 1:
-        raise ValueError(f"bad weight bound {w_max}")
+    _check_bounds(I_min, I_max, w_max)
     top = min(I_max, (3 * w_max - 1) // 2)
     return (P for I in range(I_min, top + 1) for P in _line_points(*_lines(I, w_max)))
 
@@ -248,6 +249,14 @@ def structured_enumerate(I: int, w_max: int) -> list[CandidateRecord]:
 
 PASS_CAP = 1 << 13  # points per numpy pass, so that no pass grows with w_max
 ORACLE_W_MAX = (1 << 28) - 1  # the oracle's int32 arrays are exact below it (`_oracle_points`)
+
+
+def _check_bounds(I_min: int, I_max: int, w_max: int) -> None:
+    """Refuse, with a ValueError, arguments outside both routes' one domain."""
+    if not 1 <= I_min <= I_max:
+        raise ValueError(f"bad index range [{I_min}, {I_max}]")
+    if not 1 <= w_max <= ORACLE_W_MAX:
+        raise ValueError(f"bad weight bound {w_max}")
 
 
 def _line_points(start, step, length):
@@ -490,10 +499,7 @@ def _oracle_passes(I_min: int, I_max: int, w_max: int):
     """The passes of points the oracle hands to `_admit`: those of
     `_oracle_points` for each smallest weight w0, each w0 serving every
     index of I_min..I_max."""
-    if not (1 <= I_min <= I_max):
-        raise ValueError(f"bad index range [{I_min}, {I_max}]")
-    if not 1 <= w_max <= ORACLE_W_MAX:
-        raise ValueError(f"bad weight bound {w_max}")
+    _check_bounds(I_min, I_max, w_max)
     w0_min = (2 * I_min) // 3 + 1  # gate G1 at the smallest index
     return (P for w0 in range(w0_min, w_max + 1) for P in _oracle_points(w0, I_min, I_max, w_max))
 

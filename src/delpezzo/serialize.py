@@ -45,7 +45,7 @@ import json
 from dataclasses import fields
 
 from .klt import Certified, Unknown
-from .records import CandidateRecord, _ke_flag
+from .records import CandidateRecord
 from .weights import Candidate, WeightSystem
 
 CSV_COLUMNS = [
@@ -93,8 +93,7 @@ def _from_row(row: tuple) -> CandidateRecord:
         raise ValueError(f"klt_{missing[0]} is missing")
     klt = cls(*(certificate[name] for name in names))
     return CandidateRecord(Candidate(WeightSystem((w0, w1, w2, w3)), d), mu, b2_link,
-                           b2_orbifold, l, klt, provenance, _ke_flag(klt, provenance), m,
-                           dim_aut, n, series_id, series_k)
+                           b2_orbifold, l, klt, provenance, m, dim_aut, n, series_id, series_k)
 
 
 def _rows(columns) -> list[tuple]:

@@ -60,8 +60,8 @@ def test_series_flags():
     assert fams["(2,2k+1,2k+1,4k+1)"].klt_provenance == "prior-work"
     assert fams["(2,2k+1,2k+1,4k+1)"].ke == "Y"
     assert fams["(4,2k+1,4k+2,6k+1)"].ke == "?"
-    # `records._ke_flag` reads "Y" off a provenance that names a proof, so a
-    # family flagged Y must name one and a family flagged ? must not
+    # `CandidateRecord.ke` reads "Y" off a provenance that names a proof, so
+    # a family flagged Y must name one and a family flagged ? must not
     for fam in catalog.reference_series() + catalog.errata_series():
         assert (fam.ke == "Y") == (fam.klt_provenance != "unknown"), fam.id
 
@@ -97,6 +97,41 @@ def test_series_printed_b2_matches_computed():
             assert diffeo_type(fam.candidate_at(k)).b2_link + 1 == fam.b2_printed, (fam.id, k)
 
 
+def test_every_family_member_has_its_family_b2_and_ke(enumeration_150):
+    """Each of the 343 family members among the 416 records, not only the
+    first five of each family, has its family's printed b2 and K-E flag."""
+    records, _ = enumeration_150
+    families = {f.id: f for f in catalog.reference_series() + catalog.errata_series()}
+    members = [r for r in records if r.series_id is not None]
+    assert len(members) == 343
+    for r in members:
+        fam = families[r.series_id]
+        assert (r.b2_orbifold, r.ke) == (fam.b2_printed, fam.ke_at(r.series_k)), (fam.id, r.series_k)
+
+
+def test_errata_printed_cells_are_the_printed_tables():
+    """Each erratum's printed cells are those of the row it corrects: b2 in
+    Table 1, m, n and l in Table 3, the series count in the stated Theorem-A
+    tally.  A b2 erratum's computed l is its computed b2 - 1."""
+    table1 = {(r.weights, r.degree): r for r in catalog.reference_table1()}
+    table3 = {r.series_id or (r.weights, r.degree): r for r in catalog.reference_table3()}
+    stated = catalog._tally("theorem_a")
+    cells = 0
+    for e in catalog.known_discrepancies():
+        key = (tuple(e["weights"]), e["degree"]) if "weights" in e else e.get("series_id")
+        for cell, value in e.get("printed", {}).items():
+            if cell == "b2":
+                assert table1[key].b2_printed == value, e["id"]
+            elif cell in ("m", "n", "l"):
+                assert getattr(table3[key], f"{cell}_printed") == value, e["id"]
+            else:
+                assert cell == "series" and stated[e["l"]]["series"] == value, e["id"]
+            cells += 1
+        if e["where"] == "table1" and "weights" in e:
+            assert e["computed"]["l"] == e["computed"]["b2"] - 1, e["id"]
+    assert cells == 14
+
+
 def test_table2_rows():
     rows = catalog.reference_table2()
     assert len(rows) == 5
@@ -124,7 +159,9 @@ def test_diff_detects_missing_row():
 
 def test_diff_detects_field_mismatch():
     records = [build_record(row.candidate()) for row in catalog.reference_table1()]
-    broken = dataclasses.replace(records[0], ke="Y" if records[0].ke == "?" else "?")
+    # the K-E flag is read off the provenance, so flipping it flips the flag
+    broken = dataclasses.replace(
+        records[0], klt_provenance="cascade" if records[0].ke == "?" else "unknown")
     report = catalog.diff_against_reference([broken] + records[1:])
     assert any(field == "ke" for _, field, _, _ in report.mismatched)
     assert not report.clean

@@ -340,7 +340,8 @@ def test_from_json_rejects_weights_that_are_not_four_numbers():
 
 def test_loaders_accept_unknown_verdict_with_cascade_provenance():
     """A cascade family member the cascade does not certify keeps the family's provenance."""
-    r = dataclasses.replace(record_of(*UNKNOWN), klt_provenance="cascade", ke="Y")
+    r = dataclasses.replace(record_of(*UNKNOWN), klt_provenance="cascade")
+    assert r.ke == "Y"
     assert from_json(to_json([r])) == [r]
     assert from_csv(to_csv([r])) == [r]
 
@@ -658,6 +659,24 @@ def test_cli_reproduce_table3_checks_series_link(capsys, monkeypatch):
     assert ("series (2,2k+1,2k+1,4k+1): printed (m=12, n=5, l=8), computed (m=12, n=4, l=7)"
             "  MISMATCH") in out
     assert "10/16 exact; 5 known discrepancies:" in out
+
+
+@pytest.mark.parametrize("table, report", [
+    ("1", "\n  missing: I=1 w=(2, 3, 5, 9) d=18\n"),
+    ("theorem-a", "\nl=6: rigid=0 families={} series=2  MISMATCH vs verified expectation "),
+], ids=["1", "theorem-a"])
+def test_cli_reproduce_reports_a_missing_record(table, report, enumeration_150, monkeypatch, capsys):
+    """A run that lacks one K-E sporadic record, (2,3,5,9) of degree 18,
+    differs from tables 1 and theorem-a: the report on stdout names it,
+    one `mismatch:` line goes to stderr, and the exit is 2."""
+    records, _ = enumeration_150
+    lacking = [r for r in records if r.key() != (1, (2, 3, 5, 9), 18)]
+    assert len(lacking) == len(records) - 1
+    monkeypatch.setattr(cli, "verified_enumeration", lambda I_min, I_max, w_max: lacking)
+    assert cli.main(["reproduce", "--table", table]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"mismatch: table {table} differs from the reference; the report is on stdout\n"
+    assert report in out
 
 
 _REGENERATE_BOUND_ERRORS = {

@@ -424,10 +424,15 @@ def test_structured_past_gate_g1_is_empty_without_numpy_work():
         assert structured_enumerate(10**19, 5) == []
 
 
-@pytest.mark.parametrize("args", [(0, 3, 40), (2, 1, 40), (1, 3, 0), (1, 3, ORACLE_W_MAX + 1)])
-def test_brute_force_rejects_bad_arguments(args):
+@pytest.mark.parametrize("args", [(0, 3, 40), (2, 1, 40), (1, 3, 0), (1, 3, ORACLE_W_MAX + 1),
+                                  (5, 2, 150), (1, 1, 2**63)])
+@pytest.mark.parametrize("route", [brute_force_enumerate, structured_range, verified_enumeration],
+                         ids=lambda route: route.__name__)
+def test_routes_reject_bad_arguments(route, args):
+    """Every route takes the one domain 1 <= I_min <= I_max and
+    1 <= w_max <= ORACLE_W_MAX, and refuses the rest before any work."""
     with pytest.raises(ValueError, match="bad"):
-        brute_force_enumerate(*args)
+        route(*args)
 
 
 def test_import_leaves_numpy_out():
