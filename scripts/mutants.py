@@ -8,7 +8,7 @@ targeted tests against the copy.  A mutant is killed when those tests fail
 (pytest exit 1) and survives when they pass.  Any other outcome is an
 error: the edit no longer applies, or pytest found no such test or could
 not run.  The script exits 1 if any mutant is not killed.  It is not part
-of Tier-1; all mutants take about a minute and a half.
+of Tier-1; all mutants take about two minutes.
 """
 
 from __future__ import annotations
@@ -180,6 +180,13 @@ MUTANTS = [
     Mutant("series-b2-unchecked", "src/delpezzo/cli.py",
            "elif rec.b2_orbifold != fam.b2_printed:", "elif False:",
            ("tests/test_cli.py::test_cli_reproduce_series_reports_b2_mismatch",)),
+    Mutant("series-ke-unchecked", "src/delpezzo/cli.py",
+           "            elif rec.ke != fam.ke_at(k):\n", "            elif False:\n",
+           ("tests/test_cli.py::test_cli_reproduce_series_reports_ke_mismatch",)),
+    Mutant("diff-sets-families-aside", "src/delpezzo/catalog.py",
+           "        fam = families.get(rec.series_id)\n",
+           "        fam = families.get(rec.series_id)\n        if fam:\n            continue\n",
+           ("tests/test_catalog.py::test_diff_checks_every_family_member",)),
     Mutant("tally-ignores-ke", "src/delpezzo/catalog.py",
            '        elif rec.ke == "Y":\n', "        else:\n",
            ("tests/test_catalog.py::test_theorem_a_tally_counts_only_ke_records",

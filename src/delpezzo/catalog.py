@@ -310,7 +310,7 @@ class ReconciliationReport:
 
     missing: list[ReferenceRow] = field(default_factory=list)
     extra: list = field(default_factory=list)
-    mismatched: list[tuple] = field(default_factory=list)  # (row, field, printed, computed)
+    mismatched: list[tuple] = field(default_factory=list)  # (candidate, field, printed, computed)
     documented: list[str] = field(default_factory=list)
 
     @property
@@ -325,9 +325,9 @@ class ReconciliationReport:
             lines.append(f"  missing: I={r.index} w={r.weights} d={r.degree}")
         for rec in self.extra:
             lines.append(f"  extra:   {rec.candidate}")
-        for row, name, printed, computed in self.mismatched:
+        for c, name, printed, computed in self.mismatched:
             lines.append(
-                f"  field mismatch: I={row.index} w={row.weights} {name}: "
+                f"  field mismatch: I={c.I} w={c.weights.w} {name}: "
                 f"printed {printed}, computed {computed}"
             )
         for note in self.documented:
@@ -336,47 +336,44 @@ class ReconciliationReport:
 
 
 def diff_against_reference(computed) -> ReconciliationReport:
-    """Compare canonical-ordered enumeration records with the sporadic table.
+    """Compare canonical-ordered enumeration records with the reference tables.
 
-    Records tagged as instances of the twelve printed families are set
-    aside; instances of errata families count as documented deviations;
-    the remainder must biject onto the 73 sporadic rows with matching b2
-    and KE columns, up to the documented b2 errata.
+    Each record meets one reference: its family at its k if it is tagged
+    with one (printed or errata), else the sporadic row of its key, which
+    it takes up.  Its b2 must be the reference's, up to the documented b2
+    errata, and its KE flag the row's or the family's `ke_at(k)`.  Members
+    of errata families are listed as documented; records with no row are
+    extra, and rows no record takes up are missing.
     """
     report = ReconciliationReport()
     sporadic = {(r.index, r.weights, r.degree): r for r in reference_table1()}
-    printed_ids = {f.id for f in reference_series()}
+    families = {f.id: f for f in reference_series() + errata_series()}
     errata = b2_errata()
-    seen = set()
     for rec in computed:
-        if rec.series_id in printed_ids:
-            continue
-        key = (rec.candidate.I, rec.candidate.weights.w, rec.candidate.d)
-        if rec.series_id is not None:  # errata family instance
-            report.documented.append(
-                f"{rec.candidate}: member k={rec.series_k} of omitted family "
-                f"{rec.series_id}"
-            )
-            continue
-        row = sporadic.get(key)
-        if row is None:
+        c = rec.candidate
+        fam = families.get(rec.series_id)
+        ref = fam or sporadic.pop(c.key(), None)
+        if ref is None:
             report.extra.append(rec)
             continue
-        seen.add(key)
-        if rec.b2_orbifold != row.b2_printed:
-            err = errata.get((row.weights, row.degree))
+        ke = fam.ke_at(rec.series_k) if fam else ref.ke
+        if ref.source_table == "errata":
+            report.documented.append(
+                f"{c}: member k={rec.series_k} of omitted family "
+                f"{ref.id}"
+            )
+        if rec.b2_orbifold != ref.b2_printed:
+            err = errata.get((c.weights.w, c.d))
             if err is not None and rec.b2_orbifold == err["computed"]["b2"]:
                 report.documented.append(
-                    f"I={row.index} w={row.weights}: printed b2 {row.b2_printed}, "
+                    f"I={c.I} w={c.weights.w}: printed b2 {ref.b2_printed}, "
                     f"verified value {rec.b2_orbifold} [{err['id']}]"
                 )
             else:
-                report.mismatched.append((row, "b2", row.b2_printed, rec.b2_orbifold))
-        if rec.ke != row.ke:
-            report.mismatched.append((row, "ke", row.ke, rec.ke))
-    for key, row in sporadic.items():
-        if key not in seen:
-            report.missing.append(row)
+                report.mismatched.append((c, "b2", ref.b2_printed, rec.b2_orbifold))
+        if rec.ke != ke:
+            report.mismatched.append((c, "ke", ke, rec.ke))
+    report.missing.extend(sporadic.values())
     return report
 
 

@@ -188,7 +188,7 @@ def _table3() -> tuple[bool, list[str]]:
 
 
 def _series() -> tuple[bool, list[str]]:
-    """Each family's first five members, checked against its printed b2."""
+    """Each family's first five members, checked against its printed b2 and K-E flag."""
     ok, lines = True, []
     for fam in catalog.reference_series() + catalog.errata_series():
         status = []
@@ -199,6 +199,8 @@ def _series() -> tuple[bool, list[str]]:
                 status.append(f"k={k}: {rec}")
             elif rec.b2_orbifold != fam.b2_printed:
                 status.append(f"k={k}: b2 {rec.b2_orbifold} != {fam.b2_printed}")
+            elif rec.ke != fam.ke_at(k):
+                status.append(f"k={k}: K-E {rec.ke} != {fam.ke_at(k)}")
         ok = ok and not status
         origin = "errata" if fam.source_table == "errata" else "printed"
         summary = "; ".join(status) or "first five members check out"

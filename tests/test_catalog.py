@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from collections import defaultdict
 
 import pytest
 
@@ -132,6 +133,59 @@ def test_errata_printed_cells_are_the_printed_tables():
     assert cells == 14
 
 
+def _moduli_table_n() -> dict[tuple, int]:
+    """n of each sporadic row of Table 3, with that table's errata laid over
+    it, keyed by (weights, degree)."""
+    fixes = catalog.moduli_errata()
+    rows = {(r.weights, r.degree): r.n_printed for r in catalog.reference_table3() if r.series_id is None}
+    return {key: fixes[key]["computed"]["n"] if key in fixes else n for key, n in rows.items()}
+
+
+def _missing_moduli_rows() -> dict[tuple, int]:
+    """n of each row of the `table3-missing-rows` erratum, keyed by (weights, degree)."""
+    entry = next(e for e in catalog.known_discrepancies() if e["id"] == "table3-missing-rows")
+    return {(tuple(row["weights"]), row["degree"]): row["n"] for row in entry["rows"]}
+
+
+def test_moduli_rows_are_the_ke_sporadic_records_with_moduli(enumeration_150):
+    """Table 3's 15 sporadic rows and the 3 rows the `table3-missing-rows`
+    erratum adds are disjoint, and together they are the 18 K-E sporadic
+    records among the 416 with n >= 1, each at the n listed for it."""
+    records, _ = enumeration_150
+    table3, missing = _moduli_table_n(), _missing_moduli_rows()
+    assert len(table3) == 15 and len(missing) == 3
+    assert not table3.keys() & missing.keys()
+    with_moduli = {(r.candidate.weights.w, r.candidate.d): r.moduli_n for r in records
+                   if r.series_id is None and r.ke == "Y" and r.moduli_n >= 1}
+    assert len(with_moduli) == 18
+    assert with_moduli == {**table3, **missing}
+
+
+def test_theorem_a_computed_is_the_tables_with_their_errata():
+    """The hand-kept `theorem_a_computed` is the tally the tables give with
+    their errata applied: each K-E Table-1 row at l = (corrected b2) - 1,
+    with its n from Table 3 or its missing rows (0 otherwise), and each K-E
+    family once, at l = b2_printed - 1."""
+    b2_fixes, n = catalog.b2_errata(), {**_moduli_table_n(), **_missing_moduli_rows()}
+    tally = defaultdict(lambda: {"rigid": 0, "families": {}, "series": []})
+    for row in catalog.reference_table1():
+        if row.ke != "Y":
+            continue
+        key = (row.weights, row.degree)
+        b2 = b2_fixes[key]["computed"]["b2"] if key in b2_fixes else row.b2_printed
+        bucket = tally[b2 - 1]
+        if n.get(key, 0) == 0:
+            bucket["rigid"] += 1
+        else:
+            bucket["families"][n[key]] = bucket["families"].get(n[key], 0) + 1
+    for fam in catalog.reference_series() + catalog.errata_series():
+        if fam.ke == "Y":
+            tally[fam.b2_printed - 1]["series"].append(fam.id)
+    for bucket in tally.values():
+        bucket["series"].sort()
+    assert dict(tally) == catalog._tally("theorem_a_computed")
+
+
 def test_table2_rows():
     rows = catalog.reference_table2()
     assert len(rows) == 5
@@ -167,12 +221,30 @@ def test_diff_detects_field_mismatch():
     assert not report.clean
 
 
+@pytest.mark.parametrize("key, edit, line", [
+    ((1, (2, 3, 3, 5), 12), {"b2_orbifold": 9}, "I=1 w=(2, 3, 3, 5) b2: printed 8, computed 9"),
+    ((1, (2, 3, 3, 5), 12), {"klt_provenance": "unknown"}, "I=1 w=(2, 3, 3, 5) ke: printed Y, computed ?"),
+    ((2, (3, 4, 5, 7), 17), {"b2_orbifold": 6}, "I=2 w=(3, 4, 5, 7) b2: printed 5, computed 6"),
+    ((2, (3, 4, 5, 7), 17), {"klt_provenance": "cascade"}, "I=2 w=(3, 4, 5, 7) ke: printed ?, computed Y"),
+], ids=["printed-b2", "printed-ke", "errata-b2", "errata-ke"])
+def test_diff_checks_every_family_member(key, edit, line, enumeration_150):
+    """A member of a printed family, (2,3,3,5) of degree 12, or of the errata
+    family, (3,4,5,7) of degree 17, with its b2 one too high or its K-E flag
+    flipped is a field mismatch against its family, as a sporadic row's is."""
+    records, _ = enumeration_150
+    assert catalog.diff_against_reference(records).clean
+    edited = [dataclasses.replace(r, **edit) if r.key() == key else r for r in records]
+    report = catalog.diff_against_reference(edited)
+    assert not report.clean
+    assert f"  field mismatch: {line}" in report.summary().splitlines()
+
+
 def test_diff_detects_extra_record():
     from delpezzo.weights import Candidate, normalize_weights
 
     records = [build_record(row.candidate()) for row in catalog.reference_table1()]
-    # a quasi-smooth candidate outside every table: fabricate by replacing
-    # the record's series tag so the diff cannot set it aside
+    # a family member stripped of its series tag meets no sporadic row, so
+    # the diff must report it as extra
     stray = build_record(Candidate(normalize_weights((2, 3, 3, 5)), 12))
     stray = dataclasses.replace(stray, series_id=None, series_k=None)
     report = catalog.diff_against_reference(records + [stray])

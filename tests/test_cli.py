@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import delpezzo.cli as cli
-from delpezzo import catalog, moduli, search, serialize
+from delpezzo import catalog, moduli, records, search, serialize
 from delpezzo.klt import Certified, Unknown
 from delpezzo.records import build_record
 from delpezzo.search import brute_force_enumerate
@@ -679,6 +679,20 @@ def test_cli_reproduce_reports_a_missing_record(table, report, enumeration_150, 
     assert report in out
 
 
+def test_cli_reproduce_table1_checks_family_members(enumeration_150, monkeypatch, capsys):
+    """A run whose family member (2,3,3,5) of degree 12 has a b2 one too high
+    differs from table 1: its family prints b2 8, the report names the
+    member, one `mismatch:` line goes to stderr, and the exit is 2."""
+    records_150, _ = enumeration_150
+    edited = [dataclasses.replace(r, b2_orbifold=9) if r.key() == (1, (2, 3, 3, 5), 12) else r
+              for r in records_150]
+    monkeypatch.setattr(cli, "verified_enumeration", lambda I_min, I_max, w_max: edited)
+    assert cli.main(["reproduce", "--table", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "mismatch: table 1 differs from the reference; the report is on stdout\n"
+    assert "\n  field mismatch: I=1 w=(2, 3, 3, 5) b2: printed 8, computed 9\n" in out
+
+
 _REGENERATE_BOUND_ERRORS = {
     "0": "expected a positive integer, got '0'",
     "268435456": "expected at most 268435455, got '268435456'",
@@ -742,6 +756,22 @@ def test_cli_reproduce_series_reports_b2_mismatch(capsys, monkeypatch):
     b2 = fam.b2_printed
     status = "; ".join(f"k={k}: b2 {b2 - 1} != {b2}" for k in range(fam.k_min, fam.k_min + 5))
     assert f"{fam.id} (I={fam.index}, printed): {status}\n" in out
+    assert out.count("check out") == 12
+    assert err == "mismatch: table series differs from the reference; the report is on stdout\n"
+
+
+def test_cli_reproduce_series_reports_ke_mismatch(capsys, monkeypatch):
+    # fault injection: the cascade certifies (3,4,7,9) of degree 21, the
+    # first member of a family whose K-E flag is "?"
+    real = records._cascade
+
+    def certify(c):
+        return Certified("R1", 1, 2) if c.key() == (2, (3, 4, 7, 9), 21) else real(c)
+
+    monkeypatch.setattr(records, "_cascade", certify)
+    assert cli.main(["reproduce", "--table", "series"]) == 2
+    out, err = capsys.readouterr()
+    assert "(3,3k+1,6k+1,9k) (I=2, printed): k=1: K-E Y != ?\n" in out
     assert out.count("check out") == 12
     assert err == "mismatch: table series differs from the reference; the report is on stdout\n"
 

@@ -1,5 +1,7 @@
+import importlib.util
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -229,3 +231,18 @@ def test_integer_divisor_checks_match_fraction_fold(raw, index):
     else:
         with pytest.raises(InvariantViolation):
             milnor_number(c)
+
+
+def test_b2_errata_agree_with_milnor_algebra_spectra(capsys):
+    """`scripts/verify_b2_errata.py` re-derives every b2 erratum, and a
+    control row, from the monodromy spectrum of an explicit member's Milnor
+    algebra (sympy's Groebner basis), without the divisor calculus."""
+    pytest.importorskip("sympy")
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_b2_errata.py"
+    spec = importlib.util.spec_from_file_location("verify_b2_errata", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert set(catalog.b2_errata()) <= {(w, d) for w, d, _, _ in script.MEMBERS}
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.endswith("-> agree") for line in lines)
