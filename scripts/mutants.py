@@ -177,12 +177,21 @@ MUTANTS = [
            "    if ok:\n        return EXIT_OK", "    if True:\n        return EXIT_OK",
            ("tests/test_cli.py::test_cli_reproduce_table3_checks_series_row",
             "tests/test_cli.py::test_cli_reproduce_reports_a_missing_record[1]")),
-    Mutant("series-b2-unchecked", "src/delpezzo/cli.py",
-           "elif rec.b2_orbifold != fam.b2_printed:", "elif False:",
-           ("tests/test_cli.py::test_cli_reproduce_series_reports_b2_mismatch",)),
-    Mutant("series-ke-unchecked", "src/delpezzo/cli.py",
-           "            elif rec.ke != fam.ke_at(k):\n", "            elif False:\n",
-           ("tests/test_cli.py::test_cli_reproduce_series_reports_ke_mismatch",)),
+    Mutant("series-b2-unchecked", "src/delpezzo/catalog.py",
+           '"b2": rec.b2_orbifold', '"b2": ref.b2_printed',
+           ("tests/test_cli.py::test_cli_reproduce_series_reports_b2_mismatch",
+            "tests/test_catalog.py::test_diff_checks_every_family_member[printed-b2]")),
+    Mutant("series-ke-unchecked", "src/delpezzo/catalog.py",
+           '"ke": rec.ke}', '"ke": ke}',
+           ("tests/test_cli.py::test_cli_reproduce_series_reports_ke_mismatch",
+            "tests/test_catalog.py::test_diff_checks_every_family_member[printed-ke]")),
+    Mutant("errata-overlay-table3-only", "src/delpezzo/catalog.py",
+           "for t in tables if", 'for t in ("table3",) if',
+           ("tests/test_catalog.py::test_diff_clean_on_reference_rows",
+            "tests/test_cli.py::test_cli_reproduce_table3")),
+    Mutant("moduli-no-pair-terms", "src/delpezzo/moduli.py",
+           "    if w[2] + w[3] >= d:\n", "    if False:\n",
+           ("tests/test_moduli.py::test_moduli_report_returns_on_every_admitted_input[quadric]",)),
     Mutant("diff-sets-families-aside", "src/delpezzo/catalog.py",
            "        fam = families.get(rec.series_id)\n",
            "        fam = families.get(rec.series_id)\n        if fam:\n            continue\n",

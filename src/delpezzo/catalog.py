@@ -4,7 +4,9 @@ The classification data (73 sporadic rows, 12 one-parameter families, the
 classical smooth rows, the moduli table, and the per-link existence tally)
 ships as a versioned JSON file so transcriptions stay auditable.  This
 module loads it, instantiates series families, matches enumeration output
-against the families, and diffs or tallies computed records.
+against the families, and checks every table `delpezzo reproduce` prints
+on `classify` records, with the documented errata laid over the printed
+cells by one rule, `with_errata`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 
-from .errors import CatalogIntegrityError
-from .moduli import moduli_report
-from .topology import diffeo_type
-from .weights import Candidate, WeightSystem, normalize_weights
+from .errors import CatalogIntegrityError, PreconditionError
+from .quasismooth import Rejection
+from .weights import Candidate, WeightSystem
 
 
 @dataclass(frozen=True)
@@ -227,48 +228,19 @@ def moduli_errata() -> dict[tuple, dict]:
     return {k: e for k, e in errata("table3").items() if isinstance(k, tuple)}
 
 
-@dataclass(frozen=True)
-class Table3Check:
-    """One moduli-table row checked on (m, n, l).  `expected` is `printed`
-    with the computed values of the row's errata laid over it; a series row
-    is checked at its family's first member.  The verdict is exact,
-    documented (the errata account for the difference) or mismatch."""
-
-    row: ModuliRow
-    name: str
-    candidate: Candidate
-    printed: tuple[int, int, int]
-    computed: tuple[int, int, int]
-    expected: tuple[int, int, int]
-    errata: tuple[str, ...]
-    verdict: str
-
-
-def table3_checks() -> list[Table3Check]:
-    """Every moduli-table row, in table order, checked on (m, n, l) against
-    the errata of both tables that name it."""
-    families = {f.id: f for f in reference_series()}
-    checks = []
-    for row in reference_table3():
-        if row.series_id is None:
-            key, name = (row.weights, row.degree), f"I={row.index} w={row.weights} d={row.degree}"
-            c = Candidate(normalize_weights(row.weights), row.degree)
-        else:
-            key, name, fam = row.series_id, f"series {row.series_id}", families[row.series_id]
-            c = fam.candidate_at(fam.k_min)
-        mod = moduli_report(c)
-        got, printed = (mod.m, mod.n, diffeo_type(c).l), (row.m_printed, row.n_printed, row.l_printed)
-        found = [e for e in (errata(t).get(key) for t in ("table3", "table1")) if e]
-        fixes = {k: v for e in found for k, v in e["computed"].items()}
-        expected = tuple(fixes.get(k, v) for k, v in zip("mnl", printed))
-        verdict = "exact" if got == printed else "documented" if got == expected else "mismatch"
-        checks.append(Table3Check(row, name, c, printed, got, expected, tuple(e["id"] for e in found), verdict))
-    return checks
+def with_errata(key, printed: dict, tables=("table1",)) -> tuple[dict, tuple[str, ...]]:
+    """`printed` with the `computed` cells of the errata of `tables` that
+    name `key` laid over it, a later table's over an earlier one's, and the
+    ids of the errata that correct any of its cells."""
+    found = [e for t in tables if (e := errata(t).get(key)) and e.get("computed", {}).keys() & printed.keys()]
+    fixes = {k: v for e in found for k, v in e["computed"].items()}
+    return {k: fixes.get(k, v) for k, v in printed.items()}, tuple(e["id"] for e in found)
 
 
 @lru_cache(maxsize=1)
-def _sporadic_keys() -> frozenset:
-    return frozenset((r.index, r.weights, r.degree) for r in reference_table1())
+def _sporadic_rows() -> dict[tuple, ReferenceRow]:
+    """The 73 sporadic rows under their key (index, weights, degree)."""
+    return {(r.index, r.weights, r.degree): r for r in reference_table1()}
 
 
 def find_series_match(c: Candidate) -> tuple[ReferenceSeries, int] | None:
@@ -279,7 +251,7 @@ def find_series_match(c: Candidate) -> tuple[ReferenceSeries, int] | None:
     Candidates listed in the sporadic table never match an errata family.
     """
     fams = reference_series()
-    if (c.I, c.weights.w, c.d) not in _sporadic_keys():
+    if (c.I, c.weights.w, c.d) not in _sporadic_rows():
         fams = fams + errata_series()
     hits = []
     for fam in fams:
@@ -335,20 +307,32 @@ class ReconciliationReport:
         return "\n".join(lines)
 
 
+def member_check(rec, ref, k: int | None) -> list[tuple]:
+    """The cells in which a record differs from its reference: a sporadic
+    row (k is None), or a family at its k-th member.  One (cell, printed,
+    computed, errata) per differing cell of "b2" and "ke" (the K-E flag, a
+    family's `ke_at(k)`); `errata` names the Table-1 errata whose computed
+    cell is the record's (`with_errata`), and is empty for a mismatch."""
+    key, ke = ((ref.weights, ref.degree), ref.ke) if k is None else (ref.id, ref.ke_at(k))
+    printed = {"b2": ref.b2_printed, "ke": ke}
+    expected, used = with_errata(key, printed)
+    computed = {"b2": rec.b2_orbifold, "ke": rec.ke}
+    return [(cell, printed[cell], computed[cell], used if computed[cell] == expected[cell] else ())
+            for cell in printed if computed[cell] != printed[cell]]
+
+
 def diff_against_reference(computed) -> ReconciliationReport:
     """Compare canonical-ordered enumeration records with the reference tables.
 
     Each record meets one reference: its family at its k if it is tagged
     with one (printed or errata), else the sporadic row of its key, which
-    it takes up.  Its b2 must be the reference's, up to the documented b2
-    errata, and its KE flag the row's or the family's `ke_at(k)`.  Members
-    of errata families are listed as documented; records with no row are
-    extra, and rows no record takes up are missing.
+    it takes up.  `member_check` compares them.  Members of errata families
+    are listed as documented; records with no row are extra, and rows no
+    record takes up are missing.
     """
     report = ReconciliationReport()
-    sporadic = {(r.index, r.weights, r.degree): r for r in reference_table1()}
+    sporadic = dict(_sporadic_rows())
     families = {f.id: f for f in reference_series() + errata_series()}
-    errata = b2_errata()
     for rec in computed:
         c = rec.candidate
         fam = families.get(rec.series_id)
@@ -356,25 +340,105 @@ def diff_against_reference(computed) -> ReconciliationReport:
         if ref is None:
             report.extra.append(rec)
             continue
-        ke = fam.ke_at(rec.series_k) if fam else ref.ke
         if ref.source_table == "errata":
             report.documented.append(
                 f"{c}: member k={rec.series_k} of omitted family "
                 f"{ref.id}"
             )
-        if rec.b2_orbifold != ref.b2_printed:
-            err = errata.get((c.weights.w, c.d))
-            if err is not None and rec.b2_orbifold == err["computed"]["b2"]:
-                report.documented.append(
-                    f"I={c.I} w={c.weights.w}: printed b2 {ref.b2_printed}, "
-                    f"verified value {rec.b2_orbifold} [{err['id']}]"
-                )
+        for cell, printed, got, used in member_check(rec, ref, rec.series_k if fam else None):
+            if used:
+                report.documented.append(f"I={c.I} w={c.weights.w}: printed {cell} {printed}, "
+                                         f"verified value {got} [{', '.join(used)}]")
             else:
-                report.mismatched.append((c, "b2", ref.b2_printed, rec.b2_orbifold))
-        if rec.ke != ke:
-            report.mismatched.append((c, "ke", ke, rec.ke))
+                report.mismatched.append((c, cell, printed, got))
     report.missing.extend(sporadic.values())
     return report
+
+
+def table1_report(records) -> tuple[bool, list[str]]:
+    """`reproduce --table 1`: the diff of a run's records, as (ok, lines)."""
+    report = diff_against_reference(records)
+    return report.clean, report.summary().splitlines()
+
+
+@dataclass(frozen=True)
+class Table3Check:
+    """One moduli-table row checked on (m, n, l).  `expected` is `printed`
+    with the computed values of the row's errata laid over it; a series row
+    is checked at its family's first member.  The verdict is exact,
+    documented (the errata account for the difference) or mismatch."""
+
+    row: ModuliRow
+    name: str
+    candidate: Candidate
+    printed: tuple[int, int, int]
+    computed: tuple[int, int, int]
+    expected: tuple[int, int, int]
+    errata: tuple[str, ...]
+    verdict: str
+
+
+def table3_checks() -> list[Table3Check]:
+    """Every moduli-table row, in table order, checked on (m, n, l) of its
+    `classify` record against the errata of both tables that name it.  A
+    row that `classify` rejects raises PreconditionError naming the
+    `Rejection`."""
+    from .records import classify  # records imports this module for the series tag
+
+    families = {f.id: f for f in reference_series()}
+    checks = []
+    for row in reference_table3():
+        key, fam = row.series_id or (row.weights, row.degree), families.get(row.series_id)
+        name = f"series {key}" if fam else f"I={row.index} w={row.weights} d={row.degree}"
+        w, d = (fam.weights_at(fam.k_min), fam.degree_at(fam.k_min)) if fam else key
+        rec = classify(w, d)
+        if isinstance(rec, Rejection):
+            raise PreconditionError(f"{name}: {rec}")
+        got, printed = (rec.moduli_m, rec.moduli_n, rec.l), (row.m_printed, row.n_printed, row.l_printed)
+        fixed, used = with_errata(key, dict(zip("mnl", printed)), ("table3", "table1"))
+        expected = tuple(fixed.values())
+        verdict = "exact" if got == printed else "documented" if got == expected else "mismatch"
+        checks.append(Table3Check(row, name, rec.candidate, printed, got, expected, used, verdict))
+    return checks
+
+
+def table3_report() -> tuple[bool, list[str]]:
+    """`reproduce --table 3`: every moduli-table row's check on (m, n, l)
+    (`table3_checks`), exact, covered by the row's errata, or a mismatch."""
+    checks = table3_checks()
+    mnl = "(m={}, n={}, l={})"
+    lines, documented = [], []
+    for ch in checks:
+        line = f"{ch.name}: printed {mnl.format(*ch.printed)}, computed {mnl.format(*ch.computed)}"
+        if ch.verdict == "exact":
+            lines.append(line)
+        elif ch.verdict == "documented":
+            documented.append(f"  {line}  [documented erratum: {', '.join(ch.errata)}]")
+        else:
+            lines.append(line + "  MISMATCH")
+    exact = sum(ch.verdict == "exact" for ch in checks)
+    lines.append(f"{exact}/{len(checks)} exact; {len(documented)} known discrepancies:")
+    return all(ch.verdict != "mismatch" for ch in checks), lines + documented
+
+
+def series_report() -> tuple[bool, list[str]]:
+    """`reproduce --table series`: each family's first five members, their
+    `classify` records checked by `member_check`, as (ok, lines)."""
+    from .records import classify  # records imports this module for the series tag
+
+    ok, lines = True, []
+    for fam in reference_series() + errata_series():
+        status = []
+        for k in range(fam.k_min, fam.k_min + 5):
+            rec = classify(fam.weights_at(k), fam.degree_at(k))
+            status += [f"k={k}: {rec}"] if isinstance(rec, Rejection) else [
+                f"k={k}: {'K-E' if cell == 'ke' else cell} {got} != {printed}"
+                for cell, printed, got, used in member_check(rec, fam, k) if not used][:1]
+        ok = ok and not status
+        origin = "errata" if fam.source_table == "errata" else "printed"
+        summary = "; ".join(status) or "first five members check out"
+        lines.append(f"{fam.id} (I={fam.index}, {origin}): {summary}")
+    return ok, lines
 
 
 def theorem_a_tally(computed) -> dict[int, dict]:
@@ -430,3 +494,8 @@ def compare_theorem_a(tally: dict[int, dict]) -> tuple[bool, list[str]]:
             say += f"  MISMATCH vs verified expectation {want}"
         lines.append(say)
     return ok, lines
+
+
+def theorem_a_report(records) -> tuple[bool, list[str]]:
+    """`reproduce --table theorem-a`: the tally of a run's records, compared."""
+    return compare_theorem_a(theorem_a_tally(records))

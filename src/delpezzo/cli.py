@@ -163,57 +163,9 @@ def _topology(args) -> int:
     return EXIT_OK
 
 
-def _table1(records) -> tuple[bool, list[str]]:
-    report = catalog.diff_against_reference(records)
-    return report.clean, report.summary().splitlines()
-
-
-def _table3() -> tuple[bool, list[str]]:
-    """Every moduli-table row's check on (m, n, l) (`catalog.table3_checks`):
-    exact, covered by the row's errata, or a mismatch."""
-    checks = catalog.table3_checks()
-    mnl = "(m={}, n={}, l={})"
-    lines, documented = [], []
-    for ch in checks:
-        line = f"{ch.name}: printed {mnl.format(*ch.printed)}, computed {mnl.format(*ch.computed)}"
-        if ch.verdict == "exact":
-            lines.append(line)
-        elif ch.verdict == "documented":
-            documented.append(f"  {line}  [documented erratum: {', '.join(ch.errata)}]")
-        else:
-            lines.append(line + "  MISMATCH")
-    exact = sum(ch.verdict == "exact" for ch in checks)
-    lines.append(f"{exact}/{len(checks)} exact; {len(documented)} known discrepancies:")
-    return all(ch.verdict != "mismatch" for ch in checks), lines + documented
-
-
-def _series() -> tuple[bool, list[str]]:
-    """Each family's first five members, checked against its printed b2 and K-E flag."""
-    ok, lines = True, []
-    for fam in catalog.reference_series() + catalog.errata_series():
-        status = []
-        for k in range(fam.k_min, fam.k_min + 5):
-            c = fam.candidate_at(k)
-            rec = classify(c.weights.w, c.d)
-            if isinstance(rec, Rejection):
-                status.append(f"k={k}: {rec}")
-            elif rec.b2_orbifold != fam.b2_printed:
-                status.append(f"k={k}: b2 {rec.b2_orbifold} != {fam.b2_printed}")
-            elif rec.ke != fam.ke_at(k):
-                status.append(f"k={k}: K-E {rec.ke} != {fam.ke_at(k)}")
-        ok = ok and not status
-        origin = "errata" if fam.source_table == "errata" else "printed"
-        summary = "; ".join(status) or "first five members check out"
-        lines.append(f"{fam.id} (I={fam.index}, {origin}): {summary}")
-    return ok, lines
-
-
-def _theorem_a(records) -> tuple[bool, list[str]]:
-    return catalog.compare_theorem_a(catalog.theorem_a_tally(records))
-
-
 # Each table's check, as (ok, report lines); tables 1 and theorem-a check the records of the run.
-_TABLES = {"1": _table1, "3": _table3, "series": _series, "theorem-a": _theorem_a}
+_TABLES = {"1": catalog.table1_report, "3": catalog.table3_report,
+           "series": catalog.series_report, "theorem-a": catalog.theorem_a_report}
 _ENUMERATED = ("1", "theorem-a")
 
 

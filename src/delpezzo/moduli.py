@@ -5,13 +5,10 @@ of all degree-d monomials, so the ambient dimension m is the plain monomial
 count.  The graded automorphism group G(w) sends each generator z_i to an
 arbitrary weighted-homogeneous polynomial of degree w_i, so its dimension
 is the sum of the four generator-degree monomial counts.  The moduli
-dimension is the difference n = m - dim G(w).
-
-That difference is the moduli dimension only if the general member's
-stabilizer in G(w) is finite.  A second route computes n without dim G(w),
-and shows where the two agree: n is the degree-d piece of the Jacobian ring
-(Milnor and Orlik, "Isolated singularities defined by weighted homogeneous
-polynomials", Topology 9, 1970).
+dimension n is the degree-d piece of the Jacobian ring (Milnor and Orlik,
+"Isolated singularities defined by weighted homogeneous polynomials",
+Topology 9, 1970), which is m - dim G(w) exactly when the general member's
+stabilizer in G(w) is finite:
 
 * Let F be a quasi-smooth member and S = C[z0, z1, z2, z3].  By Euler's
   formula d*F = sum w_i*z_i*dF/dz_i, a common zero of the partials lies
@@ -25,18 +22,24 @@ polynomials", Topology 9, 1970).
   the tangent map at F of the action, z_i -> z_i + e*g_i.  Its kernel is
   the Lie algebra of the stabilizer of F.
 * So [t^d] P(t) = m - rank(phi) = m - dim G(w) + dim Stab(F)
-  >= m - dim G(w), with equality exactly when the stabilizer is finite;
-  then n = [t^d] P(t).
+  >= m - dim G(w), with equality exactly when the stabilizer is finite.
+* Expanding the numerator, [t^d] P(t) is the sum over S in {0..3} of
+  (-1)^|S| * count(w, d - sum_{i in S} (d - w_i)), a negative degree
+  counting 0.  The terms with |S| = 1 have degrees w_i and sum to dim G(w);
+  those with |S| >= 2 have degrees at most w2 + w3 - d, so they vanish
+  when w2 + w3 < d, and then n = m - dim G(w) with no further count.
 
-`tests/test_moduli.py` checks the equality on every record at w <= 150, on
-every moduli-table row (so the erratum n = 4 of (2,2k+1,2k+1,4k+1) has a
-second route that never subtracts dim G(w)), and the inequality on random
-quasi-smooth (w, d).
+The quadric (1,1,1,1) of degree 2, whose stabilizer O(4) is not finite,
+has m = 10, dim G(w) = 16 and n = 0.  `tests/test_moduli.py` checks n
+against the truncated Poincare series on every record at w <= 150, on
+every moduli-table row and on random quasi-smooth (w, d), and m - dim G(w)
+against it on every record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InvariantViolation
 from .quasismooth import require_hypersurface
@@ -47,7 +50,7 @@ from .weights import Candidate, WeightSystem, count_monomials
 class ModuliReport:
     m: int  # dimension of the degree-d monomial space
     dim_aut: int  # dimension of the graded automorphism group G(w)
-    n: int  # moduli dimension, m - dim_aut
+    n: int  # moduli dimension, [t^d] P(t); m - dim_aut when the stabilizer is finite
 
     def __post_init__(self):
         if self.dim_aut < 4:
@@ -68,8 +71,13 @@ def moduli_report(c: Candidate) -> ModuliReport:
 def _moduli_report(c: Candidate) -> ModuliReport:
     """`moduli_report` without its precondition check, for callers that
     have made it."""
-    m = count_monomials(c.weights, c.d)
+    w, d = c.weights.w, c.d
+    m = count_monomials(c.weights, d)
     g = aut_dimension(c.weights)
-    if m - g < 0:
-        raise InvariantViolation(f"{c}: moduli dimension {m - g} < 0")
-    return ModuliReport(m=m, dim_aut=g, n=m - g)
+    n = m - g  # the terms of [t^d] P(t) with |S| <= 1
+    if w[2] + w[3] >= d:
+        n += sum((-1) ** size * count_monomials(c.weights, d - sum(d - w[i] for i in S))
+                 for size in (2, 3, 4) for S in combinations(range(4), size))
+        if n < m - g:
+            raise InvariantViolation(f"{c}: moduli dimension {n} < m - dim G = {m - g}")
+    return ModuliReport(m=m, dim_aut=g, n=n)

@@ -297,7 +297,7 @@ def test_known_discrepancy_ids_unique():
 @pytest.fixture
 def patched_reference(monkeypatch):
     """Swap in an edited copy of `reference.json` with the loader caches cleared."""
-    cached = (catalog.reference_table1, catalog._sporadic_keys)
+    cached = (catalog.reference_table1, catalog._sporadic_rows)
 
     def patch(edit):
         raw = copy.deepcopy(catalog._raw())

@@ -661,6 +661,19 @@ def test_cli_reproduce_table3_checks_series_link(capsys, monkeypatch):
     assert "10/16 exact; 5 known discrepancies:" in out
 
 
+def test_cli_reproduce_table3_rejected_row_exits_3(capsys, monkeypatch):
+    # fault injection: a moduli row that `classify` rejects, (2,3,4,5) of
+    # degree 13, whose X is not well-formed; its record cannot be built, so
+    # the check ends in exit 3 with one line naming the rejection
+    rows = (dataclasses.replace(catalog.reference_table3()[1], weights=(2, 3, 4, 5), degree=13),)
+    monkeypatch.setattr(catalog, "reference_table3", lambda: rows)
+    assert cli.main(["reproduce", "--table", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: PreconditionError: ") and "X not well-formed" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("table, report", [
     ("1", "\n  missing: I=1 w=(2, 3, 5, 9) d=18\n"),
     ("theorem-a", "\nl=6: rigid=0 families={} series=2  MISMATCH vs verified expectation "),

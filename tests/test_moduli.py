@@ -65,6 +65,23 @@ def test_moduli_dimension(w, d, n):
     assert moduli_report(cand(w, d)).n == n
 
 
+@pytest.mark.parametrize(
+    "w,d,triple",
+    [
+        ((1, 1, 1, 1), 2, (10, 16, 0)),  # the quadric: its stabilizer O(4) is not finite
+        ((2, 2 * 10**9 + 1, 2 * 10**9 + 1, 4 * 10**9 + 1), 8 * 10**9 + 4, (12, 8, 4)),
+    ],
+    ids=["quadric", "series-k-1e9"],
+)
+def test_moduli_report_returns_on_every_admitted_input(w, d, triple):
+    """`moduli_report` returns (m, dim G(w), n) on every input its
+    precondition admits: on the quadric, gated by G1, n = [t^d] P(t) = 0
+    lies above m - dim G(w) = -6; on the k = 10^9 member of
+    (2,2k+1,2k+1,4k+1) it is the erratum's n = 4, in time independent of k."""
+    rep = moduli_report(cand(w, d))
+    assert (rep.m, rep.dim_aut, rep.n) == triple
+
+
 def test_classical_triple():
     # the three anticanonically regular rows: (m, dimG, n)
     anchors = [
@@ -104,14 +121,16 @@ def _jacobian_ring_degree_d(w, d: int) -> int:
 
 
 def test_moduli_is_the_jacobian_ring_degree_d_piece():
-    """n = m - dim G(w) is the degree-d piece of the Jacobian ring, read off
-    the Milnor-Orlik Poincare polynomial (proof in the `moduli` docstring),
-    on the 416 golden records and on every moduli-table row, a series row at
-    its first five members, with the errata's corrected n."""
+    """n is the degree-d piece of the Jacobian ring, read off the
+    Milnor-Orlik Poincare polynomial (proof in the `moduli` docstring), and
+    on a record it is m - dim G(w) as well: on the 416 golden records, and
+    on every moduli-table row, a series row at its first five members, with
+    the errata's corrected n."""
     golden = serialize.from_csv(GOLDEN.read_text())
     assert len(golden) == 416
     for r in golden:
-        assert _jacobian_ring_degree_d(r.candidate.weights.w, r.candidate.d) == r.moduli_n, r.key()
+        piece = _jacobian_ring_degree_d(r.candidate.weights.w, r.candidate.d)
+        assert piece == r.moduli_n == r.moduli_m - r.moduli_dim_aut, r.key()
     families = {f.id: f for f in catalog.reference_series()}
     for check in catalog.table3_checks():
         fam = families.get(check.row.series_id)
@@ -126,8 +145,8 @@ def test_moduli_is_the_jacobian_ring_degree_d_piece():
 @settings(max_examples=150, deadline=None)
 def test_moduli_bounds_the_jacobian_ring_degree_d_piece(w):
     """On every quasi-smooth (w, d), [t^d] P(t) = m - dim G(w) + dim Stab(F)
-    is at least m - dim G(w), and equal to it, and to the record's n, where
-    `classify` admits (w, d)."""
+    is `moduli_report`'s n and at least m - dim G(w), and equal to it, and
+    to the record's n, where `classify` admits (w, d)."""
     assume(gcd(*w) == 1)
     ws = WeightSystem(w)
     for d in range(w[3] + 1, sum(w)):  # 1 <= I and d > w3, as `Candidate` asks
@@ -135,7 +154,7 @@ def test_moduli_bounds_the_jacobian_ring_degree_d_piece(w):
             continue
         piece = _jacobian_ring_degree_d(w, d)
         n = count_monomials(ws, d) - aut_dimension(ws)
-        assert piece >= n, (w, d)
+        assert moduli_report(Candidate(ws, d)).n == piece >= n, (w, d)
         r = classify(w, d)
         if isinstance(r, CandidateRecord):
             assert piece == n == r.moduli_n, (w, d)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import delpezzo
-from delpezzo import catalog, search
+from delpezzo import catalog, search, serialize
 from delpezzo.diophantine import BranchAssignment, _shape, solve_condition_system, witness_branches
 from delpezzo.quasismooth import _failure, hypersurface_rejection
 from delpezzo.records import CandidateRecord, classify
@@ -176,6 +177,16 @@ def test_lines_match_branch_instances(branch_spaces):
                    for p, d, n in zip(start, direction, length) for k in range(n)}
             assert got == expected
             assert all(next(x for x in d if x) > 0 for d in direction)
+
+
+def test_both_routes_give_the_published_w600_json():
+    """`enumerate --method both --max-weight 600` is checked by both routes:
+    they agree on the 1,503 records, and their JSON has the sha256 that
+    perfbench pins for the structured route alone."""
+    records = verified_enumeration(1, 10, 600)
+    assert len(records) == 1503
+    digest = hashlib.sha256(serialize.to_json(records).encode()).hexdigest()
+    assert digest == "a19f6db545553d7995966297a3bba20c7cc5a24c0308c37a57d343376b243f5e"
 
 
 def test_brute_force_index3(enumeration_150):
