@@ -139,6 +139,12 @@ MUTANTS = [
     Mutant("json-record-unshifted", "src/delpezzo/serialize.py",
            '.replace("\\n", "\\n ")', "",
            ("tests/test_cli.py::test_to_json_is_json_dumps_of_the_list",)),
+    Mutant("json-value-unescaped", "src/delpezzo/serialize.py",
+           "encode_basestring_ascii(v) if", "'\"' + v + '\"' if",
+           ("tests/test_cli.py::test_to_json_fills_every_shape_as_json_dumps_writes_it",)),
+    Mutant("json-braces-unescaped", "src/delpezzo/serialize.py",
+           '.replace("{", "{{").replace("}", "}}")', "",
+           ("tests/test_cli.py::test_to_json_fills_every_shape_as_json_dumps_writes_it",)),
     Mutant("load-no-certificate-check", "src/delpezzo/serialize.py",
            "    if missing:\n", "    if False:\n",
            ("tests/test_cli.py::test_loaders_reject_contradicting_rows[certified-rule-missing]",)),
@@ -150,7 +156,8 @@ MUTANTS = [
            '[f"classify rejects it: {rec}"] if', "[] if",
            ("tests/test_cli.py::test_check_refuses_a_row_classify_rejects",)),
     Mutant("check-format-inverted", "src/delpezzo/cli.py",
-           'if text.lstrip().startswith("[") else', 'if not text.lstrip().startswith("[") else',
+           'if text.lstrip().startswith(("[", "{")) else',
+           'if not text.lstrip().startswith(("[", "{")) else',
            ("tests/test_cli.py::test_check_passes_the_golden_records",)),
     Mutant("load-types-unchecked", "src/delpezzo/serialize.py",
            "if not set(map(type, values)) <= types:", "if False:",

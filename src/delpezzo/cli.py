@@ -189,12 +189,13 @@ def _reproduce(args) -> int:
 def _check(args) -> int:
     """Compare each row of a JSON or CSV record file with `_row` of `classify`
     on its (w, d), column by column; the first row that differs, or that
-    `classify` rejects, exits 2.  The file is JSON iff its first non-blank
-    character is "["."""
+    `classify` rejects, exits 2.  The file is UTF-8, after a byte-order mark
+    if it has one, and it is JSON iff its first non-blank character is "["
+    or "{" (a JSON object is refused as no list of records)."""
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             text = fh.read()
-        rows = (serialize.json_rows if text.lstrip().startswith("[") else serialize.csv_rows)(text)
+        rows = (serialize.json_rows if text.lstrip().startswith(("[", "{")) else serialize.csv_rows)(text)
     except (OSError, ValueError, csv.Error) as exc:  # a bad encoding or JSON is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

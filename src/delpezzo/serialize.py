@@ -10,12 +10,15 @@ columns.  JSON places each column by one rule: w0..w3 make up the
 nested object under the rest of its name, and every other column stays at
 the top level.  An absent value is omitted, and so is an object left
 empty (the `series` of a record without one), so the JSON key order is
-the column order.  `to_json` encodes one record at a time, so its peak
-memory is a small multiple of one record's text, not of the document's,
-and writes exactly the bytes of `json.dumps` on the whole list with
-indent 1.  Both readers check one list of values per column, and the
-loaders build the records a row at a time.  Markdown is for reading.  No
-record field is rational: every number is an exact integer.
+the column order.  `to_json` writes exactly the bytes of `json.dumps` on
+the whole list with indent 1, but runs json's pure-Python indent encoder
+only once per record shape (which columns are absent, and whether each
+value is an int or a string), to lay out that shape's template.  Each
+record fills its shape's template with its values, a string escaped by
+json's C `encode_basestring_ascii`; a value of any other type is refused.
+Both readers check one list of values per column, and the loaders build
+the records a row at a time.  Markdown is for reading.  No record field
+is rational: every number is an exact integer.
 
 Loading only parses.  `json_rows` and `csv_rows` read a text into rows
 in column order, and reject, with a ValueError naming the record's
@@ -40,9 +43,11 @@ compares every row with `_row` of its recomputation.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 
 from .klt import Certified, Unknown
 from .records import CandidateRecord
@@ -68,7 +73,6 @@ def _place(column: str) -> tuple[str | None, str | int]:
 
 
 _PLACES = tuple(map(_place, CSV_COLUMNS))
-_ENCODER = json.JSONEncoder(indent=1)  # json.dumps(obj, indent=1) is its encode(obj)
 _VERDICTS = {Certified: "certified", Unknown: "unknown"}
 # Each verdict's class, and the certificate columns (without `klt_`) it is built from: its fields.
 _BUILD = {name: (cls, tuple(f.name for f in fields(cls))) for cls, name in _VERDICTS.items()}
@@ -124,13 +128,18 @@ def _records(rows) -> list[CandidateRecord]:
     return out
 
 
-def record_to_dict(r: CandidateRecord) -> dict:
+def _nest(row) -> dict:
+    """The JSON object of a row: each present value at its column's place."""
     out: dict = {}
-    for (group, key), value in zip(_PLACES, _row(r)):
+    for (group, key), value in zip(_PLACES, row):
         if value is not None:
             (out if group is None else out.setdefault(group, {}))[key] = value
     out["weights"] = list(out["weights"].values())  # keyed 0..3 until here
     return out
+
+
+def record_to_dict(r: CandidateRecord) -> dict:
+    return _nest(_row(r))
 
 
 def _json_columns(entries) -> list[list]:
@@ -151,22 +160,40 @@ def _json_columns(entries) -> list[list]:
             [obj.get(key) for obj in objects[group]] for group, key in _PLACES]
 
 
+@functools.cache
+def _template(types: tuple) -> str:
+    """The text of a record whose `_row` values have these types, with `{i}`
+    where column i's value goes.
+
+    It is `json.dumps(..., indent=1)` of the record nested with the mark
+    "<i>" in place of each present value, with its literal braces doubled
+    for `str.format` and one space after each newline: JSON escapes a
+    newline inside a string as `\\n`, so every newline is one the encoder
+    wrote before an indented line, and the extra space puts the record's
+    lines at depth 1, as they sit in the list.
+    """
+    for column, t in zip(CSV_COLUMNS, types):
+        if t not in (int, str, type(None)):  # json.dumps writes a bool as true, a float its way
+            raise ValueError(f"{column} is a {t.__name__}, not an integer or a string")
+    marks = [None if t is type(None) else f"<{i}>" for i, t in enumerate(types)]
+    text = json.dumps(_nest(marks), indent=1).replace("{", "{{").replace("}", "}}")
+    return "\n " + text.replace("\n", "\n ").replace('"<', "{").replace('>"', "}")
+
+
 def to_json(records: list[CandidateRecord]) -> str:
     """`json.dumps([record_to_dict(r) for r in records], indent=1) + "\\n"`, a record at a time.
 
-    CPython's C encoder ignores `indent`, so `json.dumps` of the whole list
-    runs the pure-Python encoder, which holds the document as tens of
-    thousands of chunk strings before it joins them (about 13 times the
-    text at its peak).  Here each record is encoded alone and only the
-    records' texts are held.  The bytes are the same: JSON escapes a
-    newline inside a string as `\\n`, so every newline in a record's text
-    is one the encoder wrote before an indented line, and putting one more
-    space after each places the record's lines at depth 1, as they sit in
-    the list.  The list is written as the encoder writes it: "[", then
-    each record after a newline and one space, with "," between records,
-    then a newline before "]" unless the list is empty.
+    Each record fills the `_template` of its shape (the types of its row's
+    values; real records take four: certified or unknown, with or without
+    a series): an int as it is, a string as the encoder writes it.  The
+    list is written as the encoder writes it: "[", then each record after
+    a newline and one space, with "," between records, then a newline
+    before "]" unless the list is empty.  Only the records' texts are held,
+    not the tens of thousands of chunks `json.dumps` makes of the document.
     """
-    texts = ("\n " + _ENCODER.encode(record_to_dict(r)).replace("\n", "\n ") for r in records)
+    texts = [_template(tuple(map(type, row))).format(
+        *[encode_basestring_ascii(v) if type(v) is str else v for v in row])
+        for row in map(_row, records)]
     return "[" + ",".join(texts) + ("\n]\n" if records else "]\n")
 
 

@@ -199,6 +199,41 @@ def test_loaders_reject_contradicting_rows(tmp_path, capsys, refuser, case, edit
             assert _check_file(tmp_path, text, capsys) == (2, "", f"mismatch: record 2 {message}\n")
 
 
+# Text that a template writer could mistake for its own: format fields, JSON escapes, non-ASCII
+_TRICKY_TEXT = st.one_of(
+    st.lists(st.sampled_from(["{", "}", "{0}", '"', "\\", "\n", "\u00e9", "a"]), max_size=6)
+    .map("".join), st.text(max_size=8))
+
+
+@st.composite
+def _any_shape_record(draw):
+    """A record of either verdict, with any of its optional columns absent, any
+    int for mu, lhs and series_k, and text JSON must escape in every string column."""
+    base = record_of(*draw(st.sampled_from([CERTIFIED, UNKNOWN])))
+    klt = base.klt
+    if isinstance(klt, Certified):
+        lhs = draw(st.integers())
+        klt = Certified(draw(st.none() | _TRICKY_TEXT), lhs, lhs + draw(st.integers(1)))
+    return dataclasses.replace(
+        base, mu=draw(st.integers()), klt=klt, klt_provenance=draw(_TRICKY_TEXT),
+        series_id=draw(st.none() | _TRICKY_TEXT), series_k=draw(st.none() | st.integers()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_any_shape_record(), max_size=3))
+def test_to_json_fills_every_shape_as_json_dumps_writes_it(rs):
+    assert to_json(rs) == json.dumps([serialize.record_to_dict(r) for r in rs], indent=1) + "\n"
+
+
+@pytest.mark.parametrize("field,column,value", [
+    ("mu", "mu", True), ("series_k", "series_k", False), ("moduli_dim_aut", "moduli_dimG", 2.0)])
+def test_to_json_refuses_a_value_neither_int_nor_string(field, column, value):
+    """`json.dumps` writes a bool as `true` and a float as `2.0`, which no template holds."""
+    rec = dataclasses.replace(record_of(*CERTIFIED), **{field: value})
+    with pytest.raises(ValueError, match=f"^{column} is a {type(value).__name__}, not an integer"):
+        to_json([rec])
+
+
 GOLDEN_CSV = Path(__file__).resolve().parent / "golden" / "records.csv"
 
 
@@ -210,6 +245,14 @@ def test_check_passes_the_golden_records(capsys):
 def test_check_passes_the_classified_sample_as_json(sample_records, tmp_path, capsys):
     assert _check_file(tmp_path, to_json(sample_records), capsys) == (
         0, f"{len(sample_records)} records match their recomputation\n", "")
+
+
+@pytest.mark.parametrize("write", [to_json, to_csv], ids=["json", "csv"])
+def test_check_reads_a_file_after_a_byte_order_mark(write, tmp_path, capsys):
+    """Spreadsheets' "CSV UTF-8" export starts the file with a UTF-8 byte-order mark."""
+    records = [record_of(*CERTIFIED), record_of(*UNKNOWN)]
+    assert _check_file(tmp_path, "\ufeff" + write(records), capsys) == (
+        0, "2 records match their recomputation\n", "")
 
 
 def test_check_refuses_a_not_klt_row_as_unreadable(tmp_path, capsys):
@@ -266,9 +309,10 @@ def _reordered_header(text):
         ('[{"index": 1', "Expecting"),
         ("REORDERED", "CSV header is not index,w0,w1,"),
         ("x" * 200_000, "field larger than field limit"),
+        ('{"a": 1}', "the JSON top level is not a list of records: {'a': 1}"),
     ],
     ids=["missing", "directory", "not-utf8", "invalid-json", "reordered-header",
-         "field-too-large"],
+         "field-too-large", "json-object"],
 )
 def test_check_unreadable_file_exit1(tmp_path, capsys, content, error):
     path = tmp_path / "records"
