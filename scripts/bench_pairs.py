@@ -1,14 +1,13 @@
 """Compare two checkouts on one perfbench workload, in alternated pairs.
 
-    python scripts/bench_pairs.py BASE CHANGE --workload structured_600 [--pairs 10]
-        [--seconds 20] [--seed 1000] [--out pairs.json]
+    python scripts/bench_pairs.py BASE CHANGE --workload structured_600 [--seed 1000]
 
 BASE and CHANGE are the roots of two checkouts, for example a `git clone`
-or `git worktree` of the parent commit and the working tree.  Each pair
-runs `perfbench/run.py --trace 0` once in each checkout, from its root and
-with its own perfbench, on the same seed; the seed is fresh for every pair
-(`--seed`, then one more per pair), and the side that runs first alternates,
-BASE first in the first pair.  Runs in a pair follow each other directly,
+or `git worktree` of the parent commit and the working tree.  Each of ten
+pairs runs `perfbench/run.py --seconds 20 --trace 0` once in each checkout,
+from its root and with its own perfbench, on the same seed; the seed is
+fresh for every pair (`--seed`, then one more per pair), and the side that
+runs first alternates, BASE first in the first pair.  Runs in a pair follow each other directly,
 so drift on a shared machine between runs far apart in time falls on both
 sides alike.
 
@@ -18,8 +17,8 @@ the number of pairs the change won (a tie counts for neither side), and
 whether a gain could be claimed: the change wins at least nine pairs in
 ten and the medians differ by more than the distance between BASE's
 quartiles.  A run that reports `correct: false` is printed and fails the
-script (exit 1).  It never edits perfbench; `--out` saves every run's
-result line as JSON.
+script (exit 1).  It never edits perfbench, which keeps every run's full
+record in `<checkout>/.perfbench-out/`.
 """
 
 from __future__ import annotations
@@ -31,12 +30,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10  # a gain is claimable only on at least ten alternated pairs
+SECONDS = 20  # perfbench's run length
 
-def run(root: Path, workload: str, seed: int, seconds: int) -> dict:
+
+def run(root: Path, workload: str, seed: int) -> dict:
     """The result line of one untraced perfbench run in the checkout at `root`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     if proc.returncode != 0:
@@ -72,19 +74,14 @@ def main(argv=None) -> int:
     p.add_argument("base", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=int, default=20)
     p.add_argument("--seed", type=int, default=1000)
-    p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2, for quartiles")
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     pairs, bad = [], 0
-    for k in range(args.pairs):
+    for k in range(PAIRS):
         seed = args.seed + k
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
-        result = {side: run(getattr(args, side), args.workload, seed, args.seconds)
+        result = {side: run(getattr(args, side), args.workload, seed)
                   for side in order}
         for side in order:
             r = result[side]
@@ -94,9 +91,6 @@ def main(argv=None) -> int:
                   f"failed {r['failed']}/{r['attempted']}", flush=True)
         pairs.append((result["base"], result["change"]))
     print("\n".join(report(metrics, pairs)))
-    if args.out:
-        args.out.write_text(json.dumps([{"base": b, "change": c} for b, c in pairs], indent=1)
-                            + "\n")
     return 1 if bad else 0
 
 
