@@ -67,6 +67,10 @@ MUTANTS = [
            "r = P[4] - P[:4]  # d - w_j, a row per j",
            "r = np.delete(P[4] - P[:4], i, axis=0)",
            ADMISSION_TESTS),
+    Mutant("structured-skips-z0", "src/delpezzo/search.py",
+           "_prefilter(P, (0,))", "_prefilter(P, ())",
+           ("tests/test_search.py::test_routes_give_the_condition_i_their_prefilter_leaves_out",
+            "tests/test_search.py::test_structured_classifies_only_records")),
     Mutant("prefilter-no-pair-gcd", "src/delpezzo/search.py",
            "        keep &= d % g[a, b] == 0\n", "", ADMISSION_TESTS),
     Mutant("prefilter-pairs-without-z3", "src/delpezzo/search.py",
@@ -173,6 +177,9 @@ MUTANTS = [
            "structured = _admit(_structured_passes(I_min, I_max, w_max))",
            "structured = _admit(_oracle_passes(I_min, I_max, w_max))",
            ("tests/test_cli.py::test_cli_method_disagreement_exit2",)),
+    Mutant("blas-threads-unpinned", "src/delpezzo/cli.py",
+           '    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n', "",
+           ("tests/test_cli.py::test_cli_main_defaults_openblas_to_one_thread",)),
     Mutant("divisor-text-minus-one", "src/delpezzo/cli.py",
            '_UNIT_COEFFICIENTS = {1: "", -1: "-"}', '_UNIT_COEFFICIENTS = {1: ""}',
            ("tests/test_cli.py::test_divisor_text_writes_every_kind_of_term",

@@ -214,6 +214,10 @@ def _check(args) -> int:
 
 
 def main(argv=None) -> int:
+    # No route makes a BLAS call, yet OpenBLAS starts a worker thread per
+    # extra core when numpy is imported, and each spins before it sleeps.
+    # The routes import numpy only when they run, so this comes first.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
         code = args.run(args)

@@ -33,11 +33,13 @@ I, with m_i*w_i + w_j = d for some partner j:
 One pipeline serves both routes, in three stages:
 
 1. The route hands over its candidate points (w0, w1, w2, w3, d) as
-   integer arrays, a pass at a time: `_oracle_passes`, `_structured_passes`.
-2. `_admit` keeps the distinct points the shared numpy `_prefilter` keeps,
-   which are exactly the points `classify` admits: condition I, the gates,
-   P(w) well-formed, and conditions III and II in the form of one gcd test
-   per pair (proof in `_prefilter`).
+   integer arrays, a pass at a time (`_oracle_passes`, `_structured_passes`),
+   each through the shared numpy `_prefilter`.  It keeps exactly the points
+   `classify` admits: condition I, the gates, P(w) well-formed, and
+   conditions III and II in the form of one gcd test per pair (proof in
+   `_prefilter`).  Each route names the variables whose condition I it
+   tests there, leaving out those its construction already gives.
+2. `_admit` keeps the distinct points of the passes.
 3. `_records` builds the record of each admitted point once, with
    `classify`, which still checks every condition itself.
 
@@ -223,7 +225,10 @@ def _lines(I: int, w_max: int):
 def _structured_passes(I_min: int, I_max: int, w_max: int):
     """The passes of points the structured route hands to `_admit`: the
     segments of `_lines` at each index of I_min..I_max, expanded once
-    each into point arrays, which end at w3 = w_max.
+    each into point arrays, which end at w3 = w_max, and each pass
+    filtered by `_prefilter` with condition I tested for z0 alone.  Every
+    point lies on the solution line of a shape, whose equations
+    m_i*w_i + w_{j(i)} = d with m_i >= 1 are condition I for z1, z2 and z3.
 
     The range is clipped at (3*w_max - 1) // 2, since no index past it has
     a record: a record passes gate G1, 3*w0 > 2I, and has w0 <= w_max, so
@@ -233,7 +238,7 @@ def _structured_passes(I_min: int, I_max: int, w_max: int):
     """
     _check_bounds(I_min, I_max, w_max)
     top = min(I_max, (3 * w_max - 1) // 2)
-    return (P for I in range(I_min, top + 1) for P in _line_points(*_lines(I, w_max)))
+    return (_prefilter(P, (0,)) for I in range(I_min, top + 1) for P in _line_points(*_lines(I, w_max)))
 
 
 def structured_range(I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
@@ -282,30 +287,31 @@ def _line_points(start, step, length):
         yield P
 
 
-def _prefilter(P):
-    """The columns of P that `classify` admits.
+def _prefilter(P, variables):
+    """The columns of P that `classify` admits, given that every column
+    passes condition I for each z_i with i not in `variables`.
 
     P has rows (w0, w1, w2, w3, d) with ascending positive weights and
-    I = |w| - d >= 1.  What it keeps is what the routes hand over as
-    admitted: `verified_enumeration` compares these points, before any
-    record is built, and `_records` builds each record once from them.
-    `classify` checks every condition again, so a point this wrongly
-    keeps is still rejected there.  A point this wrongly drops is lost to
-    both routes alike, and `verified_enumeration` cannot see it; the tests
+    I = |w| - d >= 1.  Each route names in `variables` the z_i whose
+    condition I its own construction does not give, with its proof.
+    What this keeps is what the routes hand over as admitted:
+    `verified_enumeration` compares these points, before any record is
+    built, and `_records` builds each record once from them.  `classify`
+    checks every condition again, so a point this wrongly keeps is still
+    rejected there.  A point that a test both routes make wrongly drops is
+    lost to both alike, and `verified_enumeration` cannot see it; the tests
     that compare each route with an unpruned scan at small bounds, and the
     property test against `classify`, guard that.
     The conditions, all exact integer tests:
 
-    * condition I for each z_i: m*w_i + w_j = d for some m >= 1 and j, as
-      `quasismooth._partner` tests it, each test on the points still kept.
-      The order z1, z0, z2, z3 tests first what drops the most: z3 holds
-      on every oracle point (w3 is solved from it) and z2 on nearly every
-      one (`_z2_candidates`), and z1, z2 and z3 hold on every structured
-      point (its witness equations).  The oracle's 636,754 points at
-      w <= 150 fall to 62,973, 28,937, 28,728 and 28,728; the structured
-      route's 178,979 at w <= 600 fall to 67,611 at z0 alone.  Condition I
-      for z3 also gives d > w3, which `Candidate` asks: d = m*w3 + w_j
-      with m >= 1 and w_j >= 1;
+    * condition I for each z_i of `variables`: m*w_i + w_j = d for some
+      m >= 1 and j, as `quasismooth._partner` tests it, each test on the
+      points still kept, in the order given.  The oracle names z1, z0, z2,
+      which tests first what drops the most: its 636,754 points at
+      w <= 150 fall to 62,973, 28,937 and 28,728.  The structured route
+      names z0 alone: its 178,979 points at w <= 600 fall to 67,611.
+      Condition I for z3, given by both routes, also gives d > w3, which
+      `Candidate` asks: d = m*w3 + w_j with m >= 1 and w_j >= 1;
     * gates G1 (3*w0 > 2I) and G2 (w0 + w1 != 2I);
     * P(w) well-formed: no triple of weights shares a factor, which also
       makes the weights primitive;
@@ -335,7 +341,7 @@ def _prefilter(P):
     """
     import numpy as np
 
-    for i in (1, 0, 2, 3):
+    for i in variables:
         r = P[4] - P[:4]  # d - w_j, a row per j
         wi = P[i]
         P = P.compress(((r >= wi) & (r % wi == 0)).any(axis=0), axis=1)
@@ -352,9 +358,9 @@ def _prefilter(P):
 
 
 def _admit(passes) -> set:
-    """The distinct points (w, d) of the passes that `_prefilter` keeps,
-    which are exactly the points `classify` admits."""
-    return {(tuple(p[:4]), p[4]) for P in passes for p in _prefilter(P).T.tolist()}
+    """The distinct points (w, d) of a route's passes, which `_prefilter`
+    has cut to exactly the points `classify` admits."""
+    return {(tuple(p[:4]), p[4]) for P in passes for p in P.T.tolist()}
 
 
 def _records(points) -> list[CandidateRecord]:
@@ -498,10 +504,23 @@ def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
 def _oracle_passes(I_min: int, I_max: int, w_max: int):
     """The passes of points the oracle hands to `_admit`: those of
     `_oracle_points` for each smallest weight w0, each w0 serving every
-    index of I_min..I_max."""
+    index of I_min..I_max, and each pass filtered by `_prefilter` with
+    condition I tested for z1, z0 and z2.  Every point passes it for z3,
+    since w3 is solved from it: each w3 case of `_oracle_points` gives
+    d - w_j = m*w3 for some j and m in {1, 2}.
+
+    w0 runs from the first value gate G1 allows at I_min to
+    min(w_max, (2*w_max + I_max) // 3).  Past that no w0 has a point.  With
+    S = w0 + w1 + w2, d - w_j = m*w3 reads S - I = w_j + (m - 1)*w3, which
+    is at most 2*w3 as w_j <= w3 and m <= 2.  So 2*w3 >= S - I >=
+    3*w0 - I_max, and w3 <= w_max asks for 3*w0 <= 2*w_max + I_max.  The
+    `min` keeps a huge I_max from carrying w0 past w_max.
+    """
     _check_bounds(I_min, I_max, w_max)
     w0_min = (2 * I_min) // 3 + 1  # gate G1 at the smallest index
-    return (P for w0 in range(w0_min, w_max + 1) for P in _oracle_points(w0, I_min, I_max, w_max))
+    w0_max = min(w_max, (2 * w_max + I_max) // 3)
+    return (_prefilter(P, (1, 0, 2)) for w0 in range(w0_min, w0_max + 1)
+            for P in _oracle_points(w0, I_min, I_max, w_max))
 
 
 def brute_force_enumerate(I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
@@ -517,8 +536,10 @@ def verified_enumeration(I_min: int, I_max: int, w_max: int) -> list[CandidateRe
     built; `RouteDisagreement` names each (I, w, d) that one route finds
     and the other lacks.  When they agree, each record is built once, from
     the oracle's points.  Both routes drop points through the same
-    `_prefilter`, conditions III and II included, so a point it wrongly
-    drops goes missing from both and this check cannot see it.
+    `_prefilter`; only its condition-I tests differ by route, so a point
+    that its gates or gcd tests (conditions III and II included), or its
+    test for z0, wrongly drop goes missing from both, and this check
+    cannot see it.
     """
     found = _admit(_oracle_passes(I_min, I_max, w_max))
     structured = _admit(_structured_passes(I_min, I_max, w_max))

@@ -18,7 +18,6 @@ integrality is asserted, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantViolation
@@ -36,6 +35,13 @@ def reduced_ratios(c: Candidate) -> list[tuple[int, int]]:
     return out
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, as `fractions.Fraction` prints a non-integer
+    (den > 0); the module is not imported for two error messages."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def milnor_number(c: Candidate) -> int:
     """Product of (d/w_i - 1) = (d - w_i)/w_i over the four weights.
 
@@ -49,7 +55,7 @@ def milnor_number(c: Candidate) -> int:
     mu, rem = divmod(num, den)
     if rem or mu <= 0:
         raise InvariantViolation(
-            f"{c}: Milnor number {Fraction(num, den)} is not a positive integer"
+            f"{c}: Milnor number {_ratio(num, den)} is not a positive integer"
         )
     return mu
 
@@ -81,7 +87,7 @@ def characteristic_divisor(c: Candidate) -> dict[int, int]:
         q, rem = divmod(scaled[n], scale)
         if rem:
             raise InvariantViolation(
-                f"{c}: characteristic divisor coefficient {Fraction(scaled[n], scale)} of L{n} not integral"
+                f"{c}: characteristic divisor coefficient {_ratio(scaled[n], scale)} of L{n} not integral"
             )
         if q:
             div[n] = q

@@ -665,6 +665,36 @@ def test_cli_closed_stdout_exit1(unbuffered):
     assert proc.stderr.count("\n") == 1
 
 
+_BLAS_PROBE = """
+import contextlib, io, os, sys
+from delpezzo import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1
+print(code, os.environ.get("OPENBLAS_NUM_THREADS", "unset"), threads)
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_main_defaults_openblas_to_one_thread(preset, expected):
+    """`cli.main` sets OPENBLAS_NUM_THREADS to 1 before a route imports
+    numpy, so OpenBLAS starts no worker thread; a value already set is
+    kept.  The thread count is checked where /proc shows it."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    argv = ["enumerate", "--index", "1", "--max-weight", "30", "--method", "both", "--format", "csv"]
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, value, threads = proc.stdout.split()
+    assert (code, value) == ("0", expected)
+    if preset is None:
+        assert threads == "1"
+
+
 def test_cli_reproduce_table3(capsys):
     assert cli.main(["reproduce", "--table", "3"]) == 0
     out = capsys.readouterr().out

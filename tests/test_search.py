@@ -298,11 +298,40 @@ def test_oracle_points_keep_every_z2_point(oracle_expansion):
         z2 = ((r >= full[2]) & (r % full[2] == 0)).any(axis=0)
         g2 = full[0] + full[1] != 2 * (full[:4].sum(axis=0) - full[4])
         assert np.isin(_point_keys(full[:, z2 & g2]), _point_keys(got)).all()
-        assert set(_point_keys(_prefilter(got)).tolist()) == set(_point_keys(_prefilter(full)).tolist())
+        kept_got, kept_full = (set(_point_keys(_prefilter(x, (1, 0, 2, 3))).tolist()) for x in (got, full))
+        assert kept_got == kept_full
         c = step[2] * (start[4] - start[:4]) - (step[4] - step[:4]) * start[2]
         zero = np.repeat((c == 0).any(axis=0), length)  # per point of the full expansion
         whole_passing += (zero & z2 & g2).sum()
     assert whole_passing > 0
+
+
+def test_oracle_w0_stops_where_w3_passes_w_max(oracle_expansion):
+    """Past (2*w_max + I_max) // 3, where `search._oracle_passes` stops,
+    every w0 has an empty segment table; the one at the bound does not,
+    so the bound is tight at both w_max."""
+    w_max, expansion = oracle_expansion
+    top = (2 * w_max + 10) // 3
+    assert [w0 for w0, ((_, _, length), _) in expansion.items() if len(length)][-1] == top
+
+
+@pytest.mark.parametrize("route, w_max", [("_oracle_passes", 61), ("_structured_passes", 150)])
+def test_routes_give_the_condition_i_their_prefilter_leaves_out(monkeypatch, route, w_max):
+    """Every point a route hands to `_prefilter` passes condition I for
+    each variable its call leaves out, as the route's docstring proves."""
+    calls = []
+
+    def kept_whole(P, variables):
+        calls.append((P, variables))
+        return P
+
+    monkeypatch.setattr(search, "_prefilter", kept_whole)
+    n = sum(P.shape[1] for P in getattr(search, route)(1, 10, w_max))
+    assert n > 0 and sum(P.shape[1] for P, _ in calls) == n
+    for P, variables in calls:
+        r = P[4] - P[:4]
+        for i in set(range(4)) - set(variables):
+            assert ((r >= P[i]) & (r % P[i] == 0)).any(axis=0).all(), (route, i)
 
 
 @pytest.mark.parametrize("cap", [1, 3, 7])
@@ -350,7 +379,7 @@ _admitted_cases = st.sampled_from(sorted(
 def test_numpy_admission_is_classify(case):
     """The prefilter keeps a point iff `classify` admits it."""
     w, d = case
-    kept = _prefilter(np.array([[*w, d]], dtype=np.int64).T).shape[1] == 1
+    kept = _prefilter(np.array([[*w, d]], dtype=np.int64).T, (1, 0, 2, 3)).shape[1] == 1
     assert kept == isinstance(classify(w, d), CandidateRecord)
 
 
@@ -447,10 +476,14 @@ def test_routes_reject_bad_arguments(route, args):
 
 
 def test_import_leaves_numpy_out():
-    """Only the enumeration routes need numpy, so they import it themselves."""
+    """Only the enumeration routes need numpy, so they import it themselves;
+    `cli.main` relies on it to set its BLAS default first.  No module
+    imports `fractions` either."""
     src = str(Path(delpezzo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, delpezzo, delpezzo.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    code = ("import sys, delpezzo, delpezzo.cli\n"
+            "loaded = {'numpy', 'fractions'} & set(sys.modules)\n"
+            "assert not loaded, f'{loaded} loaded'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -231,6 +232,16 @@ def test_integer_divisor_checks_match_fraction_fold(raw, index):
     else:
         with pytest.raises(InvariantViolation):
             milnor_number(c)
+
+
+@pytest.mark.parametrize("check, w, d, text", [
+    (characteristic_divisor, (7, 15, 19, 32), 70, "characteristic divisor coefficient -1/3 of L14 not integral"),
+    (milnor_number, (2, 2, 3, 5), 6, "Milnor number 4/5 is not a positive integer"),
+])
+def test_non_integral_values_are_named_in_lowest_terms(check, w, d, text):
+    """A value that is not integral is named as the reduced fraction it is."""
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(str(cand(w, d)))}: {text}$"):
+        check(cand(w, d))
 
 
 def test_b2_errata_agree_with_milnor_algebra_spectra(capsys):
