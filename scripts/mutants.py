@@ -211,9 +211,28 @@ MUTANTS = [
            "        fam = families.get(rec.series_id)\n        if fam:\n            continue\n",
            ("tests/test_catalog.py::test_diff_checks_every_family_member",)),
     Mutant("tally-ignores-ke", "src/delpezzo/catalog.py",
-           '        elif rec.ke == "Y":\n', "        else:\n",
+           'else rec.ke) == "Y"', 'else "Y") == "Y"',
            ("tests/test_catalog.py::test_theorem_a_tally_counts_only_ke_records",
             "tests/test_acceptance.py::test_criterion_6_theorem_a_tally")),
+    Mutant("theorem-a-row-b2-plus-one", "src/delpezzo/data/reference.json",
+           '    2,\n    3,\n    5,\n    9\n   ],\n   "degree": 18,\n   "b2_printed": 7,',
+           '    2,\n    3,\n    5,\n    9\n   ],\n   "degree": 18,\n   "b2_printed": 8,',
+           ("tests/test_catalog.py::test_theorem_a_expectation_follows_table1",)),
+    Mutant("oracle-w0-stops-early", "src/delpezzo/search.py",
+           "w0_max = min(w_max, (2 * w_max + I_max) // 3)", "w0_max = min(w_max, (2 * w_max + I_max) // 4)",
+           ("tests/test_search.py::test_oracle_passes_ask_for_every_w0_to_the_bound",)),
+    Mutant("oracle-w0-skips-last-two", "src/delpezzo/search.py",
+           "range(w0_min, w0_max + 1)", "range(w0_min, w0_max - 1)",
+           ("tests/test_search.py::test_oracle_passes_ask_for_every_w0_to_the_bound",)),
+    Mutant("z2-g2-mask-minus-w3", "src/delpezzo/search.py",
+           "start[2] + start[3] - start[4]", "start[2] - start[3] - start[4]",
+           ("tests/test_search.py::test_z2_candidates_drop_the_segments_gate_g2_fails",)),
+    Mutant("series-overlap-needs-three", "src/delpezzo/catalog.py",
+           "if len(hits) > 1:", "if len(hits) > 2:",
+           ("tests/test_catalog.py::test_find_series_match_rejects_overlapping_families",)),
+    Mutant("summary-counts-missing-as-matched", "src/delpezzo/catalog.py",
+           "matched = total - len(self.missing)", "matched = total + len(self.missing)",
+           ("tests/test_catalog.py::test_diff_detects_missing_row",)),
 ]
 
 

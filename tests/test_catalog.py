@@ -1,10 +1,9 @@
 import copy
 import dataclasses
-from collections import defaultdict
 
 import pytest
 
-from delpezzo import catalog
+from delpezzo import catalog, cli
 from delpezzo.errors import CatalogIntegrityError
 from delpezzo.klt import gate_check
 from delpezzo.quasismooth import is_quasismooth
@@ -111,26 +110,21 @@ def test_every_family_member_has_its_family_b2_and_ke(enumeration_150):
 
 
 def test_errata_printed_cells_are_the_printed_tables():
-    """Each erratum's printed cells are those of the row it corrects: b2 in
-    Table 1, m, n and l in Table 3, the series count in the stated Theorem-A
-    tally.  A b2 erratum's computed l is its computed b2 - 1."""
-    table1 = {(r.weights, r.degree): r for r in catalog.reference_table1()}
-    table3 = {r.series_id or (r.weights, r.degree): r for r in catalog.reference_table3()}
-    stated = catalog._tally("theorem_a")
-    cells = 0
-    for e in catalog.known_discrepancies():
-        key = (tuple(e["weights"]), e["degree"]) if "weights" in e else e.get("series_id")
-        for cell, value in e.get("printed", {}).items():
-            if cell == "b2":
-                assert table1[key].b2_printed == value, e["id"]
-            elif cell in ("m", "n", "l"):
-                assert getattr(table3[key], f"{cell}_printed") == value, e["id"]
-            else:
-                assert cell == "series" and stated[e["l"]]["series"] == value, e["id"]
-            cells += 1
-        if e["where"] == "table1" and "weights" in e:
-            assert e["computed"]["l"] == e["computed"]["b2"] - 1, e["id"]
-    assert cells == 14
+    """An erratum keeps a printed cell only where no golden prints it: the
+    series count of the stated Theorem-A tally.  A b2 erratum's computed l
+    is its computed b2 - 1, and a Table-3 erratum's computed m - dim_aut is
+    its computed n."""
+    stated = catalog._tally()
+    printed = [e for e in catalog.known_discrepancies() if "printed" in e]
+    assert [e["id"] for e in printed] == ["theorem-a-l5-series"]
+    assert stated[printed[0]["l"]]["series"] == printed[0]["printed"]["series"] == 2
+    b2 = [e for e in catalog.errata("table1").values() if "computed" in e]
+    table3 = list(catalog.errata("table3").values())
+    for e in b2:
+        assert e["computed"]["l"] == e["computed"]["b2"] - 1, e["id"]
+    for e in table3:
+        assert e["computed"]["m"] - e["computed"]["dim_aut"] == e["computed"]["n"], e["id"]
+    assert (len(b2), len(table3)) == (4, 4)
 
 
 def _moduli_table_n() -> dict[tuple, int]:
@@ -161,31 +155,6 @@ def test_moduli_rows_are_the_ke_sporadic_records_with_moduli(enumeration_150):
     assert with_moduli == {**table3, **missing}
 
 
-def test_theorem_a_computed_is_the_tables_with_their_errata():
-    """The hand-kept `theorem_a_computed` is the tally the tables give with
-    their errata applied: each K-E Table-1 row at l = (corrected b2) - 1,
-    with its n from Table 3 or its missing rows (0 otherwise), and each K-E
-    family once, at l = b2_printed - 1."""
-    b2_fixes, n = catalog.b2_errata(), {**_moduli_table_n(), **_missing_moduli_rows()}
-    tally = defaultdict(lambda: {"rigid": 0, "families": {}, "series": []})
-    for row in catalog.reference_table1():
-        if row.ke != "Y":
-            continue
-        key = (row.weights, row.degree)
-        b2 = b2_fixes[key]["computed"]["b2"] if key in b2_fixes else row.b2_printed
-        bucket = tally[b2 - 1]
-        if n.get(key, 0) == 0:
-            bucket["rigid"] += 1
-        else:
-            bucket["families"][n[key]] = bucket["families"].get(n[key], 0) + 1
-    for fam in catalog.reference_series() + catalog.errata_series():
-        if fam.ke == "Y":
-            tally[fam.b2_printed - 1]["series"].append(fam.id)
-    for bucket in tally.values():
-        bucket["series"].sort()
-    assert dict(tally) == catalog._tally("theorem_a_computed")
-
-
 def test_table2_rows():
     rows = catalog.reference_table2()
     assert len(rows) == 5
@@ -209,6 +178,8 @@ def test_diff_detects_missing_row():
     report = catalog.diff_against_reference(records[:-1])
     assert len(report.missing) == 1
     assert not report.clean
+    # the count line (mutant `summary-counts-missing-as-matched`)
+    assert report.summary().startswith("72/73 sporadic rows matched\n  missing: ")
 
 
 def test_diff_detects_field_mismatch():
@@ -264,12 +235,36 @@ def test_find_series_match_skips_sporadic_members():
 
 
 def test_theorem_a_expected_shape():
-    stated = catalog._tally("theorem_a")
+    stated = catalog._tally()
     assert stated[1] == {"rigid": 14, "families": {}, "series": 0}
     assert stated[3] == {"rigid": 0, "families": {1: 4, 2: 2}, "series": 1}
-    computed = catalog._tally("theorem_a_computed")
-    assert computed[1] == {"rigid": 14, "families": {}, "series": []}
-    assert set(computed) == set(range(1, 9))
+    expected = catalog.theorem_a_expected()
+    assert expected[1] == {"rigid": 14, "families": {}, "series": []}
+    assert set(expected) == set(range(1, 9))
+
+
+def test_theorem_a_expectation_follows_table1(patched_reference, enumeration_150, monkeypatch, capsys):
+    """`reproduce --table theorem-a` exits 0 on the shipped tables, and 2
+    once the printed b2 of the K-E row (2,3,5,9) of degree 18, which no
+    erratum corrects, is one higher: the expectation is derived from the
+    tables, so that row moves from l = 6 to l = 7 while its record stays.
+    The mutant `theorem-a-row-b2-plus-one` makes that edit in the file."""
+    records, _ = enumeration_150
+    monkeypatch.setattr(cli, "verified_enumeration", lambda I_min, I_max, w_max: records)
+    assert cli.main(["reproduce", "--table", "theorem-a"]) == 0
+
+    def edit(raw):
+        row, = (r for r in raw["sporadic"] if (r["weights"], r["degree"]) == ([2, 3, 5, 9], 18))
+        row["b2_printed"] += 1
+
+    patched_reference(edit)
+    capsys.readouterr()
+    assert cli.main(["reproduce", "--table", "theorem-a"]) == 2
+    out = capsys.readouterr().out
+    assert "\nl=6: rigid=0 families={5: 1} series=2  MISMATCH vs verified expectation " \
+           "{'rigid': 0, 'families': {}, 'series': " in out
+    assert "\nl=7: rigid=0 families={} series=1  [matches stated tally]  MISMATCH vs verified " \
+           "expectation {'rigid': 0, 'families': {5: 1}, 'series': " in out
 
 
 def test_theorem_a_tally_counts_only_ke_records():
@@ -297,7 +292,8 @@ def test_known_discrepancy_ids_unique():
 @pytest.fixture
 def patched_reference(monkeypatch):
     """Swap in an edited copy of `reference.json` with the loader caches cleared."""
-    cached = (catalog.reference_table1, catalog._sporadic_rows)
+    cached = (catalog.reference_table1, catalog._sporadic_rows,
+              catalog.reference_series, catalog.errata_series)
 
     def patch(edit):
         raw = copy.deepcopy(catalog._raw())
@@ -324,6 +320,17 @@ def test_loader_rejects_a_row_whose_index_is_not_weights_minus_degree(patched_re
     patched_reference(edit)
     with pytest.raises(CatalogIntegrityError, match=r"index != \|w\| - d"):
         catalog.reference_table1()
+
+
+def test_find_series_match_rejects_overlapping_families(patched_reference):
+    """Two families that both give (3,4,5,7) of degree 17, the k = 1 member
+    of the errata family, are a catalog integrity error, not a match
+    (mutant `series-overlap-needs-three`)."""
+    from delpezzo.weights import Candidate, normalize_weights
+
+    patched_reference(lambda raw: raw["errata_series"].append({**raw["errata_series"][0], "id": "copy"}))
+    with pytest.raises(CatalogIntegrityError, match="matches several families"):
+        catalog.find_series_match(Candidate(normalize_weights((3, 4, 5, 7)), 17))
 
 
 def test_errata_index_keys():

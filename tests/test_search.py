@@ -28,6 +28,7 @@ from delpezzo.search import (
     _oracle_segments,
     _prefilter,
     _solve_shapes,
+    _z2_candidates,
     brute_force_enumerate,
     structured_enumerate,
     structured_range,
@@ -313,6 +314,50 @@ def test_oracle_w0_stops_where_w3_passes_w_max(oracle_expansion):
     w_max, expansion = oracle_expansion
     top = (2 * w_max + 10) // 3
     assert [w0 for w0, ((_, _, length), _) in expansion.items() if len(length)][-1] == top
+
+
+@pytest.mark.parametrize("I_min, I_max", [(1, 10), (4, 10), (1, 200)])
+def test_oracle_passes_ask_for_every_w0_to_the_bound(oracle_expansion, monkeypatch, I_min, I_max):
+    """`_oracle_passes` asks `_oracle_points` for each w0 from the first
+    that gate G1 allows at I_min to min(w_max, (2*w_max + I_max) // 3),
+    once each and in order, and for no other; at I_max = 200 the bound is
+    w_max itself.  No output can show an early stop, since no record at
+    the tested bounds has w0 > 15; this kills the mutants
+    `oracle-w0-stops-early` and `oracle-w0-skips-last-two`."""
+    w_max, _ = oracle_expansion
+    asked = []
+
+    def spy(w0, *bounds):
+        assert bounds == (I_min, I_max, w_max)
+        asked.append(w0)
+        return iter(())
+
+    monkeypatch.setattr(search, "_oracle_points", spy)
+    assert list(search._oracle_passes(I_min, I_max, w_max)) == []
+    assert asked == list(range((2 * I_min) // 3 + 1, min(w_max, (2 * w_max + I_max) // 3) + 1))
+
+
+def test_z2_candidates_drop_the_segments_gate_g2_fails(oracle_expansion):
+    """The G2 mask of `_z2_candidates` is gate G2, w0 + w1 != 2I, on every
+    segment of the table: no segment that fails it gives a candidate, and
+    each segment that passes it and holds a point passing condition I for
+    z2 gives one.  Some failing segment holds such a point, so a mask that
+    let it through, as the mutant `z2-g2-mask-minus-w3` does, is seen."""
+    w_max, expansion = oracle_expansion
+    failing_with_z2 = 0
+    for (start, step, length), passes in expansion.values():
+        whole, seg, _ = _z2_candidates(start, step, length)
+        used = whole.copy()
+        used[seg] = True
+        g2 = start[0] + start[1] != 2 * (start[:4].sum(axis=0) - start[4])
+        full = np.concatenate([np.zeros((5, 0), dtype=np.int32), *passes], axis=1)
+        r = full[4] - full[:4]
+        z2 = ((r >= full[2]) & (r % full[2] == 0)).any(axis=0)
+        has_z2 = np.zeros(len(length), dtype=bool)
+        has_z2[np.repeat(np.arange(len(length)), length)[z2]] = True
+        assert not (used & ~g2).any() and not (g2 & has_z2 & ~used).any()
+        failing_with_z2 += (~g2 & has_z2).sum()
+    assert failing_with_z2 > 0
 
 
 @pytest.mark.parametrize("route, w_max", [("_oracle_passes", 61), ("_structured_passes", 150)])
