@@ -107,6 +107,16 @@ MUTANTS = [
     Mutant("divisor-two-term-no-gcd", "src/delpezzo/topology.py",
            "out.get(k, 0) + cn * g", "out.get(k, 0) + cn",
            ("tests/test_topology.py::test_integer_divisor_matches_fraction_fold",)),
+    Mutant("divisor-ratio-unreduced", "src/delpezzo/topology.py",
+           "u, v = c.d // g, wi // g", "u, v = c.d, wi",
+           ("tests/test_topology.py::test_integer_divisor_matches_fraction_fold",
+            "tests/test_topology.py::test_divisor_against_roots_oracle")),
+    Mutant("r2-ignores-line-23", "src/delpezzo/klt.py",
+           "if pair_has_monomial(w[2], w[3], d) and lhs", "if lhs",
+           ("tests/test_klt.py::test_cascade_takes_each_rule_exactly_when_it_holds",)),
+    Mutant("r3-ignores-vertex-3", "src/delpezzo/klt.py",
+           "if d % w[3] == 0 and lhs", "if lhs",
+           ("tests/test_klt.py::test_cascade_takes_each_rule_exactly_when_it_holds",)),
     Mutant("count-residue-off-by-one", "src/delpezzo/weights.py",
            "% q) // q + 1", "% q) // q",
            ("tests/test_weights.py::test_count_monomials_matches_oracle",)),

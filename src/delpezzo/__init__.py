@@ -19,8 +19,6 @@ from .klt import (
     Unknown,
     certify_KE,
     gate_check,
-    line_23_free,
-    vertex_3_free,
 )
 from .moduli import (
     ModuliReport,

@@ -119,7 +119,7 @@ def _checked(args, check):
     or index, or None once a rejected input has printed its one line."""
     try:
         w = normalize_weights(args.weights)
-        c = Candidate(w, args.degree if args.degree is not None else w.total - args.index)
+        c = Candidate(w, args.degree if args.degree is not None else sum(w.w) - args.index)
         return c, check(c)
     except ValueError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
@@ -154,12 +154,12 @@ def _topology(args) -> int:
     print(f"mu = {report.mu}")
     print(f"divisor = {_divisor_text(report.divisor)}")
     print(f"b2(link) = {report.b2_link}, b2(orbifold) = {report.b2_link + 1}")
-    if report.l == 0:
+    if report.b2_link == 0:
         print("link: S^5")
-    elif report.l == 1:
+    elif report.b2_link == 1:
         print("link: S^2 x S^3")
     else:
-        print(f"link: #{report.l}(S^2 x S^3)")
+        print(f"link: #{report.b2_link}(S^2 x S^3)")
     return EXIT_OK
 
 

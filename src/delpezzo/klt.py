@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .quasismooth import require_hypersurface
-from .weights import Candidate, WeightSystem, pair_has_monomial
+from .weights import Candidate, pair_has_monomial
 
-GATE_INDEX_VS_SMALLEST = "G1"  # 2I >= 3*w0
-GATE_INDEX_PAIR_SUM = "G2"  # 2I = w0 + w1
-GATE_RULES = {GATE_INDEX_VS_SMALLEST: "2I >= 3w0", GATE_INDEX_PAIR_SUM: "2I = w0+w1"}
+GATE_RULES = {"G1": "2I >= 3w0", "G2": "2I = w0+w1"}
 
 
 @dataclass(frozen=True)
@@ -62,20 +60,10 @@ def gate_check(c: Candidate) -> str | None:
     """First failing gate ("G1" before "G2"), or None if both pass."""
     w = c.weights.w
     if 2 * c.I >= 3 * w[0]:
-        return GATE_INDEX_VS_SMALLEST
+        return "G1"
     if 2 * c.I == w[0] + w[1]:
-        return GATE_INDEX_PAIR_SUM
+        return "G2"
     return None
-
-
-def line_23_free(w: WeightSystem, d: int) -> bool:
-    """True iff some z2^a z3^b has degree d, so z0=z1=0 is not contained."""
-    return pair_has_monomial(w[2], w[3], d)
-
-
-def vertex_3_free(w: WeightSystem, d: int) -> bool:
-    """True iff w3 | d, so z3^(d/w3) keeps (0,0,0,1) off the general member."""
-    return d % w[3] == 0
 
 
 def certify_KE(c: Candidate) -> KltVerdict:
@@ -91,13 +79,15 @@ def certify_KE(c: Candidate) -> KltVerdict:
 
 def _cascade(c: Candidate) -> Certified | Unknown:
     """The rules R1, R2, R3 in order, for a candidate already past the gates
-    and `require_hypersurface`, as every record's is."""
+    and `require_hypersurface`, as every record's is.  R2 needs some
+    z2^a z3^b of degree d, so that z0=z1=0 misses the general member; R3
+    needs w3 | d, so that z3^(d/w3) keeps (0,0,0,1) off it."""
     w, d = c.weights.w, c.d
     lhs = 2 * c.I * d
     if lhs < 3 * w[0] * w[1]:
         return Certified("R1", lhs, 3 * w[0] * w[1])
-    if line_23_free(w, d) and lhs < 3 * w[0] * w[2]:
+    if pair_has_monomial(w[2], w[3], d) and lhs < 3 * w[0] * w[2]:
         return Certified("R2", lhs, 3 * w[0] * w[2])
-    if vertex_3_free(w, d) and lhs < 3 * w[0] * w[3]:
+    if d % w[3] == 0 and lhs < 3 * w[0] * w[3]:
         return Certified("R3", lhs, 3 * w[0] * w[3])
     return Unknown()

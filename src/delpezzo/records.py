@@ -119,7 +119,7 @@ def _record(c: Candidate) -> CandidateRecord:
         mu=link.mu,
         b2_link=link.b2_link,
         b2_orbifold=link.b2_link + 1,
-        l=link.l,
+        l=link.b2_link,
         klt=verdict,
         klt_provenance=provenance,
         moduli_m=mod.m,

@@ -2,23 +2,24 @@
 
 One ordered column table, `CSV_COLUMNS`, is the serialized form of a
 record.  `_row` reads a record into a tuple in column order, with None for
-an absent value, and `_from_row` builds the record back from one; JSON and
-CSV are thin maps over the pair.  CSV writes the columns in order and an
-absent value as "", and reads every cell as an int except in the text
-columns.  JSON places each column by one rule: w0..w3 make up the
-`weights` list, a `klt_`, `moduli_` or `series_` column goes into that
-nested object under the rest of its name, and every other column stays at
-the top level.  An absent value is omitted, and so is an object left
-empty (the `series` of a record without one), so the JSON key order is
-the column order.  `to_json` writes exactly the bytes of `json.dumps` on
-the whole list with indent 1, but runs json's pure-Python indent encoder
-only once per record shape (which columns are absent, and whether each
-value is an int or a string), to lay out that shape's template.  Each
-record fills its shape's template with its values, a string escaped by
-json's C `encode_basestring_ascii`; a value of any other type is refused.
-Both readers check one list of values per column, and the loaders build
-the records a row at a time.  Markdown is for reading.  No record field
-is rational: every number is an exact integer.
+an absent value, and `_from_row` builds the record back from one (JSON
+only: a CSV file is read into rows, never records).  CSV writes the
+columns in order and an absent value as "", and reads every cell as an
+int except in the text columns.  JSON places each column by one rule:
+w0..w3 make up the `weights` list, a `klt_`, `moduli_` or `series_`
+column goes into that nested object under the rest of its name, and every
+other column stays at the top level.  An absent value is omitted, and so
+is an object left empty (the `series` of a record without one), so the
+JSON key order is the column order.  `to_json` writes exactly the bytes
+of `json.dumps` on the whole list with indent 1, but runs json's
+pure-Python indent encoder only once per record shape (which columns are
+absent, and whether each value is an int or a string), to lay out that
+shape's template.  Each record fills its shape's template with its
+values, a string escaped by json's C `encode_basestring_ascii`; a value
+of any other type is refused.  Both readers check one list of values per
+column, and `from_json` builds the records a row at a time.  Markdown is
+for reading.  No record field is rational: every number is an exact
+integer.
 
 Loading only parses.  `json_rows` and `csv_rows` read a text into rows
 in column order, and reject, with a ValueError naming the record's
@@ -31,11 +32,11 @@ gated, so `not_klt`, like any other name, is refused.  The JSON top level
 is a list of objects, each with weights a list of four and klt, moduli
 and series objects when present.  `csv_rows` rejects a header other than
 `CSV_COLUMNS`, a line whose cell count differs from the header's, and a
-cell that is not an integer outside the text columns.  `from_json` and
-`from_csv` then build each row's record, which asks for the certificate
-columns its verdict is built from (certified: rule, lhs and rhs), and for
-weights and a degree that make a `Candidate`.  `klt_gate` stays a column,
-always empty, so that every file keeps its layout.  Whether a row is the
+cell that is not an integer outside the text columns.  `from_json` then
+builds each row's record, which asks for the certificate columns its
+verdict is built from (certified: rule, lhs and rhs), and for weights and
+a degree that make a `Candidate`.  `klt_gate` stays a column, always
+empty, so that every file keeps its layout.  Whether a row is the
 record `classify` computes is not theirs to judge: `delpezzo check FILE`
 compares every row with `_row` of its recomputation.
 """
@@ -138,10 +139,6 @@ def _nest(row) -> dict:
     return out
 
 
-def record_to_dict(r: CandidateRecord) -> dict:
-    return _nest(_row(r))
-
-
 def _json_columns(entries) -> list[list]:
     """One list of values per column, each read from its place in every entry."""
     if type(entries) is not list:
@@ -181,7 +178,7 @@ def _template(types: tuple) -> str:
 
 
 def to_json(records: list[CandidateRecord]) -> str:
-    """`json.dumps([record_to_dict(r) for r in records], indent=1) + "\\n"`, a record at a time.
+    """`json.dumps([_nest(_row(r)) for r in records], indent=1) + "\\n"`, a record at a time.
 
     Each record fills the `_template` of its shape (the types of its row's
     values; real records take four: certified or unknown, with or without
@@ -222,10 +219,6 @@ def csv_rows(text: str) -> list[tuple]:
         if len(cells) != len(CSV_COLUMNS):
             raise ValueError(f"CSV line {line} has {len(cells)} cells, the header {len(CSV_COLUMNS)}")
     return _rows([_csv_column(column, cells) for column, cells in zip(CSV_COLUMNS, zip(*rows))])
-
-
-def from_csv(text: str) -> list[CandidateRecord]:
-    return _records(csv_rows(text))
 
 
 def _csv_column(column: str, cells) -> list:

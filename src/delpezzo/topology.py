@@ -25,16 +25,6 @@ from .quasismooth import require_hypersurface
 from .weights import Candidate
 
 
-def reduced_ratios(c: Candidate) -> list[tuple[int, int]]:
-    """d/w_i in lowest terms (u_i, v_i) for i = 0..3."""
-    d = c.d
-    out = []
-    for wi in c.weights.w:
-        g = gcd(d, wi)
-        out.append((d // g, wi // g))
-    return out
-
-
 def _ratio(num: int, den: int) -> str:
     """num/den in lowest terms, as `fractions.Fraction` prints a non-integer
     (den > 0); the module is not imported for two error messages."""
@@ -45,15 +35,16 @@ def _ratio(num: int, den: int) -> str:
 def milnor_number(c: Candidate) -> int:
     """Product of (d/w_i - 1) = (d - w_i)/w_i over the four weights.
 
-    The numerator and denominator products are divided once; a remainder or
-    a non-positive quotient is an invariant violation.
+    The numerator and denominator products are divided once; a remainder is
+    an invariant violation.  Both products are positive, as d > w3 >= w_i,
+    so a quotient without remainder is a positive integer.
     """
     num = den = 1
     for wi in c.weights.w:
         num *= c.d - wi
         den *= wi
     mu, rem = divmod(num, den)
-    if rem or mu <= 0:
+    if rem:
         raise InvariantViolation(
             f"{c}: Milnor number {_ratio(num, den)} is not a positive integer"
         )
@@ -73,7 +64,9 @@ def characteristic_divisor(c: Candidate) -> dict[int, int]:
     """
     scaled = {1: 1}
     scale = 1
-    for u, v in reduced_ratios(c):
+    for wi in c.weights.w:
+        g = gcd(c.d, wi)
+        u, v = c.d // g, wi // g  # d/w_i in lowest terms
         out = {}
         for n, cn in scaled.items():
             g = gcd(n, u)
@@ -98,7 +91,8 @@ def characteristic_divisor(c: Candidate) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Milnor number, characteristic divisor, and S^5 # l(S^2 x S^3) type.
+    """Milnor number, characteristic divisor, and the link's b2, the l of
+    its type S^5 # l(S^2 x S^3).
 
     The classification tables print the base orbifold's second Betti
     number, b2_link + 1; the link itself realizes one less.
@@ -107,7 +101,6 @@ class LinkReport:
     mu: int
     divisor: dict[int, int]
     b2_link: int
-    l: int
 
     def __post_init__(self):
         degree = sum(n * c for n, c in self.divisor.items())
@@ -128,11 +121,11 @@ def diffeo_type(c: Candidate) -> LinkReport:
 
 def _link_report(c: Candidate) -> LinkReport:
     """`diffeo_type` without its precondition checks, for callers that have
-    already made them.  The divisor is expanded once, and the link's b2 (and
-    l) is its coefficient sum: 1 + the L_j coefficients for j >= 2, since
+    already made them.  The divisor is expanded once, and the link's b2 (the
+    l of S^5 # l(S^2 x S^3)) is its coefficient sum: 1 + the L_j coefficients for j >= 2, since
     the L_1 coefficient is always 1."""
     div = characteristic_divisor(c)
     b2 = sum(div.values())
     if b2 < 0:
         raise InvariantViolation(f"{c}: link b2 = {b2} is negative")
-    return LinkReport(mu=milnor_number(c), divisor=div, b2_link=b2, l=b2)
+    return LinkReport(mu=milnor_number(c), divisor=div, b2_link=b2)

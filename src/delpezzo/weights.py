@@ -31,10 +31,6 @@ class WeightSystem:
         if g != 1:
             raise NonPrimitiveWeights(f"weights {w!r} have common factor {g}")
 
-    @property
-    def total(self) -> int:
-        return sum(self.w)
-
     def __getitem__(self, i: int) -> int:
         return self.w[i]
 

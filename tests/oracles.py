@@ -14,8 +14,6 @@ from math import gcd, lcm
 
 import numpy as np
 
-from delpezzo.topology import reduced_ratios
-
 
 def _nonzero(coeffs: dict) -> dict:
     return {n: c for n, c in coeffs.items() if c}
@@ -43,6 +41,12 @@ def char_mul(a: dict, b: dict) -> dict:
             k = n // g * m
             out[k] = out.get(k, 0) + cn * cm * g
     return _nonzero(out)
+
+
+def reduced_ratios(candidate) -> list[tuple[int, int]]:
+    """d/w_i in lowest terms, as (u_i, v_i) for i = 0..3."""
+    d = candidate.d
+    return [(d // gcd(d, wi), wi // gcd(d, wi)) for wi in candidate.weights.w]
 
 
 def fraction_divisor(candidate) -> dict:

@@ -23,8 +23,11 @@ from delpezzo.records import build_record
 from delpezzo.search import brute_force_enumerate
 from delpezzo.serialize import (
     CSV_COLUMNS,
-    from_csv,
+    _nest,
+    _row,
+    csv_rows,
     from_json,
+    json_rows,
     to_csv,
     to_json,
     to_markdown,
@@ -51,17 +54,21 @@ def test_json_round_trip(sample_records):
 
 
 def test_csv_round_trip(sample_records):
-    assert from_csv(to_csv(sample_records)) == sample_records
+    """CSV reads back into the rows it was written from."""
+    assert csv_rows(to_csv(sample_records)) == [_row(r) for r in sample_records]
 
 
 def test_json_and_csv_carry_identical_data(sample_records):
-    assert from_csv(to_csv(sample_records)) == from_json(to_json(sample_records))
+    assert csv_rows(to_csv(sample_records)) == json_rows(to_json(sample_records))
 
 
 def test_markdown_renders(sample_records):
     text = to_markdown(sample_records)
     assert text.startswith("| I |")
     assert len(text.strip().splitlines()) == len(sample_records) + 2
+    # the certificate column: the certificate, "-" for an open verdict (kills `!=` for `==`)
+    certified, unknown = to_markdown([record_of(*CERTIFIED), record_of(*UNKNOWN)]).splitlines()[2:]
+    assert "| Y | R3: 36 < 54 |" in certified and "| ? | - |" in unknown
 
 
 def test_json_schema_fields(sample_records):
@@ -99,7 +106,7 @@ def test_to_json_is_json_dumps_of_the_list(sample_records, structured_150):
     member = next(r for r in records if r.series_id)
     odd = dataclasses.replace(member, series_id='a"b\\c\nd\u00e9')
     for rs in ([], sample_records[:1], records, [odd, *sample_records[:2]]):
-        assert to_json(rs) == json.dumps([serialize.record_to_dict(r) for r in rs], indent=1) + "\n"
+        assert to_json(rs) == json.dumps([_nest(_row(r)) for r in rs], indent=1) + "\n"
 
 
 def test_to_json_peak_memory_is_a_few_times_its_text(structured_150):
@@ -170,8 +177,8 @@ NOT_KLT = "klt_verdict 'not_klt' is not one of certified, unknown"
         ("load", UNKNOWN, {"klt_verdict": "not_klt"}, NOT_KLT),
         ("load", UNKNOWN, {"klt_verdict": "not_klt", "klt_gate": "G9"}, NOT_KLT),
         ("load", UNKNOWN, {"mu": None}, "mu is missing"),
-        ("load", CERTIFIED, {"klt_rule": None}, "klt_rule is missing"),
-        ("load", CERTIFIED, {"klt_lhs": None}, "klt_lhs is missing"),
+        ("build", CERTIFIED, {"klt_rule": None}, "klt_rule is missing"),
+        ("build", CERTIFIED, {"klt_lhs": None}, "klt_lhs is missing"),
         ("check", UNKNOWN, {"klt_gate": "G1"}, AT_UNKNOWN + "klt_gate = 'G1' in the file, None computed"),
         ("check", CERTIFIED, {"klt_gate": "G1"}, "(I=1, w=(2, 3, 5, 9), d=18): "
          "klt_gate = 'G1' in the file, None computed"),
@@ -185,18 +192,22 @@ NOT_KLT = "klt_verdict 'not_klt' is not one of certified, unknown"
          "certified-with-gate", "series-k-missing", "series-id-missing"],
 )
 def test_loaders_reject_contradicting_rows(tmp_path, capsys, refuser, case, edits, message):
-    """A row the loaders cannot build into a record (an absent or unknown
-    value its record needs) is theirs to refuse.  Any other row that is not
-    the record `classify` computes loads, and `check` refuses it, naming the
+    """A row with a required value absent or a verdict no record has is
+    refused by both readers, `from_json` and `csv_rows`.  A certified row
+    without its certificate is refused by `from_json`, which builds the
+    records; `csv_rows` only reads rows.  Any other row that is not the
+    record `classify` computes is read, and `check` refuses it, naming the
     record and the first column that differs, or the rejection."""
     records = [record_of(*CERTIFIED), record_of(*case)]
-    for load, text in zip((from_json, from_csv), _edited(records, 1, edits)):
-        if refuser == "load":
-            with pytest.raises(ValueError, match="^record 2: " + re.escape(message)):
-                load(text)
-        else:
+    json_text, csv_text = _edited(records, 1, edits)
+    loads = [(from_json, json_text)] + ([] if refuser == "build" else [(csv_rows, csv_text)])
+    for load, text in loads:
+        if refuser == "check":
             load(text)
             assert _check_file(tmp_path, text, capsys) == (2, "", f"mismatch: record 2 {message}\n")
+        else:
+            with pytest.raises(ValueError, match="^record 2: " + re.escape(message)):
+                load(text)
 
 
 # Text that a template writer could mistake for its own: format fields, JSON escapes, non-ASCII
@@ -222,7 +233,7 @@ def _any_shape_record(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_any_shape_record(), max_size=3))
 def test_to_json_fills_every_shape_as_json_dumps_writes_it(rs):
-    assert to_json(rs) == json.dumps([serialize.record_to_dict(r) for r in rs], indent=1) + "\n"
+    assert to_json(rs) == json.dumps([_nest(_row(r)) for r in rs], indent=1) + "\n"
 
 
 @pytest.mark.parametrize("field,column,value", [
@@ -275,9 +286,9 @@ def test_check_refuses_a_not_klt_row_as_unreadable(tmp_path, capsys):
 )
 def test_check_refuses_rows_that_agree_with_themselves(tmp_path, capsys, edits, message):
     """Rows whose columns agree with one another, but not with `classify`:
-    the loaders build them, and `check` names the first wrong column."""
+    the readers read them, and `check` names the first wrong column."""
     records = [record_of(*UNKNOWN), record_of(*CERTIFIED)]
-    for load, text in zip((from_json, from_csv), _edited(records, 1, edits)):
+    for load, text in zip((from_json, csv_rows), _edited(records, 1, edits)):
         load(text)
         assert _check_file(tmp_path, text, capsys) == (
             2, "", f"mismatch: record 2 (I=1, w=(2, 3, 5, 9), d=18): {message}\n")
@@ -372,7 +383,7 @@ def test_from_json_rejects_a_top_level_that_is_not_a_list_of_objects(text, messa
 def test_from_csv_rejects_a_number_cell_that_is_not_an_integer():
     _, csv_text = _edited([record_of(*CERTIFIED), record_of(*UNKNOWN)], 1, {"degree": "x"})
     with pytest.raises(ValueError, match="^record 2: degree = 'x' is not an integer$"):
-        from_csv(csv_text)
+        csv_rows(csv_text)
 
 
 def test_from_json_rejects_weights_that_are_not_four_numbers():
@@ -387,12 +398,12 @@ def test_loaders_accept_unknown_verdict_with_cascade_provenance():
     r = dataclasses.replace(record_of(*UNKNOWN), klt_provenance="cascade")
     assert r.ke == "Y"
     assert from_json(to_json([r])) == [r]
-    assert from_csv(to_csv([r])) == [r]
+    assert csv_rows(to_csv([r])) == [_row(r)]
 
 
 def test_from_csv_rejects_reordered_header(sample_records):
     with pytest.raises(ValueError, match="CSV header"):
-        from_csv(_reordered_header(to_csv(sample_records)))
+        csv_rows(_reordered_header(to_csv(sample_records)))
 
 
 @pytest.mark.parametrize("edit,cells", [(lambda line: line + ",1,2", 23),
@@ -404,7 +415,7 @@ def test_from_csv_rejects_a_line_of_the_wrong_length(sample_records, edit, cells
     n = next(i for i, line in enumerate(lines) if line.endswith(",,"))
     lines[n] = edit(lines[n])
     with pytest.raises(ValueError, match=f"CSV line {n + 1} has {cells} cells"):
-        from_csv("\n".join(lines) + "\n")
+        csv_rows("\n".join(lines) + "\n")
 
 
 def test_cli_enumerate_index3(capsys):
@@ -591,6 +602,12 @@ def test_cli_topology_outputs(capsys):
     out = capsys.readouterr().out
     assert "mu = 16" in out and "b2(link) = 6" in out
     assert "divisor = 1 + 5L3\n" in out
+
+    # gated at index 5, but a quasi-smooth well-formed hypersurface: its link is S^5
+    # (kills `b2 <= 0` for `b2 < 0` in `topology._link_report`)
+    assert cli.main(["topology", "1", "2", "3", "5", "--degree", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "b2(link) = 0, b2(orbifold) = 1" in out and "link: S^5\n" in out
 
 
 def test_divisor_text_writes_every_kind_of_term():

@@ -7,12 +7,12 @@ from delpezzo.klt import (
     Certified,
     NotKltGate,
     Unknown,
+    _cascade,
     certify_KE,
     gate_check,
-    line_23_free,
-    vertex_3_free,
 )
 from delpezzo.weights import Candidate, normalize_weights
+from oracles import pair_solvable_oracle
 
 
 def cand(w, d):
@@ -23,6 +23,8 @@ def test_gate_51_fires_for_small_w0():
     # (1,1,k,k) of degree 2k has index 2 and 2I = 4 >= 3*w0
     for k in (2, 3, 7):
         assert gate_check(cand((1, 1, k, k), 2 * k)) == "G1"
+    # on the boundary 2I = 3*w0: (2,3,5,7) of degree 14 has index 3 (kills `>` for `>=`)
+    assert gate_check(cand((2, 3, 5, 7), 14)) == "G1"
 
 
 def test_gate_52_fires_for_pair_sum():
@@ -30,6 +32,7 @@ def test_gate_52_fires_for_pair_sum():
     c = cand((3, 5, 5, 6), 15)  # I = 4, 2I = 8 = 3 + 5, and 8 < 9
     assert c.I == 4
     assert gate_check(c) == "G2"
+    assert gate_check(cand((3, 5, 6, 7), 17)) == "G2"  # w1 < w2 (kills w[2] for w[1])
 
 
 def test_gate_order_51_before_52():
@@ -45,28 +48,51 @@ def test_no_gate():
     assert gate_check(cand((2, 3, 5, 9), 18)) is None
 
 
-@pytest.mark.parametrize(
-    "w,d,expected",
-    [
-        ((2, 3, 5, 9), 18, True),
-        ((9, 11, 12, 17), 45, False),
-        ((1, 1, 1, 1), 3, True),
-    ],
-)
-def test_line_23_free(w, d, expected):
-    assert line_23_free(normalize_weights(w), d) is expected
+def test_cascade_takes_each_rule_exactly_when_it_holds():
+    """R1, R2, R3 in order, each taken exactly when its inequality and its
+    side condition hold: R2 needs some z2^a z3^b of degree d (the line
+    z0=z1=0 is free), R3 needs w3 | d (the vertex (0,0,0,1) is free).
+
+    The cascade is arithmetic in (w, d), so it is called on each case past
+    gates and quasi-smoothness alike.  (3,5,7,11) at 25 takes R2 with w3
+    not dividing d.  (3,4,6,6) at 18 sits on R1's bound and (2,2,3,3) at 9
+    on R3's, so neither rule may take it.  In the last two cases a side
+    condition alone decides: (13,14,19,29) at 71 meets R2's and R3's
+    inequalities with neither point free, and (2,3,3,5) at 12 meets R3's
+    with 5 not dividing 12.  Kills `r2-ignores-line-23` and
+    `r3-ignores-vertex-3`."""
+    cases = [  # (w, d, line z0=z1=0 free, vertex (0,0,0,1) free)
+        ((2, 3, 5, 9), 18, True, True),
+        ((9, 11, 12, 17), 45, False, False),
+        ((1, 1, 1, 1), 3, True, True),
+        ((1, 2, 3, 5), 10, True, True),
+        ((5, 7, 11, 13), 33, True, False),
+        ((5, 14, 17, 21), 56, False, False),
+        ((3, 5, 7, 11), 25, True, False),
+        ((3, 4, 6, 6), 18, True, True),
+        ((2, 2, 3, 3), 9, True, True),
+        ((13, 14, 19, 29), 71, False, False),
+        ((2, 3, 3, 5), 12, True, False),
+    ]
+    taken = []
+    for w, d, line_free, vertex_free in cases:
+        assert pair_solvable_oracle(w[2], w[3], d) is line_free
+        assert (d % w[3] == 0) is vertex_free
+        c = cand(w, d)
+        lhs = 2 * c.I * d
+        rules = [Certified(rule, lhs, 3 * w[0] * w[i]) for rule, i in (("R1", 1), ("R2", 2), ("R3", 3))
+                 if lhs < 3 * w[0] * w[i]]
+        side = {"R1": True, "R2": line_free, "R3": vertex_free}
+        verdict = _cascade(c)
+        assert verdict == next((v for v in rules if side[v.rule]), Unknown()), (w, d)
+        taken.append(getattr(verdict, "rule", None))
+    assert taken == ["R3", None, None, None, None, "R1", "R2", "R2", None, None, None]
 
 
-@pytest.mark.parametrize(
-    "w,d,expected",
-    [
-        ((2, 3, 5, 9), 18, True),
-        ((1, 2, 3, 5), 10, True),
-        ((5, 7, 11, 13), 33, False),
-    ],
-)
-def test_vertex_3_free(w, d, expected):
-    assert vertex_3_free(normalize_weights(w), d) is expected
+def test_certificate_must_be_strict():
+    # kills `<=` for `<` in the check
+    with pytest.raises(ValueError, match="not strict: 54 < 54 fails"):
+        Certified("R3", 54, 54)
 
 
 def test_certify_R3_after_R1_R2_fail():
@@ -106,7 +132,7 @@ def test_boundary_equality_never_certifies():
         assert verdict == Unknown(), (k, verdict)
         if k >= 2:
             assert 2 * c.I * d == 3 * c.weights[0] * c.weights[2]
-            assert line_23_free(c.weights, d)
+            assert pair_solvable_oracle(c.weights[2], c.weights[3], d)
 
 
 def test_cascade_certifies_two_series_for_all_k():
@@ -135,8 +161,8 @@ def test_rule_order_does_not_change_outcome():
         ws = c.weights
         rules = [
             lhs < 3 * ws[0] * ws[1],
-            line_23_free(ws, d) and lhs < 3 * ws[0] * ws[2],
-            vertex_3_free(ws, d) and lhs < 3 * ws[0] * ws[3],
+            pair_solvable_oracle(ws[2], ws[3], d) and lhs < 3 * ws[0] * ws[2],
+            d % ws[3] == 0 and lhs < 3 * ws[0] * ws[3],
         ]
         verdict = certify_KE(c)
         assert isinstance(verdict, Certified) == any(rules)

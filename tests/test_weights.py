@@ -35,6 +35,10 @@ def test_normalize_rejects_nonpositive():
 def test_weight_system_requires_ascending():
     with pytest.raises(ValueError):
         WeightSystem((3, 2, 5, 9))
+    # out of order only in w1, w2 (w1 <= w3 holds), with the weight 1 present:
+    # kills `w[3]` for `w[2]` in the order check and `min(w) <= 1` in its message
+    with pytest.raises(ValueError, match=r"^weights must be ascending, got \(1, 3, 2, 4\)$"):
+        WeightSystem((1, 3, 2, 4))
 
 
 @pytest.mark.parametrize(
