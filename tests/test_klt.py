@@ -11,7 +11,7 @@ from delpezzo.klt import (
     certify_KE,
     gate_check,
 )
-from delpezzo.weights import Candidate, normalize_weights
+from delpezzo.weights import Candidate, normalize_weights, pair_has_monomial
 from oracles import pair_solvable_oracle
 
 
@@ -87,6 +87,36 @@ def test_cascade_takes_each_rule_exactly_when_it_holds():
         assert verdict == next((v for v in rules if side[v.rule]), Unknown()), (w, d)
         taken.append(getattr(verdict, "rule", None))
     assert taken == ["R3", None, None, None, None, "R1", "R2", "R2", None, None, None]
+
+
+@pytest.mark.parametrize(
+    "w,d,expected",
+    [
+        ((2, 3, 5, 9), 18, True),
+        ((9, 11, 12, 17), 45, False),
+        ((1, 1, 1, 1), 3, True),
+    ],
+)
+def test_line_23_free(w, d, expected):
+    # R2's side condition as `_cascade` states it, against a scan for z2^a z3^b
+    ws = normalize_weights(w)
+    assert pair_has_monomial(ws[2], ws[3], d) is expected
+    assert pair_solvable_oracle(ws[2], ws[3], d) is expected
+
+
+@pytest.mark.parametrize(
+    "w,d,expected",
+    [
+        ((2, 3, 5, 9), 18, True),
+        ((1, 2, 3, 5), 10, True),
+        ((5, 7, 11, 13), 33, False),
+    ],
+)
+def test_vertex_3_free(w, d, expected):
+    # R3's side condition as `_cascade` states it, against a scan for z3^k
+    ws = normalize_weights(w)
+    assert (d % ws[3] == 0) is expected
+    assert any(k * ws[3] == d for k in range(d // ws[3] + 1)) is expected
 
 
 def test_certificate_must_be_strict():
