@@ -229,10 +229,14 @@ MUTANTS = [
            '    2,\n    3,\n    5,\n    9\n   ],\n   "degree": 18,\n   "b2_printed": 8,',
            ("tests/test_catalog.py::test_theorem_a_expectation_follows_table1",)),
     Mutant("oracle-w0-stops-early", "src/delpezzo/search.py",
-           "w0_max = min(w_max, (2 * w_max + I_max) // 3)", "w0_max = min(w_max, (2 * w_max + I_max) // 4)",
+           "min(w_max, (2 * w_max + I_max) // 3) + 1)", "min(w_max, (2 * w_max + I_max) // 4) + 1)",
            ("tests/test_search.py::test_oracle_passes_ask_for_every_w0_to_the_bound",)),
+    Mutant("oracle-w0-ceiling-minus-one", "src/delpezzo/search.py",
+           "W0_CEILING = (13, 14, 15,", "W0_CEILING = (13, 14, 14,",
+           ("tests/test_ceiling.py::test_w0_ceiling_is_derived",
+            "tests/test_ceiling.py::test_oracle_loop_without_the_ceiling_admits_nothing_past_it")),
     Mutant("oracle-w0-skips-last-two", "src/delpezzo/search.py",
-           "range(w0_min, w0_max + 1)", "range(w0_min, w0_max - 1)",
+           "(2 * w_max + I_max) // 3) + 1)", "(2 * w_max + I_max) // 3) - 1)",
            ("tests/test_search.py::test_oracle_passes_ask_for_every_w0_to_the_bound",)),
     Mutant("z2-g2-mask-minus-w3", "src/delpezzo/search.py",
            "start[2] + start[3] - start[4]", "start[2] - start[3] - start[4]",

@@ -25,9 +25,27 @@ stabilizer in G(w) is finite:
   >= m - dim G(w), with equality exactly when the stabilizer is finite.
 * Expanding the numerator, [t^d] P(t) is the sum over S in {0..3} of
   (-1)^|S| * count(w, d - sum_{i in S} (d - w_i)), a negative degree
-  counting 0.  The terms with |S| = 1 have degrees w_i and sum to dim G(w);
-  those with |S| >= 2 have degrees at most w2 + w3 - d, so they vanish
-  when w2 + w3 < d, and then n = m - dim G(w) with no further count.
+  counting 0.  The terms with |S| = 1 have degrees w_i and sum to dim G(w).
+  Those with |S| = 2 have degrees w_a + w_b - d, at most w2 + w3 - d, so
+  they vanish when w2 + w3 < d.  Those with |S| >= 3 always vanish: the
+  |S| = 3 terms have degrees w_a + w_b + w_c - 2d <= w1 + w2 + w3 - 2d,
+  and the |S| = 4 term has degree (w1 + w2 + w3 - 2d) + (w0 - d), and
+  w1 + w2 + w3 < 2d (below) while w0 < d.  So n = m - dim G(w) plus the
+  six pair counts, which are never negative: n >= m - dim G(w) holds on
+  every input, with no check left to make.
+* w1 + w2 + w3 < 2d on every input `require_hypersurface` admits.
+  Condition I for z3 gives d = m*w3 + w_j with m >= 1.  If d >= 2*w3,
+  then w1 + w2 + w3 <= 3*w3 < 2d.  Otherwise d = w3 + w_j with j < 3, and
+  2d - (w1 + w2 + w3) is w3 + w2 - w1 > 0 for j = 2, w3 + w1 - w2 > 0 for
+  j = 1, and w3 + 2*w0 - w1 - w2 for j = 0.  There condition I for z2
+  gives m'*w2 = d - w_k = w3 + w0 - w_k with m' >= 1: k = 1 makes
+  w1 + w2 <= w3 + w0, k = 2 makes 2*w2 <= w3 + w0, and k = 3 makes
+  w2 <= w0, so w1 + w2 < w3 + 2*w0 each time.  k = 0 makes w3 = m'*w2,
+  and w1 + w2 <= 2*w2 <= w3 when m' >= 2.  When m' = 1, w2 = w3, and
+  condition II asks that w3 = gcd(w2, w3) divide d = w3 + w0 when
+  w3 > 1 (z2^a z3^b has degree d only if w3 divides d), so w3 <= w0:
+  all four weights are equal, and P(w) well-formed makes them 1, with
+  d = 2 and 3 < 4.
 
 The quadric (1,1,1,1) of degree 2, whose stabilizer O(4) is not finite,
 has m = 10, dim G(w) = 16 and n = 0.  `tests/test_moduli.py` checks n
@@ -76,8 +94,6 @@ def _moduli_report(c: Candidate) -> ModuliReport:
     g = aut_dimension(c.weights)
     n = m - g  # the terms of [t^d] P(t) with |S| <= 1
     if w[2] + w[3] >= d:
-        n += sum((-1) ** size * count_monomials(c.weights, d - sum(d - w[i] for i in S))
-                 for size in (2, 3, 4) for S in combinations(range(4), size))
-        if n < m - g:
-            raise InvariantViolation(f"{c}: moduli dimension {n} < m - dim G = {m - g}")
+        n += sum(count_monomials(c.weights, w[a] + w[b] - d)  # |S| = 2; the others are 0
+                 for a, b in combinations(range(4), 2))
     return ModuliReport(m=m, dim_aut=g, n=n)

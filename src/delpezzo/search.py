@@ -5,8 +5,12 @@ Two independent routes produce the classification below a weight bound:
 * `brute_force_enumerate` scans every ascending primitive weight system with
   weights <= w_max and keeps the well-formed, quasi-smooth candidates that
   pass both exclusion gates.  It solves w3 from condition I for z3 instead
-  of scanning it; every pruning is proved in `_oracle_points`.  Complete
-  below its bound by construction; it is the semantic ground truth.
+  of scanning it; every pruning is proved in `_oracle_points`.  Its loop
+  over the smallest weight w0 stops at `w0_ceiling(I)`, a bound on w0 at
+  each index proved from conditions I, gate G1, primitivity and
+  well-formedness by a finite case analysis (15 for I <= 10, where the
+  loop bound alone is 103 at w <= 150).  Complete below its bound by
+  construction; it is the semantic ground truth.
 
 * `structured_range` follows the search the classification proof runs:
   for each variable i = 1, 2, 3 the quasi-smoothness witness gives an
@@ -307,8 +311,8 @@ def _prefilter(P, variables):
     * condition I for each z_i of `variables`: m*w_i + w_j = d for some
       m >= 1 and j, as `quasismooth._partner` tests it, each test on the
       points still kept, in the order given.  The oracle names z1, z0, z2,
-      which tests first what drops the most: its 636,754 points at
-      w <= 150 fall to 62,973, 28,937 and 28,728.  The structured route
+      which tests first what drops the most: its 221,428 points at
+      w <= 150 fall to 35,517, 23,301 and 23,267.  The structured route
       names z0 alone: its 178,979 points at w <= 600 fall to 67,611.
       Condition I for z3, given by both routes, also gives d > w3, which
       `Candidate` asks: d = m*w3 + w_j with m >= 1 and w_j >= 1;
@@ -501,26 +505,98 @@ def _oracle_points(w0: int, I_min: int, I_max: int, w_max: int):
         yield start.take(s, axis=1) + step.take(s, axis=1) * k[a:a + PASS_CAP]
 
 
+W0_CEILING = (13, 14, 15, 13, 13, 13, 11, 8, 9, 10)  # `w0_ceiling` at I = 1..10
+W0_SLOPE = 6  # `w0_ceiling(I)` is W0_SLOPE*I past the table
+
+
+def w0_ceiling(I: int) -> int:
+    """A proved bound on the smallest weight: every point that `classify`
+    admits at index I, whatever its other weights, has w0 <= w0_ceiling(I).
+    It is W0_CEILING[I - 1] for I <= 10 and W0_SLOPE*I past that.  At
+    I = 1..7 it is the largest w0 of a record (at w <= 150 as at w <= 2400);
+    at I = 8..10 it is I, from the case w0 <= I, which the proof leaves
+    open, while the records there stop at w0 = 7.
+    `tests/test_ceiling.py` derives both constants again by the case
+    analysis below, in exact integers, and runs the oracle's loop without
+    the ceiling at w <= 150 against them.
+
+    Take an admitted point: for each z_i, m_i*w_i + w_{j_i} = d with
+    m_i >= 1 (condition I), gate G1, and P(w) well-formed, so the weights
+    are primitive.  If w0 <= I there is nothing to show, as every
+    value is at least I.  So let w0 > I, and write w0 = I + u,
+    w1 = w0 + s1, w2 = w1 + s2, with u >= 1 and s1, s2 >= 0.
+
+    1. No witness is a pair monomial: m_i = 1 with j_i != i makes the two
+       other weights sum to I, and each exceeds 2I/3 (G1, the argument of
+       `_g1_rules_out`).
+    2. Condition I for z3 leaves the five w3 of `_oracle_points`, each a
+       linear form in w0, w1, w2 and I.
+    3. Then z2, z1 and z0 in turn: m*w_i = d - w_j, where d - w_j is, with
+       the forms found so far put in, a linear form in w0..w_i and I.  On
+       (I, u, s1, s2) it reads sum(c_k*x_k), and w_i is the sum of I, u
+       and the s up to its own, every x_k the form involves, so
+       m*w_i <= max(c_k)*w_i and m <= max(c_k): finitely many (m, j).
+       Each either solves w_i as a linear form in the variables before
+       it, or, when w_i cancels, leaves a relation among those.  Every
+       relation has its coefficients on (I, u, s1, s2) all of one sign,
+       I's or u's nonzero, so no point satisfies it, except for z1
+       relations w0 = r*I with r > 1, the lines below.  (For z2 these
+       relations are the c_j = 0 of `_oracle_points`: its whole segments
+       need w0 <= I.)  No branch holds identically.
+    4. A branch that solves all three gives w = I*v for a fixed rational
+       v.  Its integer points are k*(p, step) for the primitive (p, step)
+       on that ray, and k*p is primitive only for k = 1: the branch leaves
+       one point, p at index step.  The branches give 7,640 distinct rays,
+       which leave 62 admitted points, all at step <= 7, whose largest p0
+       at step 1..7 is 13, 14, 15, 13, 13, 13, 11.
+    5. A line has w0 = r*I at index I, with w1 = t free and w2, w3, d
+       affine in t; the 57 lines have r <= W0_SLOPE = 6, which bounds
+       every index.  At I <= 10 most lines hold no admitted point.  Unless
+       r*I is an integer a line holds no point at I; else let N = w0*I and
+       L the common denominator of the line's coefficients.  Whether each
+       weight is an integer, whether w0 divides some d - w_j (z0), whether
+       a prime dividing N divides three weights (P(w)), and whether a
+       power of a prime dividing N divides two weights but not d (X
+       well-formed) all depend only on t mod L*N, and an admitted point
+       passes all four.  A line none of whose ascending t in one period
+       (or in its whole ascending range, when that is shorter) passes them
+       holds no admitted point at I; the lines left have r*I <= 9.
+
+    So at I <= 10 the ceiling is the largest of I, step 4's points at I
+    and the lines left by step 5, and past 10 no point of step 4 is left
+    and every line gives at most W0_SLOPE*I.
+    """
+    return W0_CEILING[I - 1] if I <= len(W0_CEILING) else W0_SLOPE * I
+
+
 def _oracle_passes(I_min: int, I_max: int, w_max: int):
     """The passes of points the oracle hands to `_admit`: those of
-    `_oracle_points` for each smallest weight w0, each w0 serving every
-    index of I_min..I_max, and each pass filtered by `_prefilter` with
+    `_oracle_points` for each smallest weight w0, each w0 serving the
+    indices of I_min..I_max from the first to the last that gate G1 and
+    `w0_ceiling` allow it, and each pass filtered by `_prefilter` with
     condition I tested for z1, z0 and z2.  Every point passes it for z3,
     since w3 is solved from it: each w3 case of `_oracle_points` gives
     d - w_j = m*w3 for some j and m in {1, 2}.
 
-    w0 runs from the first value gate G1 allows at I_min to
-    min(w_max, (2*w_max + I_max) // 3).  Past that no w0 has a point.  With
-    S = w0 + w1 + w2, d - w_j = m*w3 reads S - I = w_j + (m - 1)*w3, which
-    is at most 2*w3 as w_j <= w3 and m <= 2.  So 2*w3 >= S - I >=
-    3*w0 - I_max, and w3 <= w_max asks for 3*w0 <= 2*w_max + I_max.  The
-    `min` keeps a huge I_max from carrying w0 past w_max.
+    A w0 past every index's ceiling asks for nothing: at I <= 10 the last
+    w0 asked for is 15.  The ceiling rests on conditions I, gate G1,
+    primitivity and well-formedness alone (proof in `w0_ceiling`), not on
+    the structured route.  w0 runs from the first value gate G1 allows at
+    I_min to min(w_max, (2*w_max + I_max) // 3).  Past that no w0 has a
+    point at any index: with S = w0 + w1 + w2, d - w_j = m*w3 reads
+    S - I = w_j + (m - 1)*w3, which is at most 2*w3 as w_j <= w3 and
+    m <= 2.  So 2*w3 >= S - I >= 3*w0 - I_max, and w3 <= w_max asks for
+    3*w0 <= 2*w_max + I_max.  The `min` keeps a huge I_max from carrying
+    w0 past w_max, and G1, 2I < 3*w0, keeps each w0's list of indices
+    shorter than 3*w0/2.
     """
     _check_bounds(I_min, I_max, w_max)
-    w0_min = (2 * I_min) // 3 + 1  # gate G1 at the smallest index
-    w0_max = min(w_max, (2 * w_max + I_max) // 3)
-    return (_prefilter(P, (1, 0, 2)) for w0 in range(w0_min, w0_max + 1)
-            for P in _oracle_points(w0, I_min, I_max, w_max))
+    spans = []
+    for w0 in range((2 * I_min) // 3 + 1, min(w_max, (2 * w_max + I_max) // 3) + 1):
+        fits = [I for I in range(I_min, min(I_max, (3 * w0 - 1) // 2) + 1) if w0 <= w0_ceiling(I)]
+        if fits:
+            spans.append((w0, fits[0], fits[-1]))
+    return (_prefilter(P, (1, 0, 2)) for w0, lo, hi in spans for P in _oracle_points(w0, lo, hi, w_max))
 
 
 def brute_force_enumerate(I_min: int, I_max: int, w_max: int) -> list[CandidateRecord]:
@@ -540,6 +616,12 @@ def verified_enumeration(I_min: int, I_max: int, w_max: int) -> list[CandidateRe
     that its gates or gcd tests (conditions III and II included), or its
     test for z0, wrongly drop goes missing from both, and this check
     cannot see it.
+
+    The oracle stops its w0 loop at `w0_ceiling`, whose proof rests on
+    conditions I, gate G1, primitivity and well-formedness alone, not on
+    the branch shapes or on M1_MAX, so the routes still share no
+    admission argument.  The structured route has no ceiling: a point it
+    finds past one shows here as a point the oracle lacks.
     """
     found = _admit(_oracle_passes(I_min, I_max, w_max))
     structured = _admit(_structured_passes(I_min, I_max, w_max))

@@ -308,33 +308,45 @@ def test_oracle_points_keep_every_z2_point(oracle_expansion):
 
 
 def test_oracle_w0_stops_where_w3_passes_w_max(oracle_expansion):
-    """Past (2*w_max + I_max) // 3, where `search._oracle_passes` stops,
-    every w0 has an empty segment table; the one at the bound does not,
-    so the bound is tight at both w_max."""
+    """Past (2*w_max + I_max) // 3, one of the bounds where
+    `search._oracle_passes` stops, every w0 has an empty segment table;
+    the one at the bound does not, so the bound is tight at both w_max."""
     w_max, expansion = oracle_expansion
     top = (2 * w_max + 10) // 3
     assert [w0 for w0, ((_, _, length), _) in expansion.items() if len(length)][-1] == top
 
 
-@pytest.mark.parametrize("I_min, I_max", [(1, 10), (4, 10), (1, 200)])
+@pytest.mark.parametrize("I_min, I_max", [(1, 10), (4, 10), (1, 200), (12, 30)])
 def test_oracle_passes_ask_for_every_w0_to_the_bound(oracle_expansion, monkeypatch, I_min, I_max):
-    """`_oracle_passes` asks `_oracle_points` for each w0 from the first
-    that gate G1 allows at I_min to min(w_max, (2*w_max + I_max) // 3),
-    once each and in order, and for no other; at I_max = 200 the bound is
-    w_max itself.  No output can show an early stop, since no record at
-    the tested bounds has w0 > 15; this kills the mutants
+    """`_oracle_passes` asks `_oracle_points`, once each and in order, for
+    each w0 from the first that gate G1 allows at I_min to
+    min(w_max, (2*w_max + I_max) // 3) that some index of the range
+    allows, each for the indices from the first to the last that gate G1
+    and `w0_ceiling` allow it, and for nothing else.  At I = 1..10 the
+    last w0 is 15, asked for I = 3 alone; at I_max = 200 the last is
+    w_max itself, and at I = 12..30 the bound (2*w_max + I_max) // 3 cuts
+    below the ceiling.  No output can show an early stop, since no record
+    at the tested bounds has w0 > 15; this kills the mutants
     `oracle-w0-stops-early` and `oracle-w0-skips-last-two`."""
     w_max, _ = oracle_expansion
     asked = []
 
     def spy(w0, *bounds):
-        assert bounds == (I_min, I_max, w_max)
-        asked.append(w0)
+        asked.append((w0, *bounds))
         return iter(())
 
     monkeypatch.setattr(search, "_oracle_points", spy)
     assert list(search._oracle_passes(I_min, I_max, w_max)) == []
-    assert asked == list(range((2 * I_min) // 3 + 1, min(w_max, (2 * w_max + I_max) // 3) + 1))
+    expected = []
+    for w0 in range((2 * I_min) // 3 + 1, min(w_max, (2 * w_max + I_max) // 3) + 1):
+        fits = [I for I in range(I_min, I_max + 1) if 2 * I < 3 * w0 and w0 <= search.w0_ceiling(I)]
+        if fits:
+            expected.append((w0, fits[0], fits[-1], w_max))
+    assert asked == expected
+    if (I_min, I_max) == (1, 10):
+        assert asked[-1] == (15, 3, 3, w_max)
+    if I_max == 200:
+        assert asked[-1][0] == w_max
 
 
 def test_z2_candidates_drop_the_segments_gate_g2_fails(oracle_expansion):

@@ -69,6 +69,26 @@ def test_monomial_counts(w, d, count):
     assert count_monomials_oracle(ws.w, d) == count
 
 
+def test_count_monomials_walks_only_the_reachable_a3_and_a2(monkeypatch):
+    """`count_monomials` asks `range` for a3 = 0..d // w3 once, then for
+    a2 = 0..r3 // w2 once per a3, and for nothing else, counted through a
+    `range` patched into `delpezzo.weights`.  A looser loop bound only
+    costs time, so no count shows it; this kills the mutants
+    `range(d * w3 + 1)` and `range(d // w3 + 2)` of the a3 loop."""
+    import delpezzo.weights
+
+    lengths = []
+
+    def counting_range(*args):
+        lengths.append(len(range(*args)))
+        return range(*args)
+
+    w, d = normalize_weights((2, 3, 5, 9)), 45
+    monkeypatch.setattr(delpezzo.weights, "range", counting_range, raising=False)
+    assert count_monomials(w, d) == count_monomials_oracle(w.w, d)
+    assert lengths == [d // 9 + 1] + [(d - a3 * 9) // 5 + 1 for a3 in range(d // 9 + 1)]
+
+
 def test_candidate_invariants():
     c = Candidate(normalize_weights((2, 3, 5, 9)), 18)
     assert c.I == 1
